@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,17 +23,14 @@ from .diagnostics import max_principle_check, steady_state_time
 from .flux import FluxKind
 from .scenarios import SCENARIO_NAMES, build_initial, make_scenario
 from .solver import (
-    BoundarySpec,
+    BoundaryCondition,
     ConfigurationError,
-    Dirichlet,
-    FixedFlux,
     Grid,
-    InitialSpec,
     InstabilityError,
     RunResult,
     SimConfig,
+    boundary_condition,
     run,
-    stability_ratio,
 )
 
 _FLUX_CHOICES = tuple(kind.value for kind in FluxKind)
@@ -43,172 +41,55 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _bc_to_dict(bc) -> dict:
-    kind = "dirichlet" if isinstance(bc, Dirichlet) else "fixed-flux"
-    return {"kind": kind, "value": bc.value}
-
-
-def _bc_from_dict(data: dict):
-    kind = data["kind"]
-    if kind == "dirichlet":
-        return Dirichlet(float(data["value"]))
-    if kind == "fixed-flux":
-        return FixedFlux(float(data["value"]))
-    raise ConfigurationError(f"unknown boundary kind {kind!r}")
-
-
-def _parse_bc_flag(text: str):
-    # --bc-left dirichlet:5.0 | --bc-left flux:0.0
+def _boundary_flag(text: str) -> BoundaryCondition:
+    # --bc-left dirichlet:5.0 | --bc-left fixed-flux:0.0, or its alias flux:0.0
+    kind, _, raw = text.partition(":")
     try:
-        kind, raw = text.split(":", 1)
         value = float(raw)
     except ValueError:
         raise ConfigurationError(
             f"boundary override {text!r} must look like dirichlet:VALUE or flux:VALUE"
         ) from None
-    if kind == "dirichlet":
-        return Dirichlet(value)
-    if kind in ("flux", "fixed-flux"):
-        return FixedFlux(value)
-    raise ConfigurationError(f"unknown boundary kind {kind!r} in {text!r}")
+    return boundary_condition("fixed-flux" if kind == "flux" else kind, value)
 
 
-def config_to_mapping(cfg: SimConfig) -> dict:
-    return {
-        "scenario": cfg.scenario,
-        "alpha": cfg.alpha,
-        "n": cfg.n,
-        "dt": cfg.dt,
-        "t_end": cfg.t_end,
-        "snapshot_times": list(cfg.snapshot_times),
-        "flux": cfg.flux.value,
-        "bc": {"left": _bc_to_dict(cfg.bc.left), "right": _bc_to_dict(cfg.bc.right)},
-        "initial": {"profile": cfg.initial.profile, "params": dict(cfg.initial.params)},
-        "stability_warn_ratio": cfg.stability_warn_ratio,
-        "kappa": cfg.kappa,
-        "stop_when_steady": cfg.stop_when_steady,
-        "steady_eps": cfg.steady_eps,
-        "force_inconsistent_bc": cfg.force_inconsistent_bc,
-    }
+def snapshot_times(text: str) -> list[float]:
+    """Parse --snapshots; argparse names this function in its error message."""
+    return [float(t) for t in text.split(",") if t]
 
 
-def mapping_to_config(data: dict) -> SimConfig:
-    try:
-        bc = BoundarySpec(
-            _bc_from_dict(data["bc"]["left"]), _bc_from_dict(data["bc"]["right"])
-        )
-        initial = InitialSpec(
-            data["initial"]["profile"], dict(data["initial"].get("params", {}))
-        )
-        return SimConfig(
-            alpha=float(data["alpha"]),
-            n=int(data["n"]),
-            dt=float(data["dt"]),
-            t_end=float(data["t_end"]),
-            snapshot_times=tuple(float(t) for t in data["snapshot_times"]),
-            flux=FluxKind.from_name(data["flux"]),
-            bc=bc,
-            initial=initial,
-            stability_warn_ratio=float(data.get("stability_warn_ratio", 0.5)),
-            kappa=float(data.get("kappa", 1.0)),
-            stop_when_steady=bool(data.get("stop_when_steady", False)),
-            steady_eps=float(data.get("steady_eps", 1e-10)),
-            force_inconsistent_bc=bool(data.get("force_inconsistent_bc", False)),
-            scenario=data.get("scenario"),
-        )
-    except KeyError as exc:
-        raise ConfigurationError(f"configuration is missing key {exc}") from None
-
-
-def build_manifest(cfg: SimConfig, grid: Grid) -> dict:
-    manifest = {"tool": "fracflux", "version": __version__}
-    manifest.update(config_to_mapping(cfg))
-    manifest["dx"] = grid.dx
-    manifest["stability_ratio"] = stability_ratio(cfg, grid)
-    return manifest
-
-
-def resolve_config(args: argparse.Namespace, flux_override: str | None) -> SimConfig:
+def resolve_config(args: argparse.Namespace) -> SimConfig:
     """Merge scenario defaults, config-file values and flag overrides.
 
-    Precedence: flags beat the file, the file beats the scenario template.
+    Precedence: flags beat the file, the file beats the scenario template,
+    and the template beats the SimConfig defaults.  A flag overrides the
+    field its argparse destination is named after; the boundary flags
+    replace one side of ``bc``.  Without snapshot times the run keeps
+    only its final field.
     """
     file_data: dict = {}
     if args.config:
         file_data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(file_data, dict):
+            raise ConfigurationError(f"{args.config} does not hold a JSON object")
     scenario_name = args.scenario or file_data.get("scenario")
 
-    if scenario_name:
-        base_alpha = file_data.get("alpha", 0.5)
-        if args.alpha is not None:
-            base_alpha = args.alpha
-        scenario = make_scenario(scenario_name, alpha=float(base_alpha))
-        mapping = config_to_mapping(scenario.cfg)
-    else:
-        if "initial" not in file_data:
-            raise ConfigurationError(
-                "no scenario given and the config file does not define an "
-                "initial profile; pass --scenario or a complete --config"
-            )
-        mapping = {
-            "scenario": None,
-            "alpha": 0.5,
-            "n": 100,
-            "dt": 0.0005,
-            "t_end": 1.0,
-            "snapshot_times": [],
-            "flux": "caputo",
-            "bc": {
-                "left": {"kind": "fixed-flux", "value": 0.0},
-                "right": {"kind": "fixed-flux", "value": 0.0},
-            },
-        }
+    mapping = make_scenario(scenario_name).cfg.to_mapping() if scenario_name else {}
+    mapping.update(file_data)
+    flags = vars(args)
+    mapping.update(
+        (f.name, flags[f.name])
+        for f in fields(SimConfig)
+        if flags.get(f.name) is not None
+    )
+    cfg = SimConfig.from_mapping(mapping)
 
-    for key in (
-        "alpha",
-        "n",
-        "dt",
-        "t_end",
-        "snapshot_times",
-        "flux",
-        "bc",
-        "initial",
-        "stability_warn_ratio",
-        "kappa",
-        "stop_when_steady",
-        "steady_eps",
-        "force_inconsistent_bc",
-    ):
-        if key in file_data:
-            mapping[key] = file_data[key]
-    mapping["scenario"] = scenario_name
-
-    if args.alpha is not None:
-        mapping["alpha"] = args.alpha
-    if args.n is not None:
-        mapping["n"] = args.n
-    if args.dt is not None:
-        mapping["dt"] = args.dt
-    if args.t_end is not None:
-        mapping["t_end"] = args.t_end
-    if args.snapshots is not None:
-        mapping["snapshot_times"] = [float(t) for t in args.snapshots.split(",") if t]
-    if flux_override is not None:
-        mapping["flux"] = flux_override
+    bc = cfg.bc
     if args.bc_left is not None:
-        mapping.setdefault("bc", {})["left"] = _bc_to_dict(_parse_bc_flag(args.bc_left))
+        bc = replace(bc, left=_boundary_flag(args.bc_left))
     if args.bc_right is not None:
-        mapping.setdefault("bc", {})["right"] = _bc_to_dict(_parse_bc_flag(args.bc_right))
-    if args.kappa is not None:
-        mapping["kappa"] = args.kappa
-    if args.stop_when_steady is not None:
-        mapping["stop_when_steady"] = args.stop_when_steady
-    if args.force_inconsistent_bc:
-        mapping["force_inconsistent_bc"] = True
-
-    if not mapping.get("snapshot_times"):
-        mapping["snapshot_times"] = [mapping["t_end"]]
-    return mapping_to_config(mapping)
+        bc = replace(bc, right=_boundary_flag(args.bc_right))
+    return replace(cfg, bc=bc, snapshot_times=cfg.snapshot_times or (cfg.t_end,))
 
 
 def _downsample_indices(length: int, limit: int = _TRACE_POINT_LIMIT) -> list[int]:
@@ -244,13 +125,13 @@ def write_summary_json(
         "steady_state_time": steady_state_time(trace, result.cfg.steady_eps),
         "max_principle": principle.to_dict(),
         "mass_trace": {
-            "t": [trace.t[i] for i in idx],
-            "mass": [trace.mass[i] for i in idx],
+            "t": trace.t[idx].tolist(),
+            "mass": trace.mass[idx].tolist(),
         },
+        # min/max sampled at the same times as mass_trace.t
         "extrema_trace": {
-            "t": [trace.t[i] for i in idx],
-            "min": [trace.u_min[i] for i in idx],
-            "max": [trace.u_max[i] for i in idx],
+            "min": trace.u_min[idx].tolist(),
+            "max": trace.u_max[idx].tolist(),
         },
     }
     if result.decomposition is not None:
@@ -263,14 +144,14 @@ def write_summary_json(
 
 
 def run_command(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args, args.flux)
+    cfg = resolve_config(args)
     grid = Grid(cfg.n)
     initial = build_initial(cfg.initial, grid)
     result = run(cfg, grid, initial)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = build_manifest(cfg, grid)
+    manifest = cfg.manifest(grid)
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
     )
@@ -286,12 +167,13 @@ def run_command(args: argparse.Namespace) -> int:
 
 
 def compare_command(args: argparse.Namespace) -> int:
-    cfg_a = resolve_config(args, args.flux_a)
-    cfg_b = resolve_config(args, args.flux_b)
-    grid = Grid(cfg_a.n)
-    initial = build_initial(cfg_a.initial, grid)
+    cfg = resolve_config(args)
+    cfg_a = replace(cfg, flux=FluxKind.from_name(args.flux_a))
+    cfg_b = replace(cfg, flux=FluxKind.from_name(args.flux_b))
+    grid = Grid(cfg.n)
+    initial = build_initial(cfg.initial, grid)
     result_a = run(cfg_a, grid, initial)
-    result_b = run(cfg_b, grid, build_initial(cfg_b.initial, grid))
+    result_b = run(cfg_b, grid, initial)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -312,7 +194,7 @@ def compare_command(args: argparse.Namespace) -> int:
                     f"{t_str},{_fmt(x[i])},{_fmt(ua[i])},{_fmt(ub[i])},{_fmt(diff[i])}\n"
                 )
     verdict = {
-        "manifest": build_manifest(cfg_a, grid),
+        "manifest": cfg_a.manifest(grid),
         "flux_a": cfg_a.flux.value,
         "flux_b": cfg_b.flux.value,
         "per_snapshot": per_snapshot,
@@ -343,7 +225,10 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dt", type=float, help="time step")
     parser.add_argument("--t-end", type=float, dest="t_end", help="final time")
     parser.add_argument(
-        "--snapshots", help="comma-separated snapshot times, e.g. 0.01,0.04,0.2"
+        "--snapshots",
+        dest="snapshot_times",
+        type=snapshot_times,
+        help="comma-separated snapshot times, e.g. 0.01,0.04,0.2",
     )
     parser.add_argument(
         "--bc-left", help="left boundary override, dirichlet:VALUE or flux:VALUE"
@@ -361,6 +246,7 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--force-inconsistent-bc",
         action="store_true",
+        default=None,
         help="run even if the initial data contradicts a Dirichlet value",
     )
     parser.add_argument("--out-dir", default=".", help="directory for output files")

@@ -123,6 +123,7 @@ def equivariance_test(
     stop, so snapshots are always taken at identical step counts.
     """
     # Imported here: solver imports this module for its trace type.
+    from .scenarios import build_initial
     from .solver import BoundarySpec, Dirichlet, Field, FixedFlux, Grid, run
 
     cfg = scenario.cfg
@@ -147,7 +148,7 @@ def equivariance_test(
     )
 
     grid = Grid(base_cfg.n)
-    u0 = np.asarray(scenario.initial(grid.x), dtype=np.float64)
+    u0 = build_initial(cfg.initial, grid).u
     base = run(base_cfg, grid, Field(u=u0.copy(), t=0.0))
     mapped = run(mapped_cfg, grid, Field(u=a * u0 + b, t=0.0))
 

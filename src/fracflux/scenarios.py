@@ -1,8 +1,9 @@
 """Named experiment setups: initial profiles plus fully resolved configs.
 
 Each scenario pins every numerical parameter, so a single name reproduces
-a complete experiment.  The shared defaults are n = 100 (dx = 0.01) and
-dt = 0.0005, the desk-scale resolution used throughout.
+a complete experiment.  A scenario lists only what differs from the
+SimConfig defaults: n = 100 (dx = 0.01), dt = 0.0005, alpha = 0.5, the
+caputo law and reflective walls.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from typing import Callable
 
 import numpy as np
 
-from .flux import FluxKind
 from .solver import (
     BoundarySpec,
     ConfigurationError,
@@ -89,109 +89,82 @@ class Scenario:
 
     name: str
     cfg: SimConfig
-    initial: Callable  # pure function of the node positions
     expected_qualitative: str
 
     def initial_field(self, grid: Grid) -> Field:
-        return Field(u=np.asarray(self.initial(grid.x), dtype=np.float64), t=0.0)
+        return build_initial(self.cfg.initial, grid)
 
 
-SCENARIO_NAMES = (
-    "pulse-reflective",
-    "ice-warsaw",
-    "ice-minneapolis",
-    "fig7-zero",
-    "fig7-shifted",
-)
+def _dirichlet(value: float) -> BoundarySpec:
+    return BoundarySpec(Dirichlet(value), Dirichlet(value))
 
-_NOTES = {
+
+# name -> (SimConfig fields that differ from the defaults, expected behaviour)
+_SCENARIOS = {
     "pulse-reflective": (
+        dict(
+            t_end=10.0,
+            snapshot_times=(0.01, 0.1, 1.0, 10.0),
+            initial=InitialSpec("triangular-pulse"),
+        ),
         "mass stays at 1; caputo flattens to a line of unit height, rl piles "
-        "the conserved quantity against the left wall"
+        "the conserved quantity against the left wall",
     ),
-    "ice-warsaw": "stays identically 0 for every flux law",
+    "ice-warsaw": (
+        dict(
+            snapshot_times=(0.25, 0.5, 1.0),
+            bc=_dirichlet(0.0),
+            initial=InitialSpec("constant", {"value": 0.0}),
+        ),
+        "stays identically 0 for every flux law",
+    ),
     "ice-minneapolis": (
+        dict(
+            t_end=100.0,
+            snapshot_times=(100.0,),
+            bc=_dirichlet(32.0),
+            initial=InitialSpec("constant", {"value": 32.0}),
+            stop_when_steady=True,
+        ),
         "caputo/fourier/parsimonious hold 32 forever; rl decays near the left "
-        "wall into a non-flat steady profile"
+        "wall into a non-flat steady profile",
     ),
-    "fig7-zero": "rl and caputo solutions coincide pointwise (zero left boundary)",
+    "fig7-zero": (
+        dict(
+            t_end=0.2,
+            snapshot_times=(0.01, 0.04, 0.2),
+            bc=_dirichlet(0.0),
+            initial=InitialSpec("fig7-bump", {"offset": 0.0}),
+        ),
+        "rl and caputo solutions coincide pointwise (zero left boundary)",
+    ),
     "fig7-shifted": (
+        dict(
+            t_end=0.2,
+            snapshot_times=(0.01, 0.04, 0.2),
+            bc=_dirichlet(5.0),
+            initial=InitialSpec("fig7-bump", {"offset": 5.0}),
+        ),
         "caputo solution is the fig7-zero one displaced by 5; rl dips below "
-        "the initial minimum"
+        "the initial minimum",
     ),
 }
 
+SCENARIO_NAMES = tuple(_SCENARIOS)
 
-def make_scenario(name: str, *, alpha: float = 0.5) -> Scenario:
+
+def make_scenario(name: str, *, alpha: float = SimConfig.alpha) -> Scenario:
     """Construct one of the built-in scenarios.
 
-    alpha defaults to 0.5 everywhere and is echoed into the run manifest;
-    override it to sweep the fractional order.
+    alpha defaults to the SimConfig default (0.5) and is echoed into the
+    run manifest; override it to sweep the fractional order.
     """
-    n, dt = 100, 0.0005
-    common = dict(alpha=alpha, n=n, dt=dt, scenario=name)
-
-    if name == "pulse-reflective":
-        cfg = SimConfig(
-            t_end=10.0,
-            snapshot_times=(0.01, 0.1, 1.0, 10.0),
-            flux=FluxKind.CAPUTO,
-            bc=BoundarySpec.reflective(),
-            initial=InitialSpec("triangular-pulse"),
-            **common,
-        )
-        generator = triangular_pulse
-    elif name == "ice-warsaw":
-        cfg = SimConfig(
-            t_end=1.0,
-            snapshot_times=(0.25, 0.5, 1.0),
-            flux=FluxKind.CAPUTO,
-            bc=BoundarySpec(Dirichlet(0.0), Dirichlet(0.0)),
-            initial=InitialSpec("constant", {"value": 0.0}),
-            **common,
-        )
-        generator = constant_profile
-    elif name == "ice-minneapolis":
-        cfg = SimConfig(
-            t_end=100.0,
-            snapshot_times=(100.0,),
-            flux=FluxKind.CAPUTO,
-            bc=BoundarySpec(Dirichlet(32.0), Dirichlet(32.0)),
-            initial=InitialSpec("constant", {"value": 32.0}),
-            stop_when_steady=True,
-            **common,
-        )
-
-        def generator(x):
-            return constant_profile(x, value=32.0)
-
-    elif name == "fig7-zero":
-        cfg = SimConfig(
-            t_end=0.2,
-            snapshot_times=(0.01, 0.04, 0.2),
-            flux=FluxKind.CAPUTO,
-            bc=BoundarySpec(Dirichlet(0.0), Dirichlet(0.0)),
-            initial=InitialSpec("fig7-bump", {"offset": 0.0}),
-            **common,
-        )
-        generator = fig7_bump
-    elif name == "fig7-shifted":
-        cfg = SimConfig(
-            t_end=0.2,
-            snapshot_times=(0.01, 0.04, 0.2),
-            flux=FluxKind.CAPUTO,
-            bc=BoundarySpec(Dirichlet(5.0), Dirichlet(5.0)),
-            initial=InitialSpec("fig7-bump", {"offset": 5.0}),
-            **common,
-        )
-
-        def generator(x):
-            return fig7_bump(x, offset=5.0)
-
-    else:
+    try:
+        overrides, note = _SCENARIOS[name]
+    except KeyError:
         valid = ", ".join(SCENARIO_NAMES)
-        raise ConfigurationError(f"unknown scenario {name!r}; valid names: {valid}")
-
-    return Scenario(
-        name=name, cfg=cfg, initial=generator, expected_qualitative=_NOTES[name]
-    )
+        raise ConfigurationError(
+            f"unknown scenario {name!r}; valid names: {valid}"
+        ) from None
+    cfg = SimConfig(scenario=name, alpha=alpha, **overrides)
+    return Scenario(name=name, cfg=cfg, expected_qualitative=note)

@@ -21,11 +21,14 @@ differences telescope away.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 
+from . import __version__
 from .diagnostics import DiagnosticTrace, total_mass
 from .flux import FaceFluxes, FluxKind, face_fluxes
 from .weights import build_table
@@ -75,6 +78,7 @@ class Grid:
 class Dirichlet:
     """Fixed boundary value (absorbing when the value is 0)."""
 
+    kind: ClassVar[str] = "dirichlet"
     value: float
 
 
@@ -82,10 +86,29 @@ class Dirichlet:
 class FixedFlux:
     """Prescribed boundary flux (reflective when the value is 0)."""
 
+    kind: ClassVar[str] = "fixed-flux"
     value: float
 
 
 BoundaryCondition = Dirichlet | FixedFlux
+
+# The boundary kinds a config file or a --bc-left/--bc-right flag may name.
+BOUNDARY_KINDS = {cls.kind: cls for cls in (Dirichlet, FixedFlux)}
+
+
+def boundary_condition(kind: str, value: float) -> BoundaryCondition:
+    """Build a boundary condition from its kind name and value."""
+    try:
+        cls = BOUNDARY_KINDS[kind]
+    except KeyError:
+        valid = ", ".join(BOUNDARY_KINDS)
+        raise ConfigurationError(
+            f"unknown boundary kind {kind!r}; valid kinds: {valid}"
+        ) from None
+    value = float(value)
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{kind} boundary value must be finite, got {value}")
+    return cls(value)
 
 
 @dataclass(frozen=True)
@@ -97,6 +120,20 @@ class BoundarySpec:
     def reflective(cls) -> "BoundarySpec":
         return cls(FixedFlux(0.0), FixedFlux(0.0))
 
+    def to_mapping(self) -> dict:
+        return {
+            side: {"kind": bc.kind, "value": bc.value}
+            for side, bc in (("left", self.left), ("right", self.right))
+        }
+
+    @classmethod
+    def from_mapping(cls, data: dict) -> "BoundarySpec":
+        left, right = (
+            boundary_condition(data[side]["kind"], data[side]["value"])
+            for side in ("left", "right")
+        )
+        return cls(left, right)
+
 
 @dataclass(frozen=True)
 class InitialSpec:
@@ -105,49 +142,81 @@ class InitialSpec:
     profile: str
     params: dict = field(default_factory=dict)
 
+    def to_mapping(self) -> dict:
+        return {"profile": self.profile, "params": dict(self.params)}
 
-@dataclass(frozen=True)
+    @classmethod
+    def from_mapping(cls, data: dict) -> "InitialSpec":
+        return cls(data["profile"], dict(data.get("params", {})))
+
+
+# (encode, decode) between the JSON form and the field value, for the
+# fields that are not plain numbers, booleans or strings.
+_FIELD_CODECS = {
+    "snapshot_times": (list, lambda times: tuple(float(t) for t in times)),
+    "flux": (lambda kind: kind.value, FluxKind.from_name),
+    "bc": (BoundarySpec.to_mapping, BoundarySpec.from_mapping),
+    "initial": (InitialSpec.to_mapping, InitialSpec.from_mapping),
+}
+
+# Keys a manifest adds to the configuration; from_mapping skips them, so a
+# manifest is itself a valid configuration.
+_MANIFEST_DERIVED_KEYS = ("tool", "version", "dx", "stability_ratio")
+
+
+@dataclass(frozen=True, kw_only=True)
 class SimConfig:
     """Fully resolved run configuration.
 
-    Snapshot times are rounded to the nearest step multiple at
-    construction; duplicates after rounding collapse to one snapshot.
-    ``stop_when_steady`` truncates the run once the per-step max-norm
-    change drops below ``steady_eps``; later snapshot times then receive
-    the frozen final field.
+    The defaults are the desk-scale resolution and setup; only the initial
+    profile has none.  Snapshot times are rounded to the nearest step
+    multiple at construction; duplicates after rounding collapse to one
+    snapshot.  ``stop_when_steady`` truncates the run once the per-step
+    max-norm change drops below ``steady_eps``; later snapshot times then
+    receive the frozen final field.
     """
 
-    alpha: float
-    n: int
-    dt: float
-    t_end: float
-    snapshot_times: tuple[float, ...]
-    flux: FluxKind
-    bc: BoundarySpec
+    # Field order is the key order of manifest.json.
+    scenario: str | None = None
+    alpha: float = 0.5
+    n: int = 100
+    dt: float = 0.0005
+    t_end: float = 1.0
+    snapshot_times: tuple[float, ...] = ()
+    flux: FluxKind = FluxKind.CAPUTO
+    bc: BoundarySpec = field(default_factory=BoundarySpec.reflective)
     initial: InitialSpec
     stability_warn_ratio: float = 0.5
     kappa: float = 1.0
     stop_when_steady: bool = False
     steady_eps: float = 1e-10
     force_inconsistent_bc: bool = False
-    scenario: str | None = None
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigurationError(f"alpha must lie in (0, 1], got {self.alpha}")
         if self.n < 1:
             raise ConfigurationError(f"n must be >= 1, got {self.n}")
-        if not self.dt > 0.0:
-            raise ConfigurationError(f"dt must be positive, got {self.dt}")
-        if not self.t_end > 0.0:
-            raise ConfigurationError(f"t_end must be positive, got {self.t_end}")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ConfigurationError(f"dt must be finite and positive, got {self.dt}")
+        if not (math.isfinite(self.t_end) and self.t_end > 0.0):
+            raise ConfigurationError(
+                f"t_end must be finite and positive, got {self.t_end}"
+            )
+        if not (math.isfinite(self.kappa) and self.kappa > 0.0):
+            raise ConfigurationError(
+                f"kappa must be finite and positive, got {self.kappa}"
+            )
         if self.n_steps < 1:
             raise ConfigurationError("t_end shorter than one time step")
         if not self.steady_eps > 0.0:
             raise ConfigurationError("steady_eps must be positive")
         snapped = []
         for t in self.snapshot_times:
-            k = int(round(float(t) / self.dt))
+            t = float(t)
+            if not math.isfinite(t):
+                raise ConfigurationError(f"snapshot time {t} is not finite")
+            k = int(round(t / self.dt))
             if k < 0 or k > self.n_steps:
                 raise ConfigurationError(
                     f"snapshot time {t} outside [0, {self.t_end}]"
@@ -158,6 +227,64 @@ class SimConfig:
     @property
     def n_steps(self) -> int:
         return int(round(self.t_end / self.dt))
+
+    def to_mapping(self) -> dict:
+        """JSON-ready form of every field, in field order."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name, (encode, _) in _FIELD_CODECS.items():
+            out[name] = encode(out[name])
+        return out
+
+    @classmethod
+    def from_mapping(cls, data: dict) -> "SimConfig":
+        """Inverse of :meth:`to_mapping`; missing keys take the defaults.
+
+        Keys that are not fields raise :class:`ConfigurationError`, except
+        the derived keys a manifest adds, which are ignored.
+        """
+        by_name = {f.name: f for f in fields(cls)}
+        unknown = sorted(set(data) - set(by_name) - set(_MANIFEST_DERIVED_KEYS))
+        if unknown:
+            valid = ", ".join(by_name)
+            raise ConfigurationError(
+                f"unknown configuration key(s) {', '.join(map(repr, unknown))}; "
+                f"valid keys: {valid}"
+            )
+        kwargs = {}
+        for name, f in by_name.items():
+            if name not in data:
+                continue
+            value = data[name]
+            try:
+                if name in _FIELD_CODECS:
+                    value = _FIELD_CODECS[name][1](value)
+                elif f.default is not None:
+                    value = type(f.default)(value)
+            except KeyError as exc:
+                raise ConfigurationError(f"{name!r} is missing key {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError(f"bad value for {name!r}: {exc}") from None
+            kwargs[name] = value
+        missing = [
+            name for name, f in by_name.items()
+            if f.default is f.default_factory is MISSING and name not in kwargs
+        ]
+        if missing:
+            raise ConfigurationError(
+                f"configuration is missing key(s) {', '.join(map(repr, missing))}; "
+                "name a scenario or give a complete configuration"
+            )
+        return cls(**kwargs)
+
+    def manifest(self, grid: "Grid") -> dict:
+        """The configuration plus tool, version, dx and stability ratio."""
+        return {
+            "tool": "fracflux",
+            "version": __version__,
+            **self.to_mapping(),
+            "dx": grid.dx,
+            "stability_ratio": stability_ratio(self, grid),
+        }
 
 
 @dataclass
@@ -184,12 +311,12 @@ class RunResult:
 
 
 def stability_ratio(cfg: SimConfig, grid: Grid) -> float:
-    """dt / dx**(1 + alpha), the advisory explicit-step ratio.
+    """kappa * dt / dx**(1 + alpha), the advisory explicit-step ratio.
 
     This is calibrated to the fractional laws; it is not a proven bound,
     and the plain gradient law obeys the stricter dt <= dx**2 / 2.
     """
-    return cfg.dt / grid.dx ** (1.0 + cfg.alpha)
+    return cfg.kappa * cfg.dt / grid.dx ** (1.0 + cfg.alpha)
 
 
 def step(current: Field, faces: FaceFluxes, cfg: SimConfig, step_index: int = 0) -> Field:
@@ -253,7 +380,7 @@ def run(cfg: SimConfig, grid: Grid, initial: Field) -> RunResult:
     ratio = stability_ratio(cfg, grid)
     if ratio > cfg.stability_warn_ratio:
         warnings.warn(
-            f"dt/dx^(1+alpha) = {ratio:.3g} exceeds the advisory threshold "
+            f"kappa*dt/dx^(1+alpha) = {ratio:.3g} exceeds the advisory threshold "
             f"{cfg.stability_warn_ratio:g}; the explicit step may diverge",
             StabilityWarning,
             stacklevel=2,

@@ -23,7 +23,7 @@ from fracflux.flux import (
     rl_faces_grunwald,
     rl_faces_weighted,
 )
-from fracflux.scenarios import Scenario, make_scenario
+from fracflux.scenarios import make_scenario
 from fracflux.solver import Grid, InstabilityError, run, step
 from fracflux.weights import build_table
 
@@ -264,12 +264,7 @@ def test_criterion_09_equivariance_suite():
         ]
         # the gradient law needs dt below its own stability bound
         bump = make_scenario("fig7-zero")
-        gradient_safe = Scenario(
-            name=bump.name,
-            cfg=replace(bump.cfg, dt=2e-5),
-            initial=bump.initial,
-            expected_qualitative=bump.expected_qualitative,
-        )
+        gradient_safe = replace(bump, cfg=replace(bump.cfg, dt=2e-5))
         holds.append(
             (
                 gradient_safe,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fracflux.cli import main
+from fracflux.solver import StabilityWarning
 
 
 def _read_csv(path):
@@ -179,3 +180,90 @@ def test_config_file_without_scenario(tmp_path):
     assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 0
     _, rows = _read_csv(out / "snapshots.csv")
     assert all(row[2] == 2.0 for row in rows)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--t-end", "inf"],
+        ["--kappa", "nan"],
+        ["--kappa", "-1"],
+        ["--snapshots", "0.1,nan"],
+        ["--bc-left", "neumann:0"],
+        ["--config", "{typo}"],
+    ],
+    ids=["t-end-inf", "kappa-nan", "kappa-negative", "snapshot-nan", "bc-kind", "key-typo"],
+)
+def test_bad_input_is_a_configuration_error(tmp_path, capsys, flags):
+    typo = tmp_path / "typo.json"
+    typo.write_text(json.dumps({"scenario": "fig7-zero", "kapa": 3}))
+    out = tmp_path / "out"
+    args = ["run", "--scenario", "fig7-zero", "--out-dir", str(out)]
+    assert main(args + [flag.format(typo=typo) for flag in flags]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_stability_ratio_includes_kappa(tmp_path):
+    out = tmp_path / "kappa"
+    with pytest.warns(StabilityWarning):
+        assert main(["run", "--scenario", "fig7-zero", "--kappa", "1.5", "--t-end", "0.001",
+                     "--snapshots", "0.001", "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["stability_ratio"] == pytest.approx(0.75, rel=1e-12)
+
+
+def test_boundary_flags_accept_both_flux_spellings(tmp_path):
+    out = tmp_path / "bcflags"
+    assert main(["run", "--scenario", "fig7-zero", "--t-end", "0.001", "--snapshots", "0.001",
+                 "--bc-left", "flux:0.5", "--bc-right", "fixed-flux:-0.5",
+                 "--force-inconsistent-bc", "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["bc"] == {"left": {"kind": "fixed-flux", "value": 0.5},
+                              "right": {"kind": "fixed-flux", "value": -0.5}}
+
+
+def test_summary_traces_share_one_time_axis(tmp_path):
+    out = tmp_path / "axis"
+    assert main(["run", "--scenario", "fig7-zero", "--out-dir", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    t = summary["mass_trace"]["t"]
+    assert len(t) == summary["steps_taken"] + 1
+    assert set(summary["extrema_trace"]) == {"min", "max"}
+    assert len(summary["extrema_trace"]["min"]) == len(summary["extrema_trace"]["max"]) == len(t)
+
+
+# A manifest with every key an earlier build wrote, derived keys included
+# (tool, version, dx, stability_ratio): it must stay a valid --config.
+_EARLIER_MANIFEST = {
+    "tool": "fracflux",
+    "version": "0.1.0",
+    "scenario": "fig7-shifted",
+    "alpha": 0.5,
+    "n": 100,
+    "dt": 0.0005,
+    "t_end": 0.2,
+    "snapshot_times": [0.01, 0.04, 0.2],
+    "flux": "rl",
+    "bc": {"left": {"kind": "dirichlet", "value": 5.0},
+           "right": {"kind": "dirichlet", "value": 5.0}},
+    "initial": {"profile": "fig7-bump", "params": {"offset": 5.0}},
+    "stability_warn_ratio": 0.5,
+    "kappa": 1.0,
+    "stop_when_steady": False,
+    "steady_eps": 1e-10,
+    "force_inconsistent_bc": False,
+    "dx": 0.01,
+    "stability_ratio": 0.5,
+}
+
+
+def test_earlier_manifest_reruns_to_the_same_csv_bytes(tmp_path):
+    cfg = tmp_path / "manifest.json"
+    cfg.write_text(json.dumps(_EARLIER_MANIFEST, indent=2) + "\n")
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "again")]) == 0
+    assert main(["run", "--scenario", "fig7-shifted", "--flux", "rl",
+                 "--out-dir", str(tmp_path / "direct")]) == 0
+    for name in ("snapshots.csv", "manifest.json"):
+        assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "direct" / name).read_bytes()
+    assert json.loads((tmp_path / "again" / "manifest.json").read_text()) == _EARLIER_MANIFEST

@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,7 @@ from fracflux.scenarios import (
     make_scenario,
     triangular_pulse,
 )
-from fracflux.solver import ConfigurationError, Dirichlet, Grid, InitialSpec
+from fracflux.solver import ConfigurationError, Dirichlet, Grid, InitialSpec, SimConfig
 
 
 def _simpson(f, a, b, intervals=1_000_000):
@@ -156,3 +159,13 @@ def test_profile_registry_and_build_initial():
 
 def test_constant_profile_scalar():
     assert constant_profile(0.3, value=7.0) == 7.0
+
+
+# ---------------------------------------------------------- config codec
+
+
+@pytest.mark.parametrize("law", list(FluxKind), ids=lambda law: law.value)
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_config_mapping_round_trip(name, law):
+    cfg = replace(make_scenario(name).cfg, flux=law)
+    assert SimConfig.from_mapping(json.loads(json.dumps(cfg.to_mapping()))) == cfg
