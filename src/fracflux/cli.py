@@ -102,14 +102,21 @@ def _downsample_indices(length: int, limit: int = _TRACE_POINT_LIMIT) -> list[in
     return idx
 
 
-def write_snapshots_csv(path: Path, grid: Grid, result: RunResult) -> None:
-    x = grid.x
+def _write_long_csv(path: Path, header: str, x: np.ndarray, rows) -> None:
+    """Long-format CSV: for each (t, arrays) in rows, one line per node
+    holding t, x and the arrays' values there, all to 17 significant digits."""
+    x_strs = [_fmt(v) for v in x]
     with path.open("w", encoding="utf-8", newline="") as fh:
-        fh.write("t,x,u\n")
-        for t, u in zip(result.snapshot_times, result.snapshots):
+        fh.write(header + "\n")
+        for t, arrays in rows:
             t_str = _fmt(t)
-            for i in range(x.size):
-                fh.write(f"{t_str},{_fmt(x[i])},{_fmt(u[i])}\n")
+            for values in zip(x_strs, *([_fmt(v) for v in a] for a in arrays)):
+                fh.write(f"{t_str},{','.join(values)}\n")
+
+
+def write_snapshots_csv(path: Path, grid: Grid, result: RunResult) -> None:
+    rows = ((t, (u,)) for t, u in zip(result.snapshot_times, result.snapshots))
+    _write_long_csv(path, "t,x,u", grid.x, rows)
 
 
 def write_summary_json(
@@ -177,22 +184,15 @@ def compare_command(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    x = grid.x
-    per_snapshot = []
-    with (out_dir / "compare.csv").open("w", encoding="utf-8", newline="") as fh:
-        fh.write("t,x,u_a,u_b,diff\n")
-        for t, ua, ub in zip(
-            result_a.snapshot_times, result_a.snapshots, result_b.snapshots
-        ):
-            diff = ua - ub
-            per_snapshot.append(
-                {"t": t, "max_abs_diff": float(np.abs(diff).max())}
-            )
-            t_str = _fmt(t)
-            for i in range(x.size):
-                fh.write(
-                    f"{t_str},{_fmt(x[i])},{_fmt(ua[i])},{_fmt(ub[i])},{_fmt(diff[i])}\n"
-                )
+    times = result_a.snapshot_times
+    columns = [
+        (ua, ub, ua - ub) for ua, ub in zip(result_a.snapshots, result_b.snapshots)
+    ]
+    _write_long_csv(out_dir / "compare.csv", "t,x,u_a,u_b,diff", grid.x, zip(times, columns))
+    per_snapshot = [
+        {"t": t, "max_abs_diff": float(np.abs(diff).max())}
+        for t, (_, _, diff) in zip(times, columns)
+    ]
     verdict = {
         "manifest": cfg_a.manifest(grid),
         "flux_a": cfg_a.flux.value,

@@ -3,7 +3,7 @@ bound monitoring, steady-state detection and affine-rescaling tests."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -48,14 +48,7 @@ class MaxPrincipleReport:
     tol: float
 
     def to_dict(self) -> dict:
-        return {
-            "violated": self.violated,
-            "first_step": self.first_step,
-            "first_time": self.first_time,
-            "lower": self.lower,
-            "upper": self.upper,
-            "tol": self.tol,
-        }
+        return asdict(self)
 
 
 def max_principle_check(trace: DiagnosticTrace, g, tol: float = 1e-6) -> MaxPrincipleReport:

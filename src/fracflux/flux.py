@@ -6,30 +6,27 @@ Boundary faces at x = 0 and x = 1 are never evaluated here; fixed-flux
 boundary values are injected by the solver instead.
 
 Sign convention: the flux is minus the (possibly fractional) derivative
-of u, and that minus sign is folded into each formula below.  The plain
-gradient law therefore already returns -du/dx at the faces.
+of u, and that minus sign is folded into the gradient fluxes
+grad_i v = (v_i - v_{i+1}) / dx.  Every law is the one kernel
 
-The four laws:
+    q = kappa * (T(w) grad v + advection)
 
-* ``fourier``        q_i = (u_i - u_{i+1}) / dx, the local gradient law.
-* ``rl``             one-sided fractional derivative of u itself,
-                     evaluated with shifted Grunwald weights.  Equivalent
-                     weighted-gradient form: a cumulative-weight sum of
-                     the gradient fluxes at and to the left of the face,
-                     minus (W_{i+1} / dx) * u_0.  That trailing term acts
-                     like an advection speed proportional to the value at
-                     the left end, hence "apparent advection".
-* ``caputo``         the same weighted-gradient sum with the boundary
-                     term dropped; annihilates constants.
-* ``parsimonious``   the rl law applied to u - u(0).  Since the shifted
-                     field vanishes at the left end, this coincides with
-                     the caputo law by construction.
+with its row of :data:`LAWS` choosing the memory kernel T(w) (the
+identity for the local ``fourier`` law, else the convolution with the
+cumulative weights W, a sum of the gradient fluxes at and left of the
+face), whether the apparent-advection term -(v_0 / dx) * W_{i+1} is
+added, and whether v is u or u - u(0).  ``caputo`` is the weighted sum
+alone and annihilates constants.  ``rl``, the one-sided fractional
+derivative of u (see :func:`rl_faces_grunwald`), adds the advection term:
+a speed proportional to the value at the left end.  ``parsimonious`` is
+``rl`` applied to u - u(0), so it coincides with ``caputo``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,14 +50,32 @@ class FluxKind(Enum):
         raise ValueError(f"unknown flux law {name!r}; valid names: {valid}")
 
 
+class FluxLaw(NamedTuple):
+    """One row of the law table."""
+
+    local: bool  # the memory kernel is the identity, not the weights W
+    advection: bool  # adds -(v_0 / dx) * W[1:]
+    shifted: bool  # v = u - u(0) instead of u
+
+    def order(self, alpha: float) -> float:
+        """Order of the law's derivative: 2 if local, else 1 + alpha."""
+        return 2.0 if self.local else 1.0 + alpha
+
+
+LAWS = {
+    FluxKind.FOURIER: FluxLaw(local=True, advection=False, shifted=False),
+    FluxKind.RIEMANN_LIOUVILLE: FluxLaw(local=False, advection=True, shifted=False),
+    FluxKind.CAPUTO: FluxLaw(local=False, advection=False, shifted=False),
+    FluxKind.PARSIMONIOUS: FluxLaw(local=False, advection=True, shifted=True),
+}
+
+
 @dataclass
 class FaceFluxes:
     """Fluxes at the n interior faces; q[i] sits at x = (i + 0.5) * dx.
 
-    For the weighted Riemann-Liouville form the two addends are kept:
-    q = diffusive + advective, where diffusive is the cumulative-weight
-    sum of gradients and advective[i] = -(W_{i+1} / dx) * u[0].  Both are
-    None for laws without that split.
+    Laws with the advection term keep the two addends, q = diffusive +
+    advective; both are None for the other laws.
     """
 
     q: np.ndarray
@@ -80,42 +95,56 @@ def _as_field(u, n: int | None = None) -> np.ndarray:
     return arr
 
 
+def _gradient(arr: np.ndarray, dx: float) -> np.ndarray:
+    return (arr[:-1] - arr[1:]) / dx
+
+
+def face_fluxes(u, kind: FluxKind, table: GrunwaldTable, kappa: float = 1.0) -> FaceFluxes:
+    """Evaluate the interior face fluxes under the law ``LAWS[kind]``.
+
+    kappa is a scalar diffusivity multiplier applied uniformly; the
+    default of 1 matches the nondimensional form used everywhere else.
+    """
+    law = LAWS[kind]
+    v = _as_field(u, table.n)
+    if law.shifted:
+        v = v - v[0]
+    diffusive = _gradient(v, table.dx)
+    if not law.local:
+        # q[i] = sum_{j=0..i} W_j * grad[i-j]; np.convolve keeps the direct
+        # O(n^2) summation in a fixed order.
+        diffusive = np.convolve(table.w, diffusive)[: table.n]
+    if not law.advection:
+        return FaceFluxes(q=diffusive if kappa == 1.0 else kappa * diffusive)
+    advective = -(v[0] / table.dx) * table.w[1:]
+    q = diffusive + advective
+    if kappa != 1.0:
+        q, diffusive, advective = kappa * q, kappa * diffusive, kappa * advective
+    return FaceFluxes(q=q, diffusive=diffusive, advective=advective)
+
+
 def fourier_faces(u, dx: float) -> FaceFluxes:
     """Local gradient flux q_i = (u_i - u_{i+1}) / dx at the interior faces."""
     arr = _as_field(u)
     if dx <= 0.0:
         raise ValueError(f"dx must be positive, got {dx}")
-    return FaceFluxes(q=(arr[:-1] - arr[1:]) / dx)
-
-
-def _weighted_gradient_sum(arr: np.ndarray, table: GrunwaldTable) -> np.ndarray:
-    # q[i] = sum_{j=0..i} W_j * (u[i-j] - u[i+1-j]) / dx, a truncated
-    # convolution of the cumulative weights with the gradient fluxes.
-    # np.convolve keeps the direct O(n^2) summation in a fixed order.
-    n = arr.size - 1
-    grad = (arr[:-1] - arr[1:]) / table.dx
-    return np.convolve(table.w, grad)[:n]
+    return FaceFluxes(q=_gradient(arr, dx))
 
 
 def caputo_faces(u, table: GrunwaldTable) -> FaceFluxes:
-    """Cumulative-weight sum of the gradient fluxes at and left of each face.
-
-    Exactly zero on constant fields: every gradient in the sum vanishes.
-    """
-    arr = _as_field(u, table.n)
-    return FaceFluxes(q=_weighted_gradient_sum(arr, table))
+    """Cumulative-weight sum of the gradient fluxes; zero on constant fields."""
+    return face_fluxes(u, FluxKind.CAPUTO, table)
 
 
 def rl_faces_weighted(u, table: GrunwaldTable) -> FaceFluxes:
-    """Weighted-gradient form of the one-sided fractional flux.
+    """Weighted-gradient form of the one-sided fractional flux, with the
+    caputo sum and -(W_{i+1} / dx) * u[0] as the diffusive / advective split."""
+    return face_fluxes(u, FluxKind.RIEMANN_LIOUVILLE, table)
 
-    q[i] = sum_{j=0..i} W_j * (u[i-j] - u[i+1-j]) / dx - (W_{i+1} / dx) * u[0].
-    The two addends are returned as the diffusive / advective split.
-    """
-    arr = _as_field(u, table.n)
-    diffusive = _weighted_gradient_sum(arr, table)
-    advective = -(arr[0] / table.dx) * table.w[1:]
-    return FaceFluxes(q=diffusive + advective, diffusive=diffusive, advective=advective)
+
+def parsimonious_faces(u, table: GrunwaldTable) -> FaceFluxes:
+    """The rl flux of u - u[0]: no advective part, so caputo up to rounding."""
+    return face_fluxes(u, FluxKind.PARSIMONIOUS, table)
 
 
 def rl_faces_grunwald(u, table: GrunwaldTable) -> FaceFluxes:
@@ -128,38 +157,3 @@ def rl_faces_grunwald(u, table: GrunwaldTable) -> FaceFluxes:
     arr = _as_field(u, table.n)
     coeff = table.dx ** (-table.alpha)
     return FaceFluxes(q=-coeff * np.convolve(table.g, arr)[1 : table.n + 1])
-
-
-def parsimonious_faces(u, table: GrunwaldTable) -> FaceFluxes:
-    """Fractional flux of the shifted field u - u[0].
-
-    Shifting moves the left-end value to zero, which kills the advective
-    term, so the result coincides with :func:`caputo_faces` up to rounding.
-    """
-    arr = _as_field(u, table.n)
-    return rl_faces_weighted(arr - arr[0], table)
-
-
-def face_fluxes(u, kind: FluxKind, table: GrunwaldTable, kappa: float = 1.0) -> FaceFluxes:
-    """Evaluate the interior face fluxes under the selected law.
-
-    kappa is a scalar diffusivity multiplier applied uniformly; the
-    default of 1 matches the nondimensional form used everywhere else.
-    """
-    if kind is FluxKind.FOURIER:
-        out = fourier_faces(u, table.dx)
-    elif kind is FluxKind.RIEMANN_LIOUVILLE:
-        out = rl_faces_weighted(u, table)
-    elif kind is FluxKind.CAPUTO:
-        out = caputo_faces(u, table)
-    elif kind is FluxKind.PARSIMONIOUS:
-        out = parsimonious_faces(u, table)
-    else:
-        raise ValueError(f"unknown flux kind: {kind!r}")
-    if kappa != 1.0:
-        out = FaceFluxes(
-            q=kappa * out.q,
-            diffusive=None if out.diffusive is None else kappa * out.diffusive,
-            advective=None if out.advective is None else kappa * out.advective,
-        )
-    return out

@@ -22,6 +22,7 @@ differences telescope away.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
 from typing import ClassVar
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import DiagnosticTrace, total_mass
-from .flux import FaceFluxes, FluxKind, face_fluxes
+from .flux import LAWS, FaceFluxes, FluxKind, face_fluxes
 from .weights import build_table
 
 # Abort threshold for runaway explicit steps, relative to the initial
@@ -159,6 +160,19 @@ _FIELD_CODECS = {
     "initial": (InitialSpec.to_mapping, InitialSpec.from_mapping),
 }
 
+
+def _decode_scalar(default, value):
+    """Decode a scalar field strictly: a boolean field takes only a JSON
+    boolean, a number field only a number, and an int field an integral one."""
+    if (
+        isinstance(default, bool) != isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or type(default) is int and not float(value).is_integer()
+    ):
+        raise TypeError(f"expected {type(default).__name__}, got {value!r}")
+    return type(default)(value)
+
+
 # Keys a manifest adds to the configuration; from_mapping skips them, so a
 # manifest is itself a valid configuration.
 _MANIFEST_DERIVED_KEYS = ("tool", "version", "dx", "stability_ratio")
@@ -259,7 +273,7 @@ class SimConfig:
                 if name in _FIELD_CODECS:
                     value = _FIELD_CODECS[name][1](value)
                 elif f.default is not None:
-                    value = type(f.default)(value)
+                    value = _decode_scalar(f.default, value)
             except KeyError as exc:
                 raise ConfigurationError(f"{name!r} is missing key {exc}") from None
             except (TypeError, ValueError) as exc:
@@ -311,12 +325,12 @@ class RunResult:
 
 
 def stability_ratio(cfg: SimConfig, grid: Grid) -> float:
-    """kappa * dt / dx**(1 + alpha), the advisory explicit-step ratio.
+    """kappa * dt / dx**order, the advisory explicit-step ratio.
 
-    This is calibrated to the fractional laws; it is not a proven bound,
-    and the plain gradient law obeys the stricter dt <= dx**2 / 2.
+    The order is the flux law's own (see :data:`fracflux.flux.LAWS`):
+    2 for the local gradient law and 1 + alpha for the others.
     """
-    return cfg.kappa * cfg.dt / grid.dx ** (1.0 + cfg.alpha)
+    return cfg.kappa * cfg.dt / grid.dx ** LAWS[cfg.flux].order(cfg.alpha)
 
 
 def step(current: Field, faces: FaceFluxes, cfg: SimConfig, step_index: int = 0) -> Field:
@@ -380,7 +394,7 @@ def run(cfg: SimConfig, grid: Grid, initial: Field) -> RunResult:
     ratio = stability_ratio(cfg, grid)
     if ratio > cfg.stability_warn_ratio:
         warnings.warn(
-            f"kappa*dt/dx^(1+alpha) = {ratio:.3g} exceeds the advisory threshold "
+            f"kappa*dt/dx^order = {ratio:.3g} exceeds the advisory threshold "
             f"{cfg.stability_warn_ratio:g}; the explicit step may diverge",
             StabilityWarning,
             stacklevel=2,
@@ -433,19 +447,14 @@ def run(cfg: SimConfig, grid: Grid, initial: Field) -> RunResult:
             steady_time = times[k]
             break
 
-    if steps_taken < n_steps:
-        times = times[: steps_taken + 1]
-        mass = mass[: steps_taken + 1]
-        u_min = u_min[: steps_taken + 1]
-        u_max = u_max[: steps_taken + 1]
-        step_change = step_change[:steps_taken]
-        # Later snapshot times inherit the frozen steady field.
-        for k in snap_steps:
-            if k > steps_taken:
-                snapshots[k] = current.u.copy()
-
+    # Later snapshot times inherit the frozen steady field.
+    for k in snap_steps:
+        if k > steps_taken:
+            snapshots[k] = current.u.copy()
+    end = steps_taken + 1
     trace = DiagnosticTrace(
-        t=times, mass=mass, u_min=u_min, u_max=u_max, step_change=step_change
+        t=times[:end], mass=mass[:end], u_min=u_min[:end], u_max=u_max[:end],
+        step_change=step_change[:steps_taken],
     )
     ordered = sorted(snap_steps.items())
     decomposition = None

@@ -190,16 +190,26 @@ def test_config_file_without_scenario(tmp_path):
         ["--kappa", "-1"],
         ["--snapshots", "0.1,nan"],
         ["--bc-left", "neumann:0"],
-        ["--config", "{typo}"],
+        ["--config", {"kapa": 3}],
+        ["--config", {"stop_when_steady": "false"}],
+        ["--config", {"force_inconsistent_bc": "no"}],
+        ["--config", {"n": 100.9}],
+        ["--config", {"n": True}],
+        ["--config", {"alpha": True}],
     ],
-    ids=["t-end-inf", "kappa-nan", "kappa-negative", "snapshot-nan", "bc-kind", "key-typo"],
+    ids=["t-end-inf", "kappa-nan", "kappa-negative", "snapshot-nan", "bc-kind", "key-typo",
+         "bool-string", "bool-word", "n-fraction", "n-true", "alpha-true"],
 )
 def test_bad_input_is_a_configuration_error(tmp_path, capsys, flags):
-    typo = tmp_path / "typo.json"
-    typo.write_text(json.dumps({"scenario": "fig7-zero", "kapa": 3}))
     out = tmp_path / "out"
     args = ["run", "--scenario", "fig7-zero", "--out-dir", str(out)]
-    assert main(args + [flag.format(typo=typo) for flag in flags]) == 2
+    for flag in flags:
+        if isinstance(flag, dict):  # a fig7-zero config file with these keys
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({"scenario": "fig7-zero", **flag}))
+            flag = str(path)
+        args.append(flag)
+    assert main(args) == 2
     assert "configuration error:" in capsys.readouterr().err
     assert not out.exists()
 

@@ -199,6 +199,15 @@ def test_parsimonious_equals_caputo(data):
     assert _max_rel(qp, qc) <= 1e-14
 
 
+@settings(deadline=None)
+@given(data=field_and_table())
+def test_parsimonious_is_rl_of_the_shifted_field(data):
+    u, table = data
+    qp = parsimonious_faces(u, table).q
+    qr = rl_faces_weighted(u - u[0], table).q
+    assert np.array_equal(qp, qr)
+
+
 def test_parsimonious_equals_rl_when_left_value_is_zero():
     rng = np.random.default_rng(17)
     u = np.abs(rng.normal(size=33))  # keep away from -0.0
@@ -249,12 +258,17 @@ def test_linearity_general_scale():
 
 
 def test_dispatcher_applies_kappa():
-    u = np.array([0.0, 1.0, 0.0])
+    u = np.array([0.5, 1.0, 0.0])
     table = build_table(0.5, 0.5, 2)
-    plain = face_fluxes(u, FluxKind.RIEMANN_LIOUVILLE, table)
-    scaled = face_fluxes(u, FluxKind.RIEMANN_LIOUVILLE, table, kappa=2.0)
-    assert np.array_equal(scaled.q, 2.0 * plain.q)
-    assert np.array_equal(scaled.diffusive, 2.0 * plain.diffusive)
+    for kind in FluxKind:
+        plain = face_fluxes(u, kind, table)
+        scaled = face_fluxes(u, kind, table, kappa=2.0)
+        assert np.array_equal(scaled.q, 2.0 * plain.q)
+        for part in ("diffusive", "advective"):
+            if getattr(plain, part) is None:
+                assert getattr(scaled, part) is None
+            else:
+                assert np.array_equal(getattr(scaled, part), 2.0 * getattr(plain, part))
 
 
 def test_face_count_is_number_of_interior_faces():

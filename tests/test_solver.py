@@ -304,6 +304,9 @@ def test_stability_ratio_values():
     grid = Grid(100)
     assert stability_ratio(_config(), grid) == pytest.approx(0.5, rel=1e-12)
     assert stability_ratio(_config(alpha=1.0), grid) == pytest.approx(5.0, rel=1e-12)
+    # the gradient law is of order 2 whatever alpha says
+    fourier = _config(flux=FluxKind.FOURIER)
+    assert stability_ratio(fourier, grid) == pytest.approx(5.0, rel=1e-12)
     tiny = _config(dt=1e-12, t_end=1e-12, snapshot_times=())
     assert stability_ratio(tiny, grid) < 1e-8
 
