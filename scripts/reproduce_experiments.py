@@ -46,11 +46,19 @@ def summarize_run(out_dir: Path) -> str:
     summary = json.loads((out_dir / "summary.json").read_text())
     mass = summary["mass_trace"]["mass"]
     drift = max(abs(m - mass[0]) for m in mass)
+    # Only a closed run (zero flux through both ends) conserves its mass;
+    # through a Dirichlet end mass flows in or out, so max|M_k - M_0| is a
+    # change, not a conservation error.
+    closed = all(
+        bc == {"kind": "fixed-flux", "value": 0.0}
+        for bc in summary["manifest"]["bc"].values()
+    )
+    label = "mass drift" if closed else "mass change"
     steady = summary["steady_state_time"]
     steady_txt = f"steady at t={steady:g}" if steady is not None else "no steady state"
     principle = "violated" if summary["max_principle"]["violated"] else "respected"
     return (
-        f"{summary['steps_taken']:>6} steps, mass drift {drift:.2e}, "
+        f"{summary['steps_taken']:>6} steps, {label} {drift:.2e}, "
         f"{steady_txt}, bounds {principle}"
     )
 

@@ -3,90 +3,35 @@ local and one-sided fractional flux laws."""
 
 __version__ = "0.1.0"
 
-from .diagnostics import (
-    DiagnosticTrace,
-    EquivarianceReport,
-    MaxPrincipleReport,
-    equivariance_test,
-    max_principle_check,
-    steady_state_time,
-    total_mass,
-)
-from .flux import (
-    FaceFluxes,
-    FluxKind,
-    caputo_faces,
-    face_fluxes,
-    fourier_faces,
-    parsimonious_faces,
-    rl_faces_grunwald,
-    rl_faces_weighted,
-)
-from .scenarios import (
-    PROFILES,
-    SCENARIO_NAMES,
-    Scenario,
-    build_initial,
-    fig7_bump,
-    make_scenario,
-    triangular_pulse,
-)
+from .diagnostics import max_principle_check, steady_state_time
+from .flux import FluxKind, rl_faces_weighted
+from .scenarios import SCENARIO_NAMES, build_initial, make_scenario
 from .solver import (
-    BoundarySpec,
+    BoundaryCondition,
     ConfigurationError,
-    Dirichlet,
-    Field,
-    FixedFlux,
-    Grid,
-    InitialSpec,
     InstabilityError,
     RunResult,
     SimConfig,
-    StabilityWarning,
+    boundary_condition,
     run,
-    stability_ratio,
-    step,
 )
-from .weights import GrunwaldTable, build_table, partial_g_sum
+from .weights import build_table
 
+# The names the README's library example and the command line use.
 __all__ = [
-    "BoundarySpec",
+    "BoundaryCondition",
     "ConfigurationError",
-    "DiagnosticTrace",
-    "Dirichlet",
-    "EquivarianceReport",
-    "FaceFluxes",
-    "Field",
-    "FixedFlux",
     "FluxKind",
-    "Grid",
-    "GrunwaldTable",
-    "InitialSpec",
     "InstabilityError",
-    "MaxPrincipleReport",
-    "PROFILES",
     "RunResult",
     "SCENARIO_NAMES",
-    "Scenario",
     "SimConfig",
-    "StabilityWarning",
+    "boundary_condition",
     "build_initial",
     "build_table",
-    "caputo_faces",
-    "equivariance_test",
-    "face_fluxes",
-    "fig7_bump",
-    "fourier_faces",
     "make_scenario",
     "max_principle_check",
-    "parsimonious_faces",
-    "partial_g_sum",
-    "rl_faces_grunwald",
     "rl_faces_weighted",
     "run",
-    "stability_ratio",
     "steady_state_time",
-    "step",
-    "total_mass",
-    "triangular_pulse",
 ]

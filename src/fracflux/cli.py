@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,6 @@ from .scenarios import SCENARIO_NAMES, build_initial, make_scenario
 from .solver import (
     BoundaryCondition,
     ConfigurationError,
-    Grid,
     InstabilityError,
     RunResult,
     SimConfig,
@@ -114,9 +113,9 @@ def _write_long_csv(path: Path, header: str, x: np.ndarray, rows) -> None:
                 fh.write(f"{t_str},{','.join(values)}\n")
 
 
-def write_snapshots_csv(path: Path, grid: Grid, result: RunResult) -> None:
+def write_snapshots_csv(path: Path, result: RunResult) -> None:
     rows = ((t, (u,)) for t, u in zip(result.snapshot_times, result.snapshots))
-    _write_long_csv(path, "t,x,u", grid.x, rows)
+    _write_long_csv(path, "t,x,u", result.cfg.x, rows)
 
 
 def write_summary_json(
@@ -130,7 +129,7 @@ def write_summary_json(
         "steps_taken": result.steps_taken,
         "steady_stop_time": result.steady_stop_time,
         "steady_state_time": steady_state_time(trace, result.cfg.steady_eps),
-        "max_principle": principle.to_dict(),
+        "max_principle": asdict(principle),
         "mass_trace": {
             "t": trace.t[idx].tolist(),
             "mass": trace.mass[idx].tolist(),
@@ -143,7 +142,7 @@ def write_summary_json(
     }
     if result.decomposition is not None:
         summary["flux_decomposition"] = {
-            "t": result.final.t,
+            "t": float(trace.t[-1]),
             "diffusive": list(result.decomposition.diffusive),
             "advective": list(result.decomposition.advective),
         }
@@ -152,22 +151,21 @@ def write_summary_json(
 
 def run_command(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    grid = Grid(cfg.n)
-    initial = build_initial(cfg.initial, grid)
-    result = run(cfg, grid, initial)
+    u0 = build_initial(cfg.initial, cfg.x)
+    result = run(cfg, u0)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = cfg.manifest(grid)
+    manifest = cfg.manifest()
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
     )
-    write_snapshots_csv(out_dir / "snapshots.csv", grid, result)
-    write_summary_json(out_dir / "summary.json", manifest, result, initial.u)
+    write_snapshots_csv(out_dir / "snapshots.csv", result)
+    write_summary_json(out_dir / "summary.json", manifest, result, u0)
 
     final_mass = result.trace.mass[-1]
     print(
-        f"run finished: {result.steps_taken} steps, final t={result.final.t:g}, "
+        f"run finished: {result.steps_taken} steps, final t={result.trace.t[-1]:g}, "
         f"mass={final_mass:.12g}, outputs in {out_dir}"
     )
     return 0
@@ -177,10 +175,9 @@ def compare_command(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     cfg_a = replace(cfg, flux=FluxKind.from_name(args.flux_a))
     cfg_b = replace(cfg, flux=FluxKind.from_name(args.flux_b))
-    grid = Grid(cfg.n)
-    initial = build_initial(cfg.initial, grid)
-    result_a = run(cfg_a, grid, initial)
-    result_b = run(cfg_b, grid, initial)
+    u0 = build_initial(cfg.initial, cfg.x)
+    result_a = run(cfg_a, u0)
+    result_b = run(cfg_b, u0)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -188,13 +185,13 @@ def compare_command(args: argparse.Namespace) -> int:
     columns = [
         (ua, ub, ua - ub) for ua, ub in zip(result_a.snapshots, result_b.snapshots)
     ]
-    _write_long_csv(out_dir / "compare.csv", "t,x,u_a,u_b,diff", grid.x, zip(times, columns))
+    _write_long_csv(out_dir / "compare.csv", "t,x,u_a,u_b,diff", cfg.x, zip(times, columns))
     per_snapshot = [
         {"t": t, "max_abs_diff": float(np.abs(diff).max())}
         for t, (_, _, diff) in zip(times, columns)
     ]
     verdict = {
-        "manifest": cfg_a.manifest(grid),
+        "manifest": cfg_a.manifest(),
         "flux_a": cfg_a.flux.value,
         "flux_b": cfg_b.flux.value,
         "per_snapshot": per_snapshot,

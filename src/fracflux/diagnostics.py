@@ -3,7 +3,7 @@ bound monitoring, steady-state detection and affine-rescaling tests."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -12,7 +12,6 @@ from .flux import FluxKind
 
 if TYPE_CHECKING:
     from .scenarios import Scenario
-    from .solver import Grid
 
 
 @dataclass
@@ -30,11 +29,12 @@ class DiagnosticTrace:
     step_change: np.ndarray
 
 
-def total_mass(u, grid: "Grid") -> float:
-    """Discrete integral of the field over [0, 1]: half-weight end nodes
-    (half-size end volumes), full weight in the interior."""
-    arr = u.u if hasattr(u, "u") else np.asarray(u, dtype=np.float64)
-    dx = grid.dx
+def total_mass(u) -> float:
+    """Discrete integral of the nodal values u over [0, 1]: half-weight
+    end nodes (half-size end volumes), full weight in the interior.  The
+    u.size nodes are equispaced, so dx = 1 / (u.size - 1)."""
+    arr = np.asarray(u, dtype=np.float64)
+    dx = 1.0 / (arr.size - 1)
     return float(dx * (0.5 * arr[0] + arr[1:-1].sum() + 0.5 * arr[-1]))
 
 
@@ -46,9 +46,6 @@ class MaxPrincipleReport:
     lower: float
     upper: float
     tol: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def max_principle_check(trace: DiagnosticTrace, g, tol: float = 1e-6) -> MaxPrincipleReport:
@@ -117,7 +114,7 @@ def equivariance_test(
     """
     # Imported here: solver imports this module for its trace type.
     from .scenarios import build_initial
-    from .solver import BoundarySpec, Dirichlet, Field, FixedFlux, Grid, run
+    from .solver import BoundarySpec, Dirichlet, FixedFlux, run
 
     cfg = scenario.cfg
     eff_t_end = cfg.t_end if t_end is None else float(t_end)
@@ -140,10 +137,9 @@ def equivariance_test(
         base_cfg, bc=BoundarySpec(transform(cfg.bc.left), transform(cfg.bc.right))
     )
 
-    grid = Grid(base_cfg.n)
-    u0 = build_initial(cfg.initial, grid).u
-    base = run(base_cfg, grid, Field(u=u0.copy(), t=0.0))
-    mapped = run(mapped_cfg, grid, Field(u=a * u0 + b, t=0.0))
+    u0 = build_initial(cfg.initial, cfg.x)
+    base = run(base_cfg, u0)
+    mapped = run(mapped_cfg, a * u0 + b)
 
     deviations = tuple(
         float(np.abs(um - (a * ub + b)).max())

@@ -17,9 +17,9 @@ cumulative weights W, a sum of the gradient fluxes at and left of the
 face), whether the apparent-advection term -(v_0 / dx) * W_{i+1} is
 added, and whether v is u or u - u(0).  ``caputo`` is the weighted sum
 alone and annihilates constants.  ``rl``, the one-sided fractional
-derivative of u (see :func:`rl_faces_grunwald`), adds the advection term:
-a speed proportional to the value at the left end.  ``parsimonious`` is
-``rl`` applied to u - u(0), so it coincides with ``caputo``.
+derivative of u, adds the advection term: a speed proportional to the
+value at the left end.  ``parsimonious`` is ``rl`` applied to u - u(0),
+so it coincides with ``caputo``.
 """
 
 from __future__ import annotations
@@ -82,9 +82,6 @@ class FaceFluxes:
     diffusive: np.ndarray | None = None
     advective: np.ndarray | None = None
 
-    def __len__(self) -> int:
-        return self.q.size
-
 
 def _as_field(u, n: int | None = None) -> np.ndarray:
     arr = np.asarray(u, dtype=np.float64)
@@ -145,15 +142,3 @@ def rl_faces_weighted(u, table: GrunwaldTable) -> FaceFluxes:
 def parsimonious_faces(u, table: GrunwaldTable) -> FaceFluxes:
     """The rl flux of u - u[0]: no advective part, so caputo up to rounding."""
     return face_fluxes(u, FluxKind.PARSIMONIOUS, table)
-
-
-def rl_faces_grunwald(u, table: GrunwaldTable) -> FaceFluxes:
-    """Shifted-Grunwald form of the one-sided fractional flux.
-
-    q[i] = -dx**(-alpha) * sum_{j=0..i+1} g_j * u[i+1-j].  Algebraically
-    identical to :func:`rl_faces_weighted`; kept as an independent route
-    for cross-checking.
-    """
-    arr = _as_field(u, table.n)
-    coeff = table.dx ** (-table.alpha)
-    return FaceFluxes(q=-coeff * np.convolve(table.g, arr)[1 : table.n + 1])

@@ -13,15 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .solver import (
-    BoundarySpec,
-    ConfigurationError,
-    Dirichlet,
-    Field,
-    Grid,
-    InitialSpec,
-    SimConfig,
-)
+from .solver import BoundarySpec, ConfigurationError, Dirichlet, InitialSpec, SimConfig
 
 _BUMP_AMPLITUDE = 64.0 * np.pi**3 / (np.pi**2 - 4.0)
 
@@ -70,8 +62,8 @@ PROFILES: dict[str, Callable] = {
 }
 
 
-def build_initial(spec: InitialSpec, grid: Grid) -> Field:
-    """Materialize an initial profile on the grid nodes."""
+def build_initial(spec: InitialSpec, x: np.ndarray) -> np.ndarray:
+    """Evaluate an initial profile at the node positions x (``cfg.x``)."""
     try:
         profile = PROFILES[spec.profile]
     except KeyError:
@@ -79,8 +71,7 @@ def build_initial(spec: InitialSpec, grid: Grid) -> Field:
         raise ConfigurationError(
             f"unknown initial profile {spec.profile!r}; valid profiles: {valid}"
         ) from None
-    values = np.asarray(profile(grid.x, **spec.params), dtype=np.float64)
-    return Field(u=values, t=0.0)
+    return np.asarray(profile(x, **spec.params), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -90,9 +81,6 @@ class Scenario:
     name: str
     cfg: SimConfig
     expected_qualitative: str
-
-    def initial_field(self, grid: Grid) -> Field:
-        return build_initial(self.cfg.initial, grid)
 
 
 def _dirichlet(value: float) -> BoundarySpec:

@@ -38,6 +38,9 @@ from .weights import build_table
 # magnitude (floored at 1 so an all-zero start still has a usable scale).
 _BLOWUP_FACTOR = 1e12
 
+# A StabilityWarning fires when stability_ratio exceeds this value.
+_STABILITY_WARN_RATIO = 0.5
+
 
 class ConfigurationError(ValueError):
     """Inconsistent or incomplete run configuration."""
@@ -54,25 +57,6 @@ class InstabilityError(RuntimeError):
 
 class StabilityWarning(UserWarning):
     """Advisory: the time step exceeds the recommended ratio."""
-
-
-@dataclass(frozen=True)
-class Grid:
-    """n + 1 equispaced nodes on [0, 1]; end volumes have half width."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"grid needs n >= 1, got {self.n}")
-
-    @property
-    def dx(self) -> float:
-        return 1.0 / self.n
-
-    @property
-    def x(self) -> np.ndarray:
-        return np.arange(self.n + 1) * self.dx
 
 
 @dataclass(frozen=True)
@@ -173,9 +157,11 @@ def _decode_scalar(default, value):
     return type(default)(value)
 
 
-# Keys a manifest adds to the configuration; from_mapping skips them, so a
-# manifest is itself a valid configuration.
-_MANIFEST_DERIVED_KEYS = ("tool", "version", "dx", "stability_ratio")
+# Keys from_mapping skips: the derived keys a manifest adds to the
+# configuration, and the retired stability_warn_ratio (now the fixed
+# _STABILITY_WARN_RATIO), so every manifest ever written is a valid
+# configuration.
+_IGNORED_KEYS = ("tool", "version", "dx", "stability_ratio", "stability_warn_ratio")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -200,7 +186,6 @@ class SimConfig:
     flux: FluxKind = FluxKind.CAPUTO
     bc: BoundarySpec = field(default_factory=BoundarySpec.reflective)
     initial: InitialSpec
-    stability_warn_ratio: float = 0.5
     kappa: float = 1.0
     stop_when_steady: bool = False
     steady_eps: float = 1e-10
@@ -242,6 +227,16 @@ class SimConfig:
     def n_steps(self) -> int:
         return int(round(self.t_end / self.dt))
 
+    @property
+    def dx(self) -> float:
+        """Node spacing of the n + 1 equispaced nodes on [0, 1]."""
+        return 1.0 / self.n
+
+    @property
+    def x(self) -> np.ndarray:
+        """Node positions; the end volumes have half width."""
+        return np.arange(self.n + 1) * self.dx
+
     def to_mapping(self) -> dict:
         """JSON-ready form of every field, in field order."""
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -254,10 +249,11 @@ class SimConfig:
         """Inverse of :meth:`to_mapping`; missing keys take the defaults.
 
         Keys that are not fields raise :class:`ConfigurationError`, except
-        the derived keys a manifest adds, which are ignored.
+        the derived keys a manifest adds and the retired
+        ``stability_warn_ratio``, which are ignored.
         """
         by_name = {f.name: f for f in fields(cls)}
-        unknown = sorted(set(data) - set(by_name) - set(_MANIFEST_DERIVED_KEYS))
+        unknown = sorted(set(data) - set(by_name) - set(_IGNORED_KEYS))
         if unknown:
             valid = ", ".join(by_name)
             raise ConfigurationError(
@@ -290,57 +286,50 @@ class SimConfig:
             )
         return cls(**kwargs)
 
-    def manifest(self, grid: "Grid") -> dict:
+    def manifest(self) -> dict:
         """The configuration plus tool, version, dx and stability ratio."""
         return {
             "tool": "fracflux",
             "version": __version__,
             **self.to_mapping(),
-            "dx": grid.dx,
-            "stability_ratio": stability_ratio(self, grid),
+            "dx": self.dx,
+            "stability_ratio": stability_ratio(self),
         }
 
 
 @dataclass
-class Field:
-    """Nodal values at one time level."""
-
-    u: np.ndarray
-    t: float
-
-
-@dataclass
 class RunResult:
-    """Snapshots plus per-step diagnostics of a completed run."""
+    """Snapshots plus per-step diagnostics of a completed run.
+
+    Every time is a step count times dt: the final field sits at
+    ``trace.t[-1]``.
+    """
 
     cfg: SimConfig
-    grid: Grid
     snapshot_times: tuple[float, ...]
     snapshots: list[np.ndarray]
     trace: DiagnosticTrace
-    final: Field
+    final: np.ndarray
     steps_taken: int
     steady_stop_time: float | None = None
     decomposition: FaceFluxes | None = None  # final-field split, rl law only
 
 
-def stability_ratio(cfg: SimConfig, grid: Grid) -> float:
+def stability_ratio(cfg: SimConfig) -> float:
     """kappa * dt / dx**order, the advisory explicit-step ratio.
 
     The order is the flux law's own (see :data:`fracflux.flux.LAWS`):
     2 for the local gradient law and 1 + alpha for the others.
     """
-    return cfg.kappa * cfg.dt / grid.dx ** LAWS[cfg.flux].order(cfg.alpha)
+    return cfg.kappa * cfg.dt / cfg.dx ** LAWS[cfg.flux].order(cfg.alpha)
 
 
-def step(current: Field, faces: FaceFluxes, cfg: SimConfig, step_index: int = 0) -> Field:
-    """Advance one explicit step using precomputed interior face fluxes."""
-    u = current.u
-    q = faces.q
+def step(u: np.ndarray, q: np.ndarray, cfg: SimConfig, step_index: int = 0) -> np.ndarray:
+    """Advance the nodal values u one explicit step, given the interior
+    face fluxes q; step_index dates an :class:`InstabilityError`."""
     if q.size != u.size - 1:
         raise ValueError(f"expected {u.size - 1} face fluxes, got {q.size}")
-    dx = 1.0 / cfg.n
-    r = cfg.dt / dx
+    r = cfg.dt / cfg.dx
 
     nxt = np.empty_like(u)
     nxt[1:-1] = u[1:-1] + r * (q[:-1] - q[1:])
@@ -355,8 +344,8 @@ def step(current: Field, faces: FaceFluxes, cfg: SimConfig, step_index: int = 0)
         nxt[-1] = u[-1] + 2.0 * r * (q[-1] - right.value)
 
     if not np.all(np.isfinite(nxt)):
-        raise InstabilityError(step_index, current.t + cfg.dt, "non-finite value produced")
-    return Field(u=nxt, t=current.t + cfg.dt)
+        raise InstabilityError(step_index, step_index * cfg.dt, "non-finite value produced")
+    return nxt
 
 
 def _check_dirichlet_consistency(cfg: SimConfig, u0: np.ndarray) -> None:
@@ -370,8 +359,9 @@ def _check_dirichlet_consistency(cfg: SimConfig, u0: np.ndarray) -> None:
                 )
 
 
-def run(cfg: SimConfig, grid: Grid, initial: Field) -> RunResult:
-    """March the configuration forward and collect snapshots and traces.
+def run(cfg: SimConfig, u0) -> RunResult:
+    """March the initial nodal values u0 forward from t = 0 under cfg and
+    collect snapshots and traces.
 
     Deterministic: identical configurations produce bit-identical results.
     Raises :class:`InstabilityError` if the field turns non-finite or its
@@ -379,9 +369,7 @@ def run(cfg: SimConfig, grid: Grid, initial: Field) -> RunResult:
     :class:`ConfigurationError` for Dirichlet data that contradicts the
     initial profile (unless ``force_inconsistent_bc`` is set).
     """
-    if grid.n != cfg.n:
-        raise ConfigurationError(f"grid has n={grid.n} but config says n={cfg.n}")
-    u0 = np.asarray(initial.u, dtype=np.float64)
+    u0 = np.asarray(u0, dtype=np.float64)
     if u0.shape != (cfg.n + 1,):
         raise ConfigurationError(
             f"initial field must have {cfg.n + 1} nodes, got shape {u0.shape}"
@@ -391,28 +379,25 @@ def run(cfg: SimConfig, grid: Grid, initial: Field) -> RunResult:
     if not cfg.force_inconsistent_bc:
         _check_dirichlet_consistency(cfg, u0)
 
-    ratio = stability_ratio(cfg, grid)
-    if ratio > cfg.stability_warn_ratio:
+    ratio = stability_ratio(cfg)
+    if ratio > _STABILITY_WARN_RATIO:
         warnings.warn(
             f"kappa*dt/dx^order = {ratio:.3g} exceeds the advisory threshold "
-            f"{cfg.stability_warn_ratio:g}; the explicit step may diverge",
+            f"{_STABILITY_WARN_RATIO:g}; the explicit step may diverge",
             StabilityWarning,
             stacklevel=2,
         )
 
-    table = build_table(cfg.alpha, grid.dx, cfg.n)
+    table = build_table(cfg.alpha, cfg.dx, cfg.n)
     n_steps = cfg.n_steps
-    t0 = float(initial.t)
     snap_steps = {int(round(t / cfg.dt)): t for t in cfg.snapshot_times}
 
-    times = np.empty(n_steps + 1)
     mass = np.empty(n_steps + 1)
     u_min = np.empty(n_steps + 1)
     u_max = np.empty(n_steps + 1)
     step_change = np.empty(n_steps)
 
-    times[0] = t0
-    mass[0] = total_mass(u0, grid)
+    mass[0] = total_mass(u0)
     u_min[0] = u0.min()
     u_max[0] = u0.max()
 
@@ -421,52 +406,50 @@ def run(cfg: SimConfig, grid: Grid, initial: Field) -> RunResult:
         snapshots[0] = u0.copy()
 
     limit = _BLOWUP_FACTOR * max(np.abs(u0).max(), 1.0)
-    current = Field(u=u0.copy(), t=t0)
+    u = u0
     steps_taken = n_steps
     steady_time = None
 
     for k in range(1, n_steps + 1):
-        faces = face_fluxes(current.u, cfg.flux, table, kappa=cfg.kappa)
-        advanced = step(current, faces, cfg, step_index=k)
-        peak = np.abs(advanced.u).max()
+        faces = face_fluxes(u, cfg.flux, table, kappa=cfg.kappa)
+        advanced = step(u, faces.q, cfg, step_index=k)
+        peak = np.abs(advanced).max()
         if peak > limit:
             raise InstabilityError(
-                k, t0 + k * cfg.dt, f"|u| reached {peak:.3g}, over 1e12 x initial scale"
+                k, k * cfg.dt, f"|u| reached {peak:.3g}, over 1e12 x initial scale"
             )
-        change = np.abs(advanced.u - current.u).max()
-        current = advanced
-        times[k] = t0 + k * cfg.dt
-        mass[k] = total_mass(current.u, grid)
-        u_min[k] = current.u.min()
-        u_max[k] = current.u.max()
+        change = np.abs(advanced - u).max()
+        u = advanced
+        mass[k] = total_mass(u)
+        u_min[k] = u.min()
+        u_max[k] = u.max()
         step_change[k - 1] = change
         if k in snap_steps:
-            snapshots[k] = current.u.copy()
+            snapshots[k] = u.copy()
         if cfg.stop_when_steady and change < cfg.steady_eps:
             steps_taken = k
-            steady_time = times[k]
+            steady_time = k * cfg.dt
             break
 
     # Later snapshot times inherit the frozen steady field.
     for k in snap_steps:
         if k > steps_taken:
-            snapshots[k] = current.u.copy()
+            snapshots[k] = u.copy()
     end = steps_taken + 1
     trace = DiagnosticTrace(
-        t=times[:end], mass=mass[:end], u_min=u_min[:end], u_max=u_max[:end],
-        step_change=step_change[:steps_taken],
+        t=np.arange(end) * cfg.dt, mass=mass[:end],
+        u_min=u_min[:end], u_max=u_max[:end], step_change=step_change[:steps_taken],
     )
     ordered = sorted(snap_steps.items())
     decomposition = None
     if cfg.flux is FluxKind.RIEMANN_LIOUVILLE:
-        decomposition = face_fluxes(current.u, cfg.flux, table, kappa=cfg.kappa)
+        decomposition = face_fluxes(u, cfg.flux, table, kappa=cfg.kappa)
     return RunResult(
         cfg=cfg,
-        grid=grid,
         snapshot_times=tuple(t for _, t in ordered),
         snapshots=[snapshots[k] for k, _ in ordered],
         trace=trace,
-        final=current,
+        final=u,
         steps_taken=steps_taken,
         steady_stop_time=steady_time,
         decomposition=decomposition,

@@ -73,10 +73,3 @@ def build_table(alpha: float, dx: float, n: int) -> GrunwaldTable:
     g.flags.writeable = False
     w.flags.writeable = False
     return GrunwaldTable(alpha=float(alpha), dx=float(dx), g=g, w=w)
-
-
-def partial_g_sum(table: GrunwaldTable, j: int) -> float:
-    """Partial sum g_0 + ... + g_j, i.e. W_j with the dx scaling stripped."""
-    if not 0 <= j <= table.n:
-        raise IndexError(f"index {j} outside the table range 0..{table.n}")
-    return float(table.w[j] / table.dx ** (1.0 - table.alpha))

@@ -20,12 +20,12 @@ from fracflux.flux import (
     face_fluxes,
     fourier_faces,
     parsimonious_faces,
-    rl_faces_grunwald,
     rl_faces_weighted,
 )
-from fracflux.scenarios import make_scenario
-from fracflux.solver import Grid, InstabilityError, run, step
+from fracflux.scenarios import build_initial, make_scenario
+from fracflux.solver import InstabilityError, run, step
 from fracflux.weights import build_table
+from oracles import rl_faces_grunwald
 
 
 @contextmanager
@@ -41,8 +41,7 @@ def criterion(number, label):
 def _run_scenario(name, law, **overrides):
     scenario = make_scenario(name)
     cfg = replace(scenario.cfg, flux=law, **overrides)
-    grid = Grid(cfg.n)
-    return run(cfg, grid, scenario.initial_field(grid)), grid
+    return run(cfg, build_initial(cfg.initial, cfg.x))
 
 
 # 1. Conservation: pulse-reflective, every law, |M(t) - 1| <= 1e-9 at every
@@ -58,7 +57,7 @@ def test_criterion_01_conservation(law):
         kind = FluxKind.from_name(law)
         overrides = {"dt": 2.5e-5} if kind is FluxKind.FOURIER else {}
         try:
-            result, _ = _run_scenario("pulse-reflective", kind, **overrides)
+            result = _run_scenario("pulse-reflective", kind, **overrides)
         except InstabilityError as exc:
             pytest.fail(
                 f"{law} aborted before t=10: {exc}. Every law here runs at a "
@@ -75,7 +74,7 @@ def test_criterion_01_conservation(law):
 #    of the unit height.
 def test_criterion_02_caputo_flat_steady_state():
     with criterion(2, "caputo steady state is flat at unit height"):
-        result, _ = _run_scenario(
+        result = _run_scenario(
             "pulse-reflective",
             FluxKind.CAPUTO,
             stop_when_steady=True,
@@ -86,13 +85,13 @@ def test_criterion_02_caputo_flat_steady_state():
         assert steady_state_time(result.trace, 1e-10) == pytest.approx(
             result.steady_stop_time
         )
-        assert np.abs(result.final.u - 1.0).max() <= 1e-3
+        assert np.abs(result.final - 1.0).max() <= 1e-3
 
 
 # 3. RL left accumulation: steady profile piles up against the left wall.
 def test_criterion_03_rl_left_accumulation():
     with criterion(3, "rl steady state accumulates at the left wall"):
-        result, _ = _run_scenario(
+        result = _run_scenario(
             "pulse-reflective",
             FluxKind.RIEMANN_LIOUVILLE,
             stop_when_steady=True,
@@ -100,7 +99,7 @@ def test_criterion_03_rl_left_accumulation():
             snapshot_times=(100.0,),
         )
         assert result.steady_stop_time is not None
-        u = result.final.u
+        u = result.final
         assert u[0] > 1.5 * u.mean()
         assert np.all(np.diff(u[:11]) < 0.0)  # strictly decreasing, 10 nodes
 
@@ -111,12 +110,12 @@ def test_criterion_03_rl_left_accumulation():
 def test_criterion_04_ice_invariance_failure():
     with criterion(4, "freezing-point runs: only rl reshapes the constant"):
         for law in (FluxKind.RIEMANN_LIOUVILLE, FluxKind.CAPUTO, FluxKind.FOURIER):
-            result, _ = _run_scenario("ice-warsaw", law)
+            result = _run_scenario("ice-warsaw", law)
             assert np.all(result.trace.u_min == 0.0)
             assert np.all(result.trace.u_max == 0.0)
 
         for law in (FluxKind.CAPUTO, FluxKind.FOURIER, FluxKind.PARSIMONIOUS):
-            result, _ = _run_scenario(
+            result = _run_scenario(
                 "ice-minneapolis",
                 law,
                 stop_when_steady=False,
@@ -129,28 +128,27 @@ def test_criterion_04_ice_invariance_failure():
         # rl: strictly decreasing near-wall value over the first 100 steps
         scenario = make_scenario("ice-minneapolis")
         cfg = replace(scenario.cfg, flux=FluxKind.RIEMANN_LIOUVILLE)
-        grid = Grid(cfg.n)
-        table = build_table(cfg.alpha, grid.dx, cfg.n)
-        field = scenario.initial_field(grid)
-        near_wall = [field.u[1]]
+        table = build_table(cfg.alpha, cfg.dx, cfg.n)
+        u = build_initial(cfg.initial, cfg.x)
+        near_wall = [u[1]]
         for k in range(100):
-            faces = face_fluxes(field.u, cfg.flux, table)
-            field = step(field, faces, cfg, step_index=k + 1)
-            near_wall.append(field.u[1])
+            faces = face_fluxes(u, cfg.flux, table)
+            u = step(u, faces.q, cfg, step_index=k + 1)
+            near_wall.append(u[1])
         assert all(b < a for a, b in zip(near_wall, near_wall[1:]))
 
         # and a non-flat steady profile
-        result, _ = _run_scenario("ice-minneapolis", FluxKind.RIEMANN_LIOUVILLE)
+        result = _run_scenario("ice-minneapolis", FluxKind.RIEMANN_LIOUVILLE)
         assert result.steady_stop_time is not None
-        assert result.final.u.max() - result.final.u.min() > 1.0
+        assert result.final.max() - result.final.min() > 1.0
 
 
 # 5. Zero-boundary bump: rl and caputo solutions coincide at all three
 #    snapshot times.
 def test_criterion_05_fig7_rl_caputo_coincide():
     with criterion(5, "rl and caputo coincide on the zero-boundary bump"):
-        res_rl, _ = _run_scenario("fig7-zero", FluxKind.RIEMANN_LIOUVILLE)
-        res_c, _ = _run_scenario("fig7-zero", FluxKind.CAPUTO)
+        res_rl = _run_scenario("fig7-zero", FluxKind.RIEMANN_LIOUVILLE)
+        res_c = _run_scenario("fig7-zero", FluxKind.CAPUTO)
         assert res_rl.snapshot_times == res_c.snapshot_times == (0.01, 0.04, 0.2)
         for u_rl, u_c in zip(res_rl.snapshots, res_c.snapshots):
             assert np.abs(u_rl - u_c).max() <= 1e-10
@@ -160,12 +158,12 @@ def test_criterion_05_fig7_rl_caputo_coincide():
 #    minimum at t = 0.04 and t = 0.2.
 def test_criterion_06_shift_experiment():
     with criterion(6, "shifted bump: caputo displaces, rl undershoots"):
-        res_zero, _ = _run_scenario("fig7-zero", FluxKind.CAPUTO)
-        res_shift, _ = _run_scenario("fig7-shifted", FluxKind.CAPUTO)
+        res_zero = _run_scenario("fig7-zero", FluxKind.CAPUTO)
+        res_shift = _run_scenario("fig7-shifted", FluxKind.CAPUTO)
         for u0, u5 in zip(res_zero.snapshots, res_shift.snapshots):
             assert np.abs(u5 - (u0 + 5.0)).max() <= 1e-10
 
-        res_rl, _ = _run_scenario("fig7-shifted", FluxKind.RIEMANN_LIOUVILLE)
+        res_rl = _run_scenario("fig7-shifted", FluxKind.RIEMANN_LIOUVILLE)
         by_time = dict(zip(res_rl.snapshot_times, res_rl.snapshots))
         assert by_time[0.04].min() < 5.0 - 1e-3
         assert by_time[0.2].min() < 5.0 - 1e-3

@@ -244,7 +244,8 @@ def test_summary_traces_share_one_time_axis(tmp_path):
 
 
 # A manifest with every key an earlier build wrote, derived keys included
-# (tool, version, dx, stability_ratio): it must stay a valid --config.
+# (tool, version, dx, stability_ratio), and the retired stability_warn_ratio:
+# it must stay a valid --config.
 _EARLIER_MANIFEST = {
     "tool": "fracflux",
     "version": "0.1.0",
@@ -276,4 +277,25 @@ def test_earlier_manifest_reruns_to_the_same_csv_bytes(tmp_path):
                  "--out-dir", str(tmp_path / "direct")]) == 0
     for name in ("snapshots.csv", "manifest.json"):
         assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "direct" / name).read_bytes()
-    assert json.loads((tmp_path / "again" / "manifest.json").read_text()) == _EARLIER_MANIFEST
+    rewritten = {k: v for k, v in _EARLIER_MANIFEST.items() if k != "stability_warn_ratio"}
+    assert json.loads((tmp_path / "again" / "manifest.json").read_text()) == rewritten
+
+
+def test_flux_decomposition_time_is_the_last_trace_time(tmp_path):
+    out = tmp_path / "shifted"
+    assert main(["run", "--scenario", "fig7-shifted", "--flux", "rl", "--out-dir", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["flux_decomposition"]["t"] == summary["mass_trace"]["t"][-1]
+
+
+def test_retired_warn_ratio_key_cannot_silence_the_warning(tmp_path):
+    # NaN used to be accepted as the threshold, and ratio > NaN is never true
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "pulse-reflective", "stability_warn_ratio": float("nan")}))
+    out = tmp_path / "nan"
+    with pytest.warns(StabilityWarning, match=r"= 5 exceeds"):
+        assert main(["run", "--config", str(cfg), "--flux", "fourier", "--t-end", "0.005",
+                     "--snapshots", "0.005", "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["stability_ratio"] == pytest.approx(5.0, rel=1e-12)
+    assert "stability_warn_ratio" not in manifest

@@ -11,8 +11,8 @@ from fracflux.diagnostics import (
     total_mass,
 )
 from fracflux.flux import FluxKind
-from fracflux.scenarios import make_scenario, triangular_pulse
-from fracflux.solver import BoundarySpec, Field, Grid, InitialSpec, SimConfig, run
+from fracflux.scenarios import build_initial, make_scenario, triangular_pulse
+from fracflux.solver import BoundarySpec, InitialSpec, SimConfig, run
 
 
 def _trace(mins, maxs, changes=None, dt=0.1, masses=None):
@@ -35,27 +35,27 @@ def _trace(mins, maxs, changes=None, dt=0.1, masses=None):
 
 
 def test_total_mass_of_unit_field():
-    grid = Grid(100)
-    assert total_mass(np.ones(101), grid) == 1.0
+    assert total_mass(np.ones(101)) == 1.0
 
 
 def test_total_mass_of_zero_field():
-    assert total_mass(np.zeros(11), Grid(10)) == 0.0
+    assert total_mass(np.zeros(11)) == 0.0
 
 
 def test_total_mass_of_pulse():
-    grid = Grid(100)
-    assert total_mass(triangular_pulse(grid.x), grid) == pytest.approx(1.0, abs=1e-12)
+    x = np.arange(101) * 0.01
+    assert total_mass(triangular_pulse(x)) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_total_mass_accepts_field():
-    grid = Grid(4)
-    assert total_mass(Field(u=np.ones(5), t=0.0), grid) == pytest.approx(1.0)
+def test_total_mass_takes_dx_from_the_node_count():
+    # 5 nodes span 4 intervals of 0.25; a list is accepted like an array
+    assert total_mass([1.0, 1.0, 1.0, 1.0, 1.0]) == pytest.approx(1.0)
+    assert total_mass(np.ones(5)) == pytest.approx(1.0)
 
 
 def test_total_mass_halves_end_nodes():
-    grid = Grid(2)  # dx = 0.5
-    assert total_mass(np.array([4.0, 0.0, 0.0]), grid) == 1.0
+    # 3 nodes: dx = 0.5
+    assert total_mass(np.array([4.0, 0.0, 0.0])) == 1.0
 
 
 # --------------------------------------------------------- steady state
@@ -88,8 +88,7 @@ def test_constant_field_is_steady_after_one_step():
         bc=BoundarySpec.reflective(),
         initial=InitialSpec("constant", {"value": 3.0}),
     )
-    grid = Grid(50)
-    result = run(cfg, grid, Field(u=np.full(51, 3.0), t=0.0))
+    result = run(cfg, np.full(51, 3.0))
     assert steady_state_time(result.trace, eps=1e-10) == pytest.approx(cfg.dt)
 
 
@@ -130,18 +129,15 @@ def test_max_principle_respects_shifted_lower_bound():
 
 
 def test_max_principle_on_real_runs():
-    grid = Grid(100)
-    zero = make_scenario("fig7-zero")
-    res = run(replace(zero.cfg, flux=FluxKind.CAPUTO), grid, zero.initial_field(grid))
-    assert not max_principle_check(res.trace, zero.initial_field(grid).u).violated
+    zero = make_scenario("fig7-zero").cfg
+    u0 = build_initial(zero.initial, zero.x)
+    res = run(replace(zero, flux=FluxKind.CAPUTO), u0)
+    assert not max_principle_check(res.trace, u0).violated
 
-    shifted = make_scenario("fig7-shifted")
-    res = run(
-        replace(shifted.cfg, flux=FluxKind.RIEMANN_LIOUVILLE),
-        grid,
-        shifted.initial_field(grid),
-    )
-    report = max_principle_check(res.trace, shifted.initial_field(grid).u)
+    shifted = make_scenario("fig7-shifted").cfg
+    u0 = build_initial(shifted.initial, shifted.x)
+    res = run(replace(shifted, flux=FluxKind.RIEMANN_LIOUVILLE), u0)
+    report = max_principle_check(res.trace, u0)
     assert report.violated
     assert report.lower == 5.0
 

@@ -10,10 +10,10 @@ from fracflux.flux import (
     face_fluxes,
     fourier_faces,
     parsimonious_faces,
-    rl_faces_grunwald,
     rl_faces_weighted,
 )
-from fracflux.weights import build_table, partial_g_sum
+from fracflux.weights import build_table
+from oracles import partial_g_sum, rl_faces_grunwald
 
 
 def _max_rel(a, b):
@@ -275,7 +275,7 @@ def test_face_count_is_number_of_interior_faces():
     table = build_table(0.5, 0.2, 5)
     u = np.linspace(0.0, 1.0, 6)
     for kind in FluxKind:
-        assert len(face_fluxes(u, kind, table)) == 5
+        assert face_fluxes(u, kind, table).q.size == 5
 
 
 def test_flux_kind_from_name():

@@ -15,7 +15,9 @@ from fracflux.scenarios import (
     make_scenario,
     triangular_pulse,
 )
-from fracflux.solver import ConfigurationError, Dirichlet, Grid, InitialSpec, SimConfig
+from fracflux.solver import ConfigurationError, Dirichlet, InitialSpec, SimConfig
+
+X100 = np.arange(101) * 0.01  # the nodes of an n = 100 configuration
 
 
 def _simpson(f, a, b, intervals=1_000_000):
@@ -48,8 +50,7 @@ def test_pulse_vectorized_matches_scalar():
 def test_pulse_discrete_mass_is_one():
     # breakpoints 0.3 / 0.5 / 0.7 are grid nodes at n=100, so the
     # half-weighted nodal sum is exact on each linear piece
-    grid = Grid(100)
-    assert total_mass(triangular_pulse(grid.x), grid) == pytest.approx(1.0, abs=1e-12)
+    assert total_mass(triangular_pulse(X100)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pulse_exact_integral_is_one():
@@ -67,8 +68,7 @@ def test_bump_vanishes_outside_support():
 
 
 def test_bump_is_nonnegative_on_grid():
-    grid = Grid(100)
-    assert np.all(fig7_bump(grid.x) >= 0.0)
+    assert np.all(fig7_bump(X100) >= 0.0)
 
 
 def test_bump_integral_matches_quadrature_oracle():
@@ -86,18 +86,17 @@ def test_bump_offset_shifts_uniformly():
 
 
 def test_all_scenarios_build_and_are_bc_consistent():
-    grid = Grid(100)
     for name in SCENARIO_NAMES:
         scenario = make_scenario(name)
         assert scenario.name == name
         assert scenario.cfg.scenario == name
-        field = scenario.initial_field(grid)
-        assert field.u.shape == (101,)
+        u = build_initial(scenario.cfg.initial, scenario.cfg.x)
+        assert u.shape == (101,)
         bc = scenario.cfg.bc
         if isinstance(bc.left, Dirichlet):
-            assert field.u[0] == pytest.approx(bc.left.value, abs=1e-12)
+            assert u[0] == pytest.approx(bc.left.value, abs=1e-12)
         if isinstance(bc.right, Dirichlet):
-            assert field.u[-1] == pytest.approx(bc.right.value, abs=1e-12)
+            assert u[-1] == pytest.approx(bc.right.value, abs=1e-12)
 
 
 def test_unknown_scenario_lists_valid_names():
@@ -120,8 +119,7 @@ def test_ice_scenarios_parameters():
     minneapolis = make_scenario("ice-minneapolis").cfg
     assert minneapolis.bc.left == Dirichlet(32.0)
     assert minneapolis.stop_when_steady
-    grid = Grid(100)
-    assert np.all(make_scenario("ice-minneapolis").initial_field(grid).u == 32.0)
+    assert np.all(build_initial(minneapolis.initial, minneapolis.x) == 32.0)
 
 
 def test_fig7_scenarios_share_snapshots_and_shift():
@@ -130,9 +128,8 @@ def test_fig7_scenarios_share_snapshots_and_shift():
     assert zero.cfg.snapshot_times == (0.01, 0.04, 0.2)
     assert shifted.cfg.snapshot_times == zero.cfg.snapshot_times
     assert shifted.cfg.bc.left == Dirichlet(5.0)
-    grid = Grid(100)
     np.testing.assert_array_equal(
-        shifted.initial_field(grid).u, zero.initial_field(grid).u + 5.0
+        build_initial(shifted.cfg.initial, X100), build_initial(zero.cfg.initial, X100) + 5.0
     )
 
 
@@ -149,12 +146,12 @@ def test_default_flux_law_is_caputo():
 
 
 def test_profile_registry_and_build_initial():
-    grid = Grid(10)
+    x = np.arange(11) * 0.1
     assert set(PROFILES) == {"triangular-pulse", "fig7-bump", "constant"}
-    field = build_initial(InitialSpec("constant", {"value": 3.0}), grid)
-    assert np.all(field.u == 3.0)
+    u = build_initial(InitialSpec("constant", {"value": 3.0}), x)
+    assert np.all(u == 3.0)
     with pytest.raises(ConfigurationError, match="constant"):
-        build_initial(InitialSpec("nope"), grid)
+        build_initial(InitialSpec("nope"), x)
 
 
 def test_constant_profile_scalar():

@@ -9,9 +9,7 @@ from fracflux.solver import (
     BoundarySpec,
     ConfigurationError,
     Dirichlet,
-    Field,
     FixedFlux,
-    Grid,
     InitialSpec,
     InstabilityError,
     SimConfig,
@@ -38,23 +36,21 @@ def _config(**overrides):
     return SimConfig(**base)
 
 
-def _pulse(grid):
+def _pulse(cfg):
     from fracflux.scenarios import triangular_pulse
 
-    return Field(u=triangular_pulse(grid.x), t=0.0)
+    return triangular_pulse(cfg.x)
 
 
 # ----------------------------------------------------------------- grid
 
 
 def test_grid_geometry():
-    grid = Grid(100)
-    assert grid.dx == 0.01
-    assert grid.x.shape == (101,)
-    assert grid.x[0] == 0.0
-    assert grid.x[-1] == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        Grid(0)
+    cfg = _config()
+    assert cfg.dx == 0.01
+    assert cfg.x.shape == (101,)
+    assert cfg.x[0] == 0.0
+    assert cfg.x[-1] == pytest.approx(1.0)
 
 
 # ----------------------------------------------------------------- step
@@ -62,13 +58,11 @@ def test_grid_geometry():
 
 def test_constant_field_is_a_fixed_point_of_caputo_reflective():
     cfg = _config(initial=InitialSpec("constant", {"value": 4.0}))
-    grid = Grid(cfg.n)
-    table = build_table(cfg.alpha, grid.dx, cfg.n)
-    field = Field(u=np.full(101, 4.0), t=0.0)
-    faces = face_fluxes(field.u, cfg.flux, table)
-    advanced = step(field, faces, cfg)
-    assert np.array_equal(advanced.u, field.u)
-    assert advanced.t == cfg.dt
+    table = build_table(cfg.alpha, cfg.dx, cfg.n)
+    u = np.full(101, 4.0)
+    faces = face_fluxes(u, cfg.flux, table)
+    advanced = step(u, faces.q, cfg)
+    assert np.array_equal(advanced, u)
 
 
 def test_zero_field_stays_zero_under_rl_absorbing():
@@ -78,11 +72,10 @@ def test_zero_field_stays_zero_under_rl_absorbing():
         t_end=0.05,
         snapshot_times=(0.05,),
     )
-    grid = Grid(cfg.n)
-    result = run(cfg, grid, Field(u=np.zeros(101), t=0.0))
+    result = run(cfg, np.zeros(101))
     assert np.all(result.trace.u_min == 0.0)
     assert np.all(result.trace.u_max == 0.0)
-    assert np.all(result.final.u == 0.0)
+    assert np.all(result.final == 0.0)
 
 
 def test_rl_pulls_down_wall_neighbourhood_of_warm_constant():
@@ -93,22 +86,20 @@ def test_rl_pulls_down_wall_neighbourhood_of_warm_constant():
         bc=BoundarySpec(Dirichlet(32.0), Dirichlet(32.0)),
         initial=InitialSpec("constant", {"value": 32.0}),
     )
-    grid = Grid(cfg.n)
-    table = build_table(cfg.alpha, grid.dx, cfg.n)
-    field = Field(u=np.full(101, 32.0), t=0.0)
-    faces = face_fluxes(field.u, cfg.flux, table)
-    advanced = step(field, faces, cfg)
-    assert advanced.u[0] == 32.0  # pinned
-    assert advanced.u[1] < 32.0
+    table = build_table(cfg.alpha, cfg.dx, cfg.n)
+    u = np.full(101, 32.0)
+    faces = face_fluxes(u, cfg.flux, table)
+    advanced = step(u, faces.q, cfg)
+    assert advanced[0] == 32.0  # pinned
+    assert advanced[1] < 32.0
 
 
 def test_step_rejects_wrong_face_count():
     cfg = _config()
-    field = Field(u=np.zeros(101), t=0.0)
     table = build_table(0.5, 0.02, 50)
     faces = face_fluxes(np.zeros(51), cfg.flux, table)
     with pytest.raises(ValueError):
-        step(field, faces, cfg)
+        step(np.zeros(101), faces.q, cfg)
 
 
 # ----------------------------------------------------------- conservation
@@ -126,8 +117,7 @@ def test_mass_changes_by_exactly_the_boundary_fluxes(kind):
         snapshot_times=(8e-4,),
         bc=BoundarySpec(FixedFlux(q_left), FixedFlux(q_right)),
     )
-    grid = Grid(cfg.n)
-    result = run(cfg, grid, Field(u=rng.normal(size=101), t=0.0))
+    result = run(cfg, rng.normal(size=101))
     increments = np.diff(result.trace.mass)
     expected = cfg.dt * (q_left - q_right)
     scale = max(1.0, np.abs(result.trace.mass).max())
@@ -136,8 +126,7 @@ def test_mass_changes_by_exactly_the_boundary_fluxes(kind):
 
 def test_reflective_mass_is_constant():
     cfg = _config(t_end=0.25, snapshot_times=(0.25,))
-    grid = Grid(cfg.n)
-    result = run(cfg, grid, _pulse(grid))
+    result = run(cfg, _pulse(cfg))
     assert np.abs(result.trace.mass - 1.0).max() <= 1e-12
 
 
@@ -154,25 +143,22 @@ def test_reflective_mass_is_constant():
 def test_mass_constant_to_1e10_over_1e5_steps(kind, dt, t_end):
     cfg = _config(flux=kind, dt=dt, t_end=t_end, snapshot_times=(t_end,))
     assert cfg.n_steps == 100_000
-    grid = Grid(cfg.n)
-    result = run(cfg, grid, _pulse(grid))
+    result = run(cfg, _pulse(cfg))
     assert np.abs(result.trace.mass - 1.0).max() <= 1e-10
 
 
 def test_parsimonious_holds_any_constant_fixed():
     cfg = _config(flux=FluxKind.PARSIMONIOUS, initial=InitialSpec("constant", {"value": -7.5}))
-    grid = Grid(cfg.n)
-    result = run(cfg, grid, Field(u=np.full(101, -7.5), t=0.0))
+    result = run(cfg, np.full(101, -7.5))
     assert np.all(result.trace.u_min == -7.5)
     assert np.all(result.trace.u_max == -7.5)
 
 
 def test_rl_moves_a_nonzero_constant_under_reflective_walls():
     cfg = _config(flux=FluxKind.RIEMANN_LIOUVILLE, initial=InitialSpec("constant", {"value": 4.0}))
-    grid = Grid(cfg.n)
-    result = run(cfg, grid, Field(u=np.full(101, 4.0), t=0.0))
+    result = run(cfg, np.full(101, 4.0))
     assert result.trace.u_max[-1] > 4.0  # piles up against the left wall
-    assert result.final.u[0] > 4.0
+    assert result.final[0] > 4.0
 
 
 # ------------------------------------------------------------ run basics
@@ -180,10 +166,9 @@ def test_rl_moves_a_nonzero_constant_under_reflective_walls():
 
 def test_run_is_deterministic():
     cfg = _config(t_end=0.25, snapshot_times=(0.1, 0.25))
-    grid = Grid(cfg.n)
-    a = run(cfg, grid, _pulse(grid))
-    b = run(cfg, grid, _pulse(grid))
-    assert np.array_equal(a.final.u, b.final.u)
+    a = run(cfg, _pulse(cfg))
+    b = run(cfg, _pulse(cfg))
+    assert np.array_equal(a.final, b.final)
     assert np.array_equal(a.trace.mass, b.trace.mass)
     for ua, ub in zip(a.snapshots, b.snapshots):
         assert np.array_equal(ua, ub)
@@ -193,8 +178,7 @@ def test_snapshots_snap_to_step_multiples():
     cfg = _config(t_end=0.02, snapshot_times=(0.01490, 0.01510))
     # both round to step 30 and collapse to one snapshot
     assert cfg.snapshot_times == (30 * cfg.dt,)
-    grid = Grid(cfg.n)
-    result = run(cfg, grid, _pulse(grid))
+    result = run(cfg, _pulse(cfg))
     assert result.snapshot_times == cfg.snapshot_times
     assert len(result.snapshots) == 1
 
@@ -206,8 +190,7 @@ def test_snapshot_outside_horizon_rejected():
 
 def test_trace_covers_every_step():
     cfg = _config(t_end=0.005, snapshot_times=(0.005,))
-    grid = Grid(cfg.n)
-    result = run(cfg, grid, _pulse(grid))
+    result = run(cfg, _pulse(cfg))
     assert result.trace.t.shape == (11,)
     assert result.trace.step_change.shape == (10,)
     assert result.trace.t[0] == 0.0
@@ -221,8 +204,7 @@ def test_steady_stop_freezes_later_snapshots():
         t_end=1.0,
         snapshot_times=(0.5, 1.0),
     )
-    grid = Grid(cfg.n)
-    result = run(cfg, grid, Field(u=np.full(101, 2.0), t=0.0))
+    result = run(cfg, np.full(101, 2.0))
     assert result.steps_taken == 1
     assert result.steady_stop_time == pytest.approx(cfg.dt)
     assert len(result.snapshots) == 2
@@ -231,11 +213,10 @@ def test_steady_stop_freezes_later_snapshots():
 
 
 def test_decomposition_reported_for_rl_only():
-    grid = Grid(100)
     cfg_rl = _config(flux=FluxKind.RIEMANN_LIOUVILLE)
     cfg_c = _config(flux=FluxKind.CAPUTO)
-    res_rl = run(cfg_rl, grid, _pulse(grid))
-    res_c = run(cfg_c, grid, _pulse(grid))
+    res_rl = run(cfg_rl, _pulse(cfg_rl))
+    res_c = run(cfg_c, _pulse(cfg_c))
     assert res_rl.decomposition is not None
     assert res_rl.decomposition.advective is not None
     assert res_c.decomposition is None
@@ -248,13 +229,12 @@ def test_rl_advective_part_zero_at_every_step_with_pinned_zero_boundary():
         flux=FluxKind.RIEMANN_LIOUVILLE,
         bc=BoundarySpec(Dirichlet(0.0), Dirichlet(0.0)),
     )
-    grid = Grid(cfg.n)
-    table = build_table(cfg.alpha, grid.dx, cfg.n)
-    field = Field(u=fig7_bump(grid.x), t=0.0)
+    table = build_table(cfg.alpha, cfg.dx, cfg.n)
+    u = fig7_bump(cfg.x)
     for k in range(30):
-        faces = face_fluxes(field.u, cfg.flux, table)
+        faces = face_fluxes(u, cfg.flux, table)
         assert np.all(faces.advective == 0.0)
-        field = step(field, faces, cfg, step_index=k + 1)
+        u = step(u, faces.q, cfg, step_index=k + 1)
 
 
 # ------------------------------------------------------------- validation
@@ -262,20 +242,17 @@ def test_rl_advective_part_zero_at_every_step_with_pinned_zero_boundary():
 
 def test_inconsistent_dirichlet_data_rejected_unless_forced():
     cfg = _config(bc=BoundarySpec(Dirichlet(1.0), Dirichlet(0.0)))
-    grid = Grid(cfg.n)
     with pytest.raises(ConfigurationError, match="force_inconsistent_bc"):
-        run(cfg, grid, _pulse(grid))
+        run(cfg, _pulse(cfg))
     forced = replace(cfg, force_inconsistent_bc=True)
-    result = run(forced, grid, _pulse(grid))
-    assert result.final.u[0] == 1.0
+    result = run(forced, _pulse(cfg))
+    assert result.final[0] == 1.0
 
 
 def test_grid_and_field_shape_mismatches():
     cfg = _config()
     with pytest.raises(ConfigurationError):
-        run(cfg, Grid(50), Field(u=np.zeros(51), t=0.0))
-    with pytest.raises(ConfigurationError):
-        run(cfg, Grid(100), Field(u=np.zeros(51), t=0.0))
+        run(cfg, np.zeros(51))
 
 
 def test_non_finite_initial_rejected():
@@ -283,7 +260,7 @@ def test_non_finite_initial_rejected():
     u = np.zeros(101)
     u[3] = np.nan
     with pytest.raises(ConfigurationError):
-        run(cfg, Grid(100), Field(u=u, t=0.0))
+        run(cfg, u)
 
 
 def test_bad_config_values_rejected():
@@ -301,37 +278,33 @@ def test_bad_config_values_rejected():
 
 
 def test_stability_ratio_values():
-    grid = Grid(100)
-    assert stability_ratio(_config(), grid) == pytest.approx(0.5, rel=1e-12)
-    assert stability_ratio(_config(alpha=1.0), grid) == pytest.approx(5.0, rel=1e-12)
+    assert stability_ratio(_config()) == pytest.approx(0.5, rel=1e-12)
+    assert stability_ratio(_config(alpha=1.0)) == pytest.approx(5.0, rel=1e-12)
     # the gradient law is of order 2 whatever alpha says
     fourier = _config(flux=FluxKind.FOURIER)
-    assert stability_ratio(fourier, grid) == pytest.approx(5.0, rel=1e-12)
+    assert stability_ratio(fourier) == pytest.approx(5.0, rel=1e-12)
     tiny = _config(dt=1e-12, t_end=1e-12, snapshot_times=())
-    assert stability_ratio(tiny, grid) < 1e-8
+    assert stability_ratio(tiny) < 1e-8
 
 
 def test_warning_fires_above_advisory_ratio():
     cfg = _config(alpha=1.0, t_end=0.001, snapshot_times=(0.001,))
-    grid = Grid(cfg.n)
     with pytest.warns(StabilityWarning):
-        run(cfg, grid, Field(u=np.zeros(101), t=0.0))
+        run(cfg, np.zeros(101))
 
 
 def test_no_warning_at_the_advisory_ratio():
     cfg = _config(t_end=0.001, snapshot_times=(0.001,))  # ratio exactly 0.5
-    grid = Grid(cfg.n)
     with warnings.catch_warnings():
         warnings.simplefilter("error", StabilityWarning)
-        run(cfg, grid, _pulse(grid))
+        run(cfg, _pulse(cfg))
 
 
 def test_gradient_law_diverges_at_fractional_ratio():
     # dt/dx^2 = 5 here: the explicit gradient step amplifies round-off and
     # must abort with a step index instead of returning garbage
     cfg = _config(flux=FluxKind.FOURIER, t_end=10.0, snapshot_times=(10.0,))
-    grid = Grid(cfg.n)
     with pytest.raises(InstabilityError) as excinfo:
-        run(cfg, grid, _pulse(grid))
+        run(cfg, _pulse(cfg))
     assert excinfo.value.step_index <= 100
     assert "step" in str(excinfo.value)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracflux.weights import build_table, partial_g_sum
+from fracflux.weights import build_table
+from oracles import partial_g_sum
 
 
 def test_first_coefficients_alpha_half():
