@@ -20,6 +20,10 @@ alone and annihilates constants.  ``rl``, the one-sided fractional
 derivative of u, adds the advection term: a speed proportional to the
 value at the left end.  ``parsimonious`` is ``rl`` applied to u - u(0),
 so it coincides with ``caputo``.
+
+The memory sum T(w) grad v is summed directly below
+:data:`fracflux.weights.FFT_MIN_N` faces and taken as a zero-padded FFT
+product from there up; the two agree to round-off.
 """
 
 from __future__ import annotations
@@ -108,9 +112,14 @@ def face_fluxes(u, kind: FluxKind, table: GrunwaldTable, kappa: float = 1.0) -> 
         v = v - v[0]
     diffusive = _gradient(v, table.dx)
     if not law.local:
-        # q[i] = sum_{j=0..i} W_j * grad[i-j]; np.convolve keeps the direct
-        # O(n^2) summation in a fixed order.
-        diffusive = np.convolve(table.w, diffusive)[: table.n]
+        # q[i] = sum_{j=0..i} W_j * grad[i-j], summed directly in a fixed
+        # order, or as an FFT product when the table carries w_hat.
+        if table.w_hat is None:
+            diffusive = np.convolve(table.w, diffusive)[: table.n]
+        else:
+            size = 2 * (table.w_hat.size - 1)
+            spectrum = np.fft.rfft(diffusive, size) * table.w_hat
+            diffusive = np.fft.irfft(spectrum, size)[: table.n]
     if not law.advection:
         return FaceFluxes(q=diffusive if kappa == 1.0 else kappa * diffusive)
     advective = -(v[0] / table.dx) * table.w[1:]
@@ -123,8 +132,8 @@ def face_fluxes(u, kind: FluxKind, table: GrunwaldTable, kappa: float = 1.0) -> 
 def fourier_faces(u, dx: float) -> FaceFluxes:
     """Local gradient flux q_i = (u_i - u_{i+1}) / dx at the interior faces."""
     arr = _as_field(u)
-    if dx <= 0.0:
-        raise ValueError(f"dx must be positive, got {dx}")
+    if not (np.isfinite(dx) and dx > 0.0):
+        raise ValueError(f"dx must be positive and finite, got {dx}")
     return FaceFluxes(q=_gradient(arr, dx))
 
 

@@ -6,7 +6,7 @@ them.
 
 import numpy as np
 
-from fracflux.flux import FaceFluxes
+from fracflux.flux import LAWS, FaceFluxes, FluxKind
 from fracflux.weights import GrunwaldTable
 
 
@@ -29,3 +29,29 @@ def partial_g_sum(table: GrunwaldTable, j: int) -> float:
     if not 0 <= j <= table.n:
         raise IndexError(f"index {j} outside the table range 0..{table.n}")
     return float(table.w[j] / table.dx ** (1.0 - table.alpha))
+
+
+def face_fluxes_direct(u, kind: FluxKind, table: GrunwaldTable, kappa: float = 1.0) -> FaceFluxes:
+    """The face-flux kernel with the memory sum always summed directly.
+
+    Follows :func:`fracflux.flux.face_fluxes` operation for operation but
+    convolves with ``np.convolve`` at every n, so it matches the package bit
+    for bit where the package sums directly and is the reference for its
+    FFT route.  (Multiplying by kappa = 1 is exact, so scaling
+    unconditionally changes no bits.)
+    """
+    law = LAWS[kind]
+    v = np.asarray(u, dtype=np.float64)
+    if law.shifted:
+        v = v - v[0]
+    diffusive = (v[:-1] - v[1:]) / table.dx
+    if not law.local:
+        diffusive = np.convolve(table.w, diffusive)[: table.n]
+    if not law.advection:
+        return FaceFluxes(q=kappa * diffusive)
+    advective = -(v[0] / table.dx) * table.w[1:]
+    return FaceFluxes(
+        q=kappa * (diffusive + advective),
+        diffusive=kappa * diffusive,
+        advective=kappa * advective,
+    )

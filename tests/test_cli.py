@@ -299,3 +299,39 @@ def test_retired_warn_ratio_key_cannot_silence_the_warning(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["stability_ratio"] == pytest.approx(5.0, rel=1e-12)
     assert "stability_warn_ratio" not in manifest
+
+
+def test_fft_route_run_conserves_keeps_bounds_and_reruns_bit_for_bit(tmp_path):
+    # n = 1000 takes the FFT memory sum; reflective walls and an offset
+    # bump, so u(0) != 0 and rl's apparent advection is live
+    n, alpha, steps = 1000, 0.5, 50
+    dt = 0.4 * (1.0 / n) ** (1.0 + alpha)
+    for law in ("rl", "caputo"):
+        cfg = tmp_path / f"{law}.json"
+        cfg.write_text(json.dumps({
+            "alpha": alpha,
+            "n": n,
+            "dt": dt,
+            "t_end": steps * dt,
+            "snapshot_times": [0.0, steps * dt],
+            "flux": law,
+            "bc": {"left": {"kind": "fixed-flux", "value": 0.0},
+                   "right": {"kind": "fixed-flux", "value": 0.0}},
+            "initial": {"profile": "fig7-bump", "params": {"offset": 2.0}},
+        }))
+        first, again = tmp_path / law, tmp_path / f"{law}-again"
+        assert main(["run", "--config", str(cfg), "--out-dir", str(first)]) == 0
+        assert main(["run", "--config", str(first / "manifest.json"), "--out-dir", str(again)]) == 0
+        assert (first / "snapshots.csv").read_bytes() == (again / "snapshots.csv").read_bytes()
+
+        summary = json.loads((first / "summary.json").read_text())
+        assert summary["steps_taken"] == steps
+        # the flux differences telescope whatever the kernel
+        mass = np.array(summary["mass_trace"]["mass"])
+        assert np.abs(mass - mass[0]).max() <= 1e-13 * mass[0]
+        if law == "caputo":
+            _, rows = _read_csv(first / "snapshots.csv")
+            u0 = np.array([row[2] for row in rows[: n + 1]])
+            tol = 1e-12 * np.abs(u0).max()
+            assert min(summary["extrema_trace"]["min"]) >= u0.min() - tol
+            assert max(summary["extrema_trace"]["max"]) <= u0.max() + tol

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fracflux.flux import (
+    LAWS,
     FluxKind,
     caputo_faces,
     face_fluxes,
@@ -12,8 +13,8 @@ from fracflux.flux import (
     parsimonious_faces,
     rl_faces_weighted,
 )
-from fracflux.weights import build_table
-from oracles import partial_g_sum, rl_faces_grunwald
+from fracflux.weights import FFT_MIN_N, build_table
+from oracles import face_fluxes_direct, partial_g_sum, rl_faces_grunwald
 
 
 def _max_rel(a, b):
@@ -59,8 +60,9 @@ def test_fourier_hat_example():
 def test_fourier_domain_errors():
     with pytest.raises(ValueError):
         fourier_faces(np.array([1.0]), dx=0.1)
-    with pytest.raises(ValueError):
-        fourier_faces(np.array([1.0, 2.0]), dx=0.0)
+    for dx in (0.0, -0.5, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            fourier_faces(np.arange(4.0), dx=dx)
 
 
 # ---------------------------------------------------- riemann-liouville
@@ -283,3 +285,73 @@ def test_flux_kind_from_name():
     assert FluxKind.from_name("parsimonious") is FluxKind.PARSIMONIOUS
     with pytest.raises(ValueError, match="caputo"):
         FluxKind.from_name("heat")
+
+
+# ------------------------------------------------------------ FFT route
+
+
+def _fft_error_bound(grad, table):
+    """Per-face bound on |FFT route - direct route| of the memory sum.
+
+    The direct sum at face i is off by at most gamma_{n+4} * (|W| * |grad|)[i]
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4).  The
+    FFT product is bounded in norm (ibid., ch. 24): a length-L transform
+    with twiddle factors accurate to mu has relative 2-norm error at most
+    eps = log2(L) * eta / (1 - log2(L) * eta), eta = mu + gamma_4 * (sqrt(2) + mu).
+    Through two forward transforms, the pointwise complex products (error
+    sqrt(2) * gamma_2) and the inverse transform, whose 1/L is a power of
+    two and exact, the error of every face is at most
+    (2 * eps + sqrt(2) * gamma_2) * (||W||_2 ||grad||_1 + ||W||_1 ||grad||_2);
+    3 * eps covers the second-order terms.  mu is taken as one unit of
+    round-off.
+    """
+    n = table.n
+    unit = np.finfo(np.float64).eps / 2
+
+    def gamma(k):
+        return k * unit / (1 - k * unit)
+
+    w = table.w[:n]
+    direct = gamma(n + 4) * np.convolve(np.abs(w), np.abs(grad))[:n]
+    size = 2 * (table.w_hat.size - 1)
+    eta = unit + gamma(4) * (np.sqrt(2.0) + unit)
+    eps = np.log2(size) * eta / (1 - np.log2(size) * eta)
+    norms = (np.linalg.norm(w) * np.abs(grad).sum()
+             + np.abs(w).sum() * np.linalg.norm(grad))
+    return direct + (3 * eps + np.sqrt(2.0) * gamma(2)) * norms
+
+
+def _offset_noisy_field(n, seed):
+    rng = np.random.default_rng(seed)
+    return 3.0 + rng.normal(size=n + 1)  # u(0) != 0, so rl's advection is live
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1.5])
+@pytest.mark.parametrize("n", [511, 512, 513, 1000, 2047])
+def test_fft_route_matches_direct_oracle(n, kappa):
+    table = build_table(0.6, 1.0 / n, n)
+    assert (table.w_hat is None) == (n < FFT_MIN_N)
+    u = _offset_noisy_field(n, seed=n)
+    unit = np.finfo(np.float64).eps / 2
+    for kind, law in LAWS.items():
+        got = face_fluxes(u, kind, table, kappa=kappa).q
+        want = face_fluxes_direct(u, kind, table, kappa=kappa).q
+        if table.w_hat is None or law.local:
+            assert np.array_equal(got, want), kind
+            continue
+        v = u - u[0] if law.shifted else u
+        memory = kappa * _fft_error_bound((v[:-1] - v[1:]) / table.dx, table)
+        # the advection sum and the kappa product each round once more
+        bound = memory + 2 * unit * (np.abs(got) + np.abs(want))
+        assert np.all(np.abs(got - want) <= bound), kind
+
+
+@pytest.mark.parametrize("n", [512, 2047])
+def test_fft_route_keeps_exact_zeros_and_the_rl_split(n):
+    table = build_table(0.4, 1.0 / n, n)
+    assert table.w_hat is not None
+    for c in (-3.5, 0.0, 32.0):
+        for form in (caputo_faces, parsimonious_faces):
+            assert np.all(form(np.full(n + 1, c), table).q == 0.0)
+    rl = rl_faces_weighted(_offset_noisy_field(n, seed=5), table)
+    assert np.array_equal(rl.q, rl.diffusive + rl.advective)

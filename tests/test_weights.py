@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracflux.weights import build_table
+from fracflux.weights import FFT_MIN_N, build_table
 from oracles import partial_g_sum
 
 
@@ -37,6 +37,15 @@ def test_table_shape_and_immutability():
     assert table.g.shape == table.w.shape == (18,)
     with pytest.raises(ValueError):
         table.g[0] = 2.0
+
+
+def test_weight_transform_from_fft_min_n_up():
+    for n, size in ((FFT_MIN_N, 1024), (FFT_MIN_N + 1, 2048), (1000, 2048), (1025, 4096)):
+        table = build_table(0.5, 1.0 / n, n)
+        # an rfft of length size keeps size // 2 + 1 bins
+        assert table.w_hat.shape == (size // 2 + 1,)
+        with pytest.raises(ValueError):
+            table.w_hat[0] = 0.0
 
 
 @pytest.mark.parametrize("alpha", [0.0, -0.3, 1.0001, 2.0])
