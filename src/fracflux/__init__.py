@@ -4,7 +4,7 @@ local and one-sided fractional flux laws."""
 __version__ = "0.1.0"
 
 from .diagnostics import max_principle_check, steady_state_time
-from .flux import FluxKind, rl_faces_weighted
+from .flux import FluxKind, apparent_advection, face_fluxes
 from .scenarios import SCENARIO_NAMES, build_initial, make_scenario
 from .solver import (
     BoundaryCondition,
@@ -26,12 +26,13 @@ __all__ = [
     "RunResult",
     "SCENARIO_NAMES",
     "SimConfig",
+    "apparent_advection",
     "boundary_condition",
     "build_initial",
     "build_table",
+    "face_fluxes",
     "make_scenario",
     "max_principle_check",
-    "rl_faces_weighted",
     "run",
     "steady_state_time",
 ]

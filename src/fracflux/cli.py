@@ -141,10 +141,11 @@ def write_summary_json(
         },
     }
     if result.decomposition is not None:
+        diffusive, advective = result.decomposition
         summary["flux_decomposition"] = {
             "t": float(trace.t[-1]),
-            "diffusive": list(result.decomposition.diffusive),
-            "advective": list(result.decomposition.advective),
+            "diffusive": list(diffusive),
+            "advective": list(advective),
         }
     path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
 

@@ -8,6 +8,7 @@ caputo law and reflective walls.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable
 
@@ -71,6 +72,10 @@ def build_initial(spec: InitialSpec, x: np.ndarray) -> np.ndarray:
         raise ConfigurationError(
             f"unknown initial profile {spec.profile!r}; valid profiles: {valid}"
         ) from None
+    try:
+        inspect.signature(profile).bind(x, **spec.params)
+    except TypeError as exc:
+        raise ConfigurationError(f"initial profile {spec.profile!r}: {exc}") from None
     return np.asarray(profile(x, **spec.params), dtype=np.float64)
 
 

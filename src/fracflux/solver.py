@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import DiagnosticTrace, total_mass
-from .flux import LAWS, FaceFluxes, FluxKind, face_fluxes
+from .flux import LAWS, FluxKind, apparent_advection, face_fluxes
 from .weights import build_table
 
 # Abort threshold for runaway explicit steps, relative to the initial
@@ -81,6 +81,18 @@ BoundaryCondition = Dirichlet | FixedFlux
 BOUNDARY_KINDS = {cls.kind: cls for cls in (Dirichlet, FixedFlux)}
 
 
+def _decode_scalar(default, value):
+    """Decode a scalar field strictly: a boolean field takes only a JSON
+    boolean, a number field only a number, and an int field an integral one."""
+    if (
+        isinstance(default, bool) != isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or type(default) is int and not float(value).is_integer()
+    ):
+        raise TypeError(f"expected {type(default).__name__}, got {value!r}")
+    return type(default)(value)
+
+
 def boundary_condition(kind: str, value: float) -> BoundaryCondition:
     """Build a boundary condition from its kind name and value."""
     try:
@@ -90,7 +102,7 @@ def boundary_condition(kind: str, value: float) -> BoundaryCondition:
         raise ConfigurationError(
             f"unknown boundary kind {kind!r}; valid kinds: {valid}"
         ) from None
-    value = float(value)
+    value = _decode_scalar(0.0, value)
     if not math.isfinite(value):
         raise ConfigurationError(f"{kind} boundary value must be finite, got {value}")
     return cls(value)
@@ -132,29 +144,25 @@ class InitialSpec:
 
     @classmethod
     def from_mapping(cls, data: dict) -> "InitialSpec":
-        return cls(data["profile"], dict(data.get("params", {})))
+        params = dict(data.get("params", {}))
+        return cls(data["profile"], {k: _decode_scalar(0.0, v) for k, v in params.items()})
+
+
+def _decode_times(times) -> tuple[float, ...]:
+    """Decode snapshot times: a JSON list of numbers."""
+    if not isinstance(times, list):
+        raise TypeError(f"expected a list of numbers, got {times!r}")
+    return tuple(_decode_scalar(0.0, t) for t in times)
 
 
 # (encode, decode) between the JSON form and the field value, for the
 # fields that are not plain numbers, booleans or strings.
 _FIELD_CODECS = {
-    "snapshot_times": (list, lambda times: tuple(float(t) for t in times)),
+    "snapshot_times": (list, _decode_times),
     "flux": (lambda kind: kind.value, FluxKind.from_name),
     "bc": (BoundarySpec.to_mapping, BoundarySpec.from_mapping),
     "initial": (InitialSpec.to_mapping, InitialSpec.from_mapping),
 }
-
-
-def _decode_scalar(default, value):
-    """Decode a scalar field strictly: a boolean field takes only a JSON
-    boolean, a number field only a number, and an int field an integral one."""
-    if (
-        isinstance(default, bool) != isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or type(default) is int and not float(value).is_integer()
-    ):
-        raise TypeError(f"expected {type(default).__name__}, got {value!r}")
-    return type(default)(value)
 
 
 # Keys from_mapping skips: the derived keys a manifest adds to the
@@ -208,8 +216,10 @@ class SimConfig:
             )
         if self.n_steps < 1:
             raise ConfigurationError("t_end shorter than one time step")
-        if not self.steady_eps > 0.0:
-            raise ConfigurationError("steady_eps must be positive")
+        if not (math.isfinite(self.steady_eps) and self.steady_eps > 0.0):
+            raise ConfigurationError(
+                f"steady_eps must be finite and positive, got {self.steady_eps}"
+            )
         snapped = []
         for t in self.snapshot_times:
             t = float(t)
@@ -312,7 +322,8 @@ class RunResult:
     final: np.ndarray
     steps_taken: int
     steady_stop_time: float | None = None
-    decomposition: FaceFluxes | None = None  # final-field split, rl law only
+    # rl law only: the final field's flux as (caputo part, apparent advection)
+    decomposition: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def stability_ratio(cfg: SimConfig) -> float:
@@ -411,8 +422,8 @@ def run(cfg: SimConfig, u0) -> RunResult:
     steady_time = None
 
     for k in range(1, n_steps + 1):
-        faces = face_fluxes(u, cfg.flux, table, kappa=cfg.kappa)
-        advanced = step(u, faces.q, cfg, step_index=k)
+        q = face_fluxes(u, cfg.flux, table, kappa=cfg.kappa)
+        advanced = step(u, q, cfg, step_index=k)
         peak = np.abs(advanced).max()
         if peak > limit:
             raise InstabilityError(
@@ -443,7 +454,10 @@ def run(cfg: SimConfig, u0) -> RunResult:
     ordered = sorted(snap_steps.items())
     decomposition = None
     if cfg.flux is FluxKind.RIEMANN_LIOUVILLE:
-        decomposition = face_fluxes(u, cfg.flux, table, kappa=cfg.kappa)
+        decomposition = (
+            face_fluxes(u, FluxKind.CAPUTO, table, kappa=cfg.kappa),
+            cfg.kappa * apparent_advection(u[0], table),
+        )
     return RunResult(
         cfg=cfg,
         snapshot_times=tuple(t for _, t in ordered),

@@ -14,14 +14,7 @@ import numpy as np
 import pytest
 
 from fracflux.diagnostics import equivariance_test, steady_state_time
-from fracflux.flux import (
-    FluxKind,
-    caputo_faces,
-    face_fluxes,
-    fourier_faces,
-    parsimonious_faces,
-    rl_faces_weighted,
-)
+from fracflux.flux import FluxKind, apparent_advection, face_fluxes
 from fracflux.scenarios import build_initial, make_scenario
 from fracflux.solver import InstabilityError, run, step
 from fracflux.weights import build_table
@@ -132,8 +125,7 @@ def test_criterion_04_ice_invariance_failure():
         u = build_initial(cfg.initial, cfg.x)
         near_wall = [u[1]]
         for k in range(100):
-            faces = face_fluxes(u, cfg.flux, table)
-            u = step(u, faces.q, cfg, step_index=k + 1)
+            u = step(u, face_fluxes(u, cfg.flux, table), cfg, step_index=k + 1)
             near_wall.append(u[1])
         assert all(b < a for a, b in zip(near_wall, near_wall[1:]))
 
@@ -181,21 +173,23 @@ def test_criterion_07_flux_law_identities():
             dx = 1.0 / n
             u = rng.normal(size=n + 1)
             table = build_table(alpha, dx, n)
-            q_grun = rl_faces_grunwald(u, table).q
-            rl = rl_faces_weighted(u, table)
-            q_cap = caputo_faces(u, table).q
-            q_par = parsimonious_faces(u, table).q
+            q_grun = rl_faces_grunwald(u, table)
+            q_rl = face_fluxes(u, FluxKind.RIEMANN_LIOUVILLE, table)
+            q_cap = face_fluxes(u, FluxKind.CAPUTO, table)
+            q_par = face_fluxes(u, FluxKind.PARSIMONIOUS, table)
+            q_rl_shifted = face_fluxes(u - u[0], FluxKind.RIEMANN_LIOUVILLE, table)
             scale = max(np.abs(q_grun).max(), 1.0)
-            assert np.abs(q_grun - rl.q).max() <= 1e-12 * scale
-            assert np.abs(q_cap + rl.advective - rl.q).max() <= 1e-13 * scale
-            assert np.abs(q_par - q_cap).max() <= 1e-14 * scale
+            assert np.abs(q_grun - q_rl).max() <= 1e-12 * scale
+            assert np.abs(q_cap + apparent_advection(u[0], table) - q_rl).max() <= 1e-13 * scale
+            assert np.array_equal(q_par, q_cap)
+            assert np.abs(q_par - q_rl_shifted).max() <= 1e-14 * scale
             checked += 1
         assert checked >= 1000
 
         # constants are annihilated exactly by the caputo law
         table = build_table(0.5, 1.0 / 32, 32)
         for value in (-3.5, 0.0, 1.0, 32.0, 7e6):
-            assert np.all(caputo_faces(np.full(33, value), table).q == 0.0)
+            assert np.all(face_fluxes(np.full(33, value), FluxKind.CAPUTO, table) == 0.0)
 
         # every law collapses to the gradient law at alpha = 1
         for _ in range(200):
@@ -203,11 +197,11 @@ def test_criterion_07_flux_law_identities():
             dx = 1.0 / n
             u = rng.normal(size=n + 1)
             table = build_table(1.0, dx, n)
-            q_f = fourier_faces(u, dx).q
+            q_f = face_fluxes(u, FluxKind.FOURIER, table)
             scale = max(np.abs(q_f).max(), 1.0)
-            for form in (rl_faces_grunwald, rl_faces_weighted, caputo_faces,
-                         parsimonious_faces):
-                assert np.abs(form(u, table).q - q_f).max() <= 1e-14 * scale
+            assert np.abs(rl_faces_grunwald(u, table) - q_f).max() <= 1e-14 * scale
+            for kind in FluxKind:
+                assert np.abs(face_fluxes(u, kind, table) - q_f).max() <= 1e-14 * scale
 
 
 # 8. Weight-sequence properties up to n = 10^4.

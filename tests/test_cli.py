@@ -196,9 +196,23 @@ def test_config_file_without_scenario(tmp_path):
         ["--config", {"n": 100.9}],
         ["--config", {"n": True}],
         ["--config", {"alpha": True}],
+        ["--config", {"initial": {"profile": "fig7-bump", "params": {"ofset": 1.0}}}],
+        ["--config", {"initial": {"profile": "fig7-bump", "params": {"offset": "1"}}}],
+        ["--config", {"initial": {"profile": "constant", "params": {"value": True}},
+                      "force_inconsistent_bc": True}],
+        ["--config", {"bc": {"left": {"kind": "fixed-flux", "value": True},
+                             "right": {"kind": "dirichlet", "value": 0.0}}}],
+        ["--config", {"bc": {"left": {"kind": "dirichlet", "value": "0"},
+                             "right": {"kind": "dirichlet", "value": 0.0}}}],
+        ["--config", {"snapshot_times": ["0.01"]}],
+        ["--config", {"snapshot_times": [True], "t_end": 1.0}],
+        ["--config", {"snapshot_times": "0"}],
+        ["--config", {"steady_eps": float("inf")}, "--stop-when-steady"],
     ],
     ids=["t-end-inf", "kappa-nan", "kappa-negative", "snapshot-nan", "bc-kind", "key-typo",
-         "bool-string", "bool-word", "n-fraction", "n-true", "alpha-true"],
+         "bool-string", "bool-word", "n-fraction", "n-true", "alpha-true", "param-typo",
+         "param-string", "param-true", "bc-value-true", "bc-value-string",
+         "snapshot-string", "snapshot-true", "snapshots-not-a-list", "steady-eps-inf"],
 )
 def test_bad_input_is_a_configuration_error(tmp_path, capsys, flags):
     out = tmp_path / "out"

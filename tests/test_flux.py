@@ -4,17 +4,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fracflux.flux import (
-    LAWS,
-    FluxKind,
-    caputo_faces,
-    face_fluxes,
-    fourier_faces,
-    parsimonious_faces,
-    rl_faces_weighted,
-)
+from fracflux.flux import LAWS, FluxKind, apparent_advection, face_fluxes
 from fracflux.weights import FFT_MIN_N, build_table
 from oracles import face_fluxes_direct, partial_g_sum, rl_faces_grunwald
+
+FOURIER = FluxKind.FOURIER
+RL = FluxKind.RIEMANN_LIOUVILLE
+CAPUTO = FluxKind.CAPUTO
+PARSIMONIOUS = FluxKind.PARSIMONIOUS
 
 
 def _max_rel(a, b):
@@ -42,27 +39,28 @@ def field_and_table(draw, alpha_min=0.05):
 
 
 def test_fourier_constant_field_is_fluxless():
-    q = fourier_faces(np.full(9, 3.7), dx=0.125).q
+    q = face_fluxes(np.full(9, 3.7), FOURIER, build_table(0.5, 0.125, 8))
     assert np.all(q == 0.0)
 
 
 def test_fourier_unit_slope():
     x = np.arange(9) * 0.125  # dyadic spacing keeps everything exact
-    q = fourier_faces(x, dx=0.125).q
+    q = face_fluxes(x, FOURIER, build_table(0.5, 0.125, 8))
     assert np.array_equal(q, np.full(8, -1.0))
 
 
 def test_fourier_hat_example():
-    q = fourier_faces(np.array([0.0, 1.0, 0.0]), dx=0.5).q
+    q = face_fluxes(np.array([0.0, 1.0, 0.0]), FOURIER, build_table(0.5, 0.5, 2))
     assert np.array_equal(q, [-2.0, 2.0])
 
 
 def test_fourier_domain_errors():
+    # build_table is the dx gate; its NaN and inf cases are in test_weights
     with pytest.raises(ValueError):
-        fourier_faces(np.array([1.0]), dx=0.1)
-    for dx in (0.0, -0.5, np.nan, np.inf):
+        face_fluxes(np.array([1.0]), FOURIER, build_table(0.5, 0.1, 3))
+    for dx in (0.0, -0.5):
         with pytest.raises(ValueError):
-            fourier_faces(np.arange(4.0), dx=dx)
+            face_fluxes(np.arange(4.0), FOURIER, build_table(0.5, dx, 3))
 
 
 # ---------------------------------------------------- riemann-liouville
@@ -72,8 +70,8 @@ def test_rl_constant_field_has_negative_flux():
     # nonzero on constants: q[i] = -a * dx**(-alpha) * (g_0 + .. + g_{i+1})
     a, n, dx = 2.5, 20, 0.01
     table = build_table(0.5, dx, n)
-    for form in (rl_faces_grunwald, rl_faces_weighted):
-        q = form(np.full(n + 1, a), table).q
+    u = np.full(n + 1, a)
+    for q in (rl_faces_grunwald(u, table), face_fluxes(u, RL, table)):
         assert np.all(q < 0.0)
         expected = np.array(
             [-a * dx**-0.5 * partial_g_sum(table, i + 1) for i in range(n)]
@@ -83,16 +81,18 @@ def test_rl_constant_field_has_negative_flux():
 
 def test_rl_zero_field_is_fluxless():
     table = build_table(0.7, 0.02, 50)
-    assert np.all(rl_faces_grunwald(np.zeros(51), table).q == 0.0)
-    assert np.all(rl_faces_weighted(np.zeros(51), table).q == 0.0)
+    assert np.all(rl_faces_grunwald(np.zeros(51), table) == 0.0)
+    assert np.all(face_fluxes(np.zeros(51), RL, table) == 0.0)
 
 
 def test_size_mismatch_raises():
     table = build_table(0.5, 0.02, 50)
     u = np.zeros(20)
-    for form in (rl_faces_grunwald, rl_faces_weighted, caputo_faces, parsimonious_faces):
+    with pytest.raises(ValueError):
+        rl_faces_grunwald(u, table)
+    for kind in FluxKind:
         with pytest.raises(ValueError):
-            form(u, table)
+            face_fluxes(u, kind, table)
 
 
 def _summation_error_bound(u, table):
@@ -130,22 +130,20 @@ def _constant_case(alpha, n, value):
 @example(data=_constant_case(0.9999999999999999, 15, 1.0))
 def test_grunwald_and_weighted_forms_agree(data):
     u, table = data
-    qa = rl_faces_grunwald(u, table).q
-    qb = rl_faces_weighted(u, table).q
+    qa = rl_faces_grunwald(u, table)
+    qb = face_fluxes(u, RL, table)
     assert np.all(np.abs(qa - qb) <= _summation_error_bound(u, table))
 
 
 @settings(deadline=None)
 @given(data=field_and_table())
 def test_rl_decomposition_identity(data):
-    # the weighted form is exactly its own two addends, and the diffusive
-    # part is the caputo flux
+    # the weighted form is exactly the caputo flux plus the apparent advection
     u, table = data
-    rl = rl_faces_weighted(u, table)
-    assert np.array_equal(rl.q, rl.diffusive + rl.advective)
-    assert np.array_equal(rl.diffusive, caputo_faces(u, table).q)
+    advective = apparent_advection(u[0], table)
+    assert np.array_equal(face_fluxes(u, RL, table), face_fluxes(u, CAPUTO, table) + advective)
     expected_adv = -(table.w[1:] / table.dx) * u[0]
-    np.testing.assert_allclose(rl.advective, expected_adv, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(advective, expected_adv, rtol=1e-13, atol=0.0)
 
 
 def test_rl_advective_vanishes_with_zero_left_value():
@@ -153,9 +151,8 @@ def test_rl_advective_vanishes_with_zero_left_value():
     u = rng.normal(size=65)
     u[0] = 0.0
     table = build_table(0.4, 1.0 / 64, 64)
-    rl = rl_faces_weighted(u, table)
-    assert np.all(rl.advective == 0.0)
-    assert np.array_equal(rl.q, caputo_faces(u, table).q)
+    assert np.all(apparent_advection(u[0], table) == 0.0)
+    assert np.array_equal(face_fluxes(u, RL, table), face_fluxes(u, CAPUTO, table))
 
 
 # ------------------------------------------------------------- caputo
@@ -164,7 +161,7 @@ def test_rl_advective_vanishes_with_zero_left_value():
 def test_caputo_annihilates_constants_exactly():
     table = build_table(0.5, 0.01, 30)
     for c in (-3.5, 0.0, 1.0, 32.0):
-        q = caputo_faces(np.full(31, c), table).q
+        q = face_fluxes(np.full(31, c), CAPUTO, table)
         assert np.all(q == 0.0)
 
 
@@ -172,9 +169,9 @@ def test_caputo_shift_covariance():
     rng = np.random.default_rng(11)
     u = rng.normal(size=41)
     table = build_table(0.6, 0.025, 40)
-    base = caputo_faces(u, table).q
+    base = face_fluxes(u, CAPUTO, table)
     for c in (-2.0, 5.0, 1e3):
-        shifted = caputo_faces(u + c, table).q
+        shifted = face_fluxes(u + c, CAPUTO, table)
         assert _max_rel(shifted, base) <= 1e-12
 
 
@@ -182,9 +179,9 @@ def test_rl_shift_covariance_picks_up_advective_term():
     rng = np.random.default_rng(13)
     u = rng.normal(size=41)
     table = build_table(0.6, 0.025, 40)
-    base = rl_faces_weighted(u, table).q
+    base = face_fluxes(u, RL, table)
     c = 5.0
-    shifted = rl_faces_weighted(u + c, table).q
+    shifted = face_fluxes(u + c, RL, table)
     expected = base - (table.w[1:] / table.dx) * c
     np.testing.assert_allclose(shifted, expected, rtol=1e-11, atol=1e-13)
 
@@ -196,18 +193,17 @@ def test_rl_shift_covariance_picks_up_advective_term():
 @given(data=field_and_table())
 def test_parsimonious_equals_caputo(data):
     u, table = data
-    qp = parsimonious_faces(u, table).q
-    qc = caputo_faces(u, table).q
-    assert _max_rel(qp, qc) <= 1e-14
+    assert np.array_equal(face_fluxes(u, PARSIMONIOUS, table), face_fluxes(u, CAPUTO, table))
 
 
 @settings(deadline=None)
 @given(data=field_and_table())
 def test_parsimonious_is_rl_of_the_shifted_field(data):
+    # equal in exact arithmetic; u - u(0) rounds, so only to round-off
     u, table = data
-    qp = parsimonious_faces(u, table).q
-    qr = rl_faces_weighted(u - u[0], table).q
-    assert np.array_equal(qp, qr)
+    qp = face_fluxes(u, PARSIMONIOUS, table)
+    qr = face_fluxes(u - u[0], RL, table)
+    assert _max_rel(qp, qr) <= 1e-14
 
 
 def test_parsimonious_equals_rl_when_left_value_is_zero():
@@ -215,24 +211,30 @@ def test_parsimonious_equals_rl_when_left_value_is_zero():
     u = np.abs(rng.normal(size=33))  # keep away from -0.0
     u[0] = 0.0
     table = build_table(0.3, 1.0 / 32, 32)
-    assert np.array_equal(parsimonious_faces(u, table).q, rl_faces_weighted(u, table).q)
+    assert np.array_equal(face_fluxes(u, PARSIMONIOUS, table), face_fluxes(u, RL, table))
 
 
 def test_parsimonious_constant_field_is_fluxless():
     table = build_table(0.5, 0.01, 12)
-    assert np.all(parsimonious_faces(np.full(13, 4.2), table).q == 0.0)
+    assert np.all(face_fluxes(np.full(13, 4.2), PARSIMONIOUS, table) == 0.0)
+
+
+def _law(kind):
+    return lambda u, table: face_fluxes(u, kind, table)
 
 
 @pytest.mark.parametrize(
-    "form", [rl_faces_grunwald, rl_faces_weighted, caputo_faces, parsimonious_faces]
+    "form",
+    [rl_faces_grunwald, _law(RL), _law(CAPUTO), _law(PARSIMONIOUS)],
+    ids=["rl_faces_grunwald", "rl_faces_weighted", "caputo_faces", "parsimonious_faces"],
 )
 def test_all_laws_collapse_to_fourier_at_alpha_one(form):
     rng = np.random.default_rng(23)
     n, dx = 60, 1.0 / 60
     u = rng.normal(size=n + 1)
     table = build_table(1.0, dx, n)
-    qf = fourier_faces(u, dx).q
-    assert _max_rel(form(u, table).q, qf) <= 1e-14
+    qf = face_fluxes(u, FOURIER, table)
+    assert _max_rel(form(u, table), qf) <= 1e-14
 
 
 # ----------------------------------------------------------- dispatcher
@@ -244,8 +246,8 @@ def test_linearity_under_dyadic_scaling(data, scale):
     # power-of-two scaling commutes exactly with every rounding
     u, table = data
     for kind in FluxKind:
-        q1 = face_fluxes(scale * u, kind, table).q
-        q0 = face_fluxes(u, kind, table).q
+        q1 = face_fluxes(scale * u, kind, table)
+        q0 = face_fluxes(u, kind, table)
         assert np.array_equal(q1, scale * q0)
 
 
@@ -254,8 +256,8 @@ def test_linearity_general_scale():
     u = rng.normal(size=101)
     table = build_table(0.5, 0.01, 100)
     for kind in FluxKind:
-        q1 = face_fluxes(1.7 * u, kind, table).q
-        q0 = face_fluxes(u, kind, table).q
+        q1 = face_fluxes(1.7 * u, kind, table)
+        q0 = face_fluxes(u, kind, table)
         assert _max_rel(q1, 1.7 * q0) <= 1e-14
 
 
@@ -265,19 +267,16 @@ def test_dispatcher_applies_kappa():
     for kind in FluxKind:
         plain = face_fluxes(u, kind, table)
         scaled = face_fluxes(u, kind, table, kappa=2.0)
-        assert np.array_equal(scaled.q, 2.0 * plain.q)
-        for part in ("diffusive", "advective"):
-            if getattr(plain, part) is None:
-                assert getattr(scaled, part) is None
-            else:
-                assert np.array_equal(getattr(scaled, part), 2.0 * getattr(plain, part))
+        assert np.array_equal(scaled, 2.0 * plain)
 
 
 def test_face_count_is_number_of_interior_faces():
     table = build_table(0.5, 0.2, 5)
     u = np.linspace(0.0, 1.0, 6)
     for kind in FluxKind:
-        assert face_fluxes(u, kind, table).q.size == 5
+        q = face_fluxes(u, kind, table)
+        assert isinstance(q, np.ndarray)
+        assert q.shape == (5,)
 
 
 def test_flux_kind_from_name():
@@ -334,13 +333,12 @@ def test_fft_route_matches_direct_oracle(n, kappa):
     u = _offset_noisy_field(n, seed=n)
     unit = np.finfo(np.float64).eps / 2
     for kind, law in LAWS.items():
-        got = face_fluxes(u, kind, table, kappa=kappa).q
-        want = face_fluxes_direct(u, kind, table, kappa=kappa).q
+        got = face_fluxes(u, kind, table, kappa=kappa)
+        want = face_fluxes_direct(u, kind, table, kappa=kappa)
         if table.w_hat is None or law.local:
             assert np.array_equal(got, want), kind
             continue
-        v = u - u[0] if law.shifted else u
-        memory = kappa * _fft_error_bound((v[:-1] - v[1:]) / table.dx, table)
+        memory = kappa * _fft_error_bound((u[:-1] - u[1:]) / table.dx, table)
         # the advection sum and the kappa product each round once more
         bound = memory + 2 * unit * (np.abs(got) + np.abs(want))
         assert np.all(np.abs(got - want) <= bound), kind
@@ -351,7 +349,8 @@ def test_fft_route_keeps_exact_zeros_and_the_rl_split(n):
     table = build_table(0.4, 1.0 / n, n)
     assert table.w_hat is not None
     for c in (-3.5, 0.0, 32.0):
-        for form in (caputo_faces, parsimonious_faces):
-            assert np.all(form(np.full(n + 1, c), table).q == 0.0)
-    rl = rl_faces_weighted(_offset_noisy_field(n, seed=5), table)
-    assert np.array_equal(rl.q, rl.diffusive + rl.advective)
+        for kind in (CAPUTO, PARSIMONIOUS):
+            assert np.all(face_fluxes(np.full(n + 1, c), kind, table) == 0.0)
+    u = _offset_noisy_field(n, seed=5)
+    split = face_fluxes(u, CAPUTO, table) + apparent_advection(u[0], table)
+    assert np.array_equal(face_fluxes(u, RL, table), split)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fracflux.flux import FluxKind, face_fluxes
+from fracflux.flux import FluxKind, apparent_advection, face_fluxes
 from fracflux.solver import (
     BoundarySpec,
     ConfigurationError,
@@ -60,8 +60,7 @@ def test_constant_field_is_a_fixed_point_of_caputo_reflective():
     cfg = _config(initial=InitialSpec("constant", {"value": 4.0}))
     table = build_table(cfg.alpha, cfg.dx, cfg.n)
     u = np.full(101, 4.0)
-    faces = face_fluxes(u, cfg.flux, table)
-    advanced = step(u, faces.q, cfg)
+    advanced = step(u, face_fluxes(u, cfg.flux, table), cfg)
     assert np.array_equal(advanced, u)
 
 
@@ -88,8 +87,7 @@ def test_rl_pulls_down_wall_neighbourhood_of_warm_constant():
     )
     table = build_table(cfg.alpha, cfg.dx, cfg.n)
     u = np.full(101, 32.0)
-    faces = face_fluxes(u, cfg.flux, table)
-    advanced = step(u, faces.q, cfg)
+    advanced = step(u, face_fluxes(u, cfg.flux, table), cfg)
     assert advanced[0] == 32.0  # pinned
     assert advanced[1] < 32.0
 
@@ -97,9 +95,9 @@ def test_rl_pulls_down_wall_neighbourhood_of_warm_constant():
 def test_step_rejects_wrong_face_count():
     cfg = _config()
     table = build_table(0.5, 0.02, 50)
-    faces = face_fluxes(np.zeros(51), cfg.flux, table)
+    q = face_fluxes(np.zeros(51), cfg.flux, table)
     with pytest.raises(ValueError):
-        step(np.zeros(101), faces.q, cfg)
+        step(np.zeros(101), q, cfg)
 
 
 # ----------------------------------------------------------- conservation
@@ -213,13 +211,21 @@ def test_steady_stop_freezes_later_snapshots():
 
 
 def test_decomposition_reported_for_rl_only():
-    cfg_rl = _config(flux=FluxKind.RIEMANN_LIOUVILLE)
+    cfg_rl = _config(flux=FluxKind.RIEMANN_LIOUVILLE, kappa=1.5, dt=0.0002)
     cfg_c = _config(flux=FluxKind.CAPUTO)
-    res_rl = run(cfg_rl, _pulse(cfg_rl))
+    res_rl = run(cfg_rl, _pulse(cfg_rl) + 1.0)  # u(0) = 1: the advection is live
     res_c = run(cfg_c, _pulse(cfg_c))
-    assert res_rl.decomposition is not None
-    assert res_rl.decomposition.advective is not None
     assert res_c.decomposition is None
+    # the final field's rl flux, split into the caputo flux and the advection
+    diffusive, advective = res_rl.decomposition
+    table = build_table(cfg_rl.alpha, cfg_rl.dx, cfg_rl.n)
+    u = res_rl.final
+    assert np.array_equal(diffusive, face_fluxes(u, FluxKind.CAPUTO, table, kappa=1.5))
+    assert np.array_equal(advective, 1.5 * apparent_advection(u[0], table))
+    assert np.all(advective < 0.0)
+    np.testing.assert_allclose(
+        diffusive + advective, face_fluxes(u, cfg_rl.flux, table, kappa=1.5), rtol=1e-13
+    )
 
 
 def test_rl_advective_part_zero_at_every_step_with_pinned_zero_boundary():
@@ -232,9 +238,8 @@ def test_rl_advective_part_zero_at_every_step_with_pinned_zero_boundary():
     table = build_table(cfg.alpha, cfg.dx, cfg.n)
     u = fig7_bump(cfg.x)
     for k in range(30):
-        faces = face_fluxes(u, cfg.flux, table)
-        assert np.all(faces.advective == 0.0)
-        u = step(u, faces.q, cfg, step_index=k + 1)
+        assert np.all(apparent_advection(u[0], table) == 0.0)
+        u = step(u, face_fluxes(u, cfg.flux, table), cfg, step_index=k + 1)
 
 
 # ------------------------------------------------------------- validation
@@ -308,3 +313,58 @@ def test_gradient_law_diverges_at_fractional_ratio():
         run(cfg, _pulse(cfg))
     assert excinfo.value.step_index <= 100
     assert "step" in str(excinfo.value)
+
+
+# ------------------------------------------------- positivity certificate
+#
+# With rho = kappa * dt / dx**(1 + alpha), the explicit step matrix S of a
+# fractional law is entrywise non-negative for rho <= 1/2 when an end is
+# fixed-flux (the half-volume end row has diagonal 1 - 2 rho) and, on the
+# interior block, for rho <= 1/(1 + alpha) when both ends are Dirichlet
+# (interior diagonal 1 - (1 + alpha) rho); every off-diagonal entry is a
+# non-negative Grunwald weight.  This covers positivity, not the spectral
+# step limit.
+
+_EPS = np.finfo(np.float64).eps
+
+
+def _step_matrix(kind, alpha, kappa, rho, bc, n=40):
+    """S built column by column: column j is one step of the unit field e_j."""
+    dx = 1.0 / n
+    cfg = _config(
+        flux=kind, alpha=alpha, kappa=kappa, n=n, dt=rho * dx ** (1.0 + alpha) / kappa,
+        t_end=1.0, snapshot_times=(), bc=bc,
+    )
+    table = build_table(cfg.alpha, cfg.dx, cfg.n)
+    columns = [step(e, face_fluxes(e, kind, table, kappa=kappa), cfg) for e in np.eye(n + 1)]
+    return cfg, np.column_stack(columns)
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1.5])
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+@pytest.mark.parametrize("kind", [FluxKind.CAPUTO, FluxKind.RIEMANN_LIOUVILLE])
+def test_step_matrix_is_nonnegative_at_the_reflective_certificate(kind, alpha, kappa):
+    cfg, s = _step_matrix(kind, alpha, kappa, 0.5, BoundarySpec.reflective())
+    assert stability_ratio(cfg) == pytest.approx(0.5, rel=1e-12)
+    assert s.min() >= -4 * _EPS
+    # the step conserves the half-weight mass: m^T S = m^T
+    m = np.full(cfg.n + 1, cfg.dx)
+    m[[0, -1]] *= 0.5
+    np.testing.assert_allclose(m @ s, m, rtol=0.0, atol=4 * _EPS * cfg.dx)
+    if kind is FluxKind.CAPUTO:  # constants are fixed points: S is stochastic
+        np.testing.assert_allclose(s.sum(axis=1), 1.0, rtol=0.0, atol=4 * _EPS)
+    # the bound is sharp: 2% past it the end row's diagonal is -0.02
+    _, past = _step_matrix(kind, alpha, kappa, 0.51, BoundarySpec.reflective())
+    assert past.min() <= -1e-2
+
+
+@pytest.mark.parametrize("kappa", [1.0, 1.5])
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+@pytest.mark.parametrize("kind", [FluxKind.CAPUTO, FluxKind.RIEMANN_LIOUVILLE])
+def test_step_matrix_is_nonnegative_at_the_dirichlet_certificate(kind, alpha, kappa):
+    bc = BoundarySpec(Dirichlet(0.0), Dirichlet(0.0))
+    rho = 1.0 / (1.0 + alpha)
+    _, s = _step_matrix(kind, alpha, kappa, rho, bc)
+    assert s[1:-1, 1:-1].min() >= -4 * _EPS
+    _, past = _step_matrix(kind, alpha, kappa, 1.02 * rho, bc)
+    assert past[1:-1, 1:-1].min() <= -1e-2

@@ -54,7 +54,9 @@ def test_alpha_domain_errors(alpha):
         build_table(alpha, 0.01, 5)
 
 
-@pytest.mark.parametrize("dx,n", [(0.0, 5), (-0.01, 5), (0.01, 0), (0.01, -2)])
+@pytest.mark.parametrize(
+    "dx,n", [(0.0, 5), (-0.01, 5), (np.nan, 5), (np.inf, 5), (0.01, 0), (0.01, -2)]
+)
 def test_dx_and_n_domain_errors(dx, n):
     with pytest.raises(ValueError):
         build_table(dx=dx, n=n, alpha=0.5)
