@@ -22,9 +22,10 @@ value at the left end.  ``parsimonious`` is ``rl`` applied to u - u(0);
 that field has a zero left value and the same gradient fluxes, so the
 law is exactly ``caputo`` and shares its row.
 
-The memory sum T(w) grad u is summed directly below
-:data:`fracflux.weights.FFT_MIN_N` faces and taken as a zero-padded FFT
-product from there up; the two agree to round-off.
+The memory sum T(w) grad u is a dense matrix-vector product with the
+table's lower-triangular Toeplitz matrix below
+:data:`fracflux.weights.FFT_MIN_N` faces and a zero-padded FFT product
+from there up; the two agree to round-off.
 """
 
 from __future__ import annotations
@@ -90,16 +91,19 @@ def face_fluxes(u, kind: FluxKind, table: GrunwaldTable, kappa: float = 1.0) -> 
     arr = np.asarray(u, dtype=np.float64)
     if arr.shape != (table.n + 1,):
         raise ValueError(f"field has shape {arr.shape}, table expects {table.n + 1} nodes")
-    q = (arr[:-1] - arr[1:]) / table.dx
+    q = arr[:-1] - arr[1:]
+    q /= table.dx
     if not law.local:
-        # q[i] = sum_{j=0..i} W_j * grad[i-j], summed directly in a fixed
-        # order, or as an FFT product when the table carries w_hat.
+        # q[i] = sum_{j=0..i} W_j * grad[i-j], as a dense product with the
+        # table's T(W), or as an FFT product when the table carries w_hat.
+        # The gradient is formed first, so a constant field gives exact zeros.
         if table.w_hat is None:
-            q = np.convolve(table.w, q)[: table.n]
+            q = table.toeplitz @ q
         else:
             size = 2 * (table.w_hat.size - 1)
             spectrum = np.fft.rfft(q, size) * table.w_hat
             q = np.fft.irfft(spectrum, size)[: table.n]
     if law.advection:
-        q += apparent_advection(arr[0], table)
-    return kappa * q
+        q += apparent_advection(arr.item(0), table)
+    q *= kappa
+    return q

@@ -35,11 +35,13 @@ def face_fluxes_direct(u, kind: FluxKind, table: GrunwaldTable, kappa: float = 1
     """The face-flux kernel with the memory sum always summed directly.
 
     Follows :func:`fracflux.flux.face_fluxes` operation for operation but
-    convolves with ``np.convolve`` at every n, so it matches the package bit
-    for bit where the package sums directly and is the reference for its
-    FFT route.  The laws are spelled out here rather than read from
-    :data:`fracflux.flux.LAWS`: every law but ``fourier`` takes the memory
-    sum, and only ``rl`` adds the apparent advection.
+    takes the memory sum with ``np.convolve`` at every n, a summation order
+    of its own, so it is the reference for both of the package's routes,
+    the dense matrix product and the FFT product; for ``fourier``, which has
+    no memory sum, it matches the package bit for bit.  The laws are
+    spelled out here rather than read from :data:`fracflux.flux.LAWS`: every
+    law but ``fourier`` takes the memory sum, and only ``rl`` adds the
+    apparent advection.
     """
     u = np.asarray(u, dtype=np.float64)
     q = (u[:-1] - u[1:]) / table.dx

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracflux
 from fracflux.cli import main
 from fracflux.solver import StabilityWarning
 
@@ -349,3 +354,22 @@ def test_fft_route_run_conserves_keeps_bounds_and_reruns_bit_for_bit(tmp_path):
             tol = 1e-12 * np.abs(u0).max()
             assert min(summary["extrema_trace"]["min"]) >= u0.min() - tol
             assert max(summary["extrema_trace"]["max"]) <= u0.max() + tol
+
+
+def test_output_bits_do_not_depend_on_blas_threads(tmp_path):
+    # the n = 100 memory sum is a BLAS matrix-vector product; its summation
+    # order, and so every output bit, must not follow the thread count
+    src = str(Path(fracflux.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        subprocess.run(
+            [sys.executable, "-m", "fracflux", "run", "--scenario", "pulse-reflective",
+             "--flux", "rl", "--t-end", "0.05", "--snapshots", "0,0.05",
+             "--out-dir", str(out)],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+        outputs.append((out / "snapshots.csv").read_bytes())
+    assert outputs[0] == outputs[1]

@@ -286,14 +286,29 @@ def test_flux_kind_from_name():
         FluxKind.from_name("heat")
 
 
-# ------------------------------------------------------------ FFT route
+# ------------------------------------------------- dense and FFT routes
+
+
+def _gamma(k):
+    unit = np.finfo(np.float64).eps / 2
+    return k * unit / (1 - k * unit)
+
+
+def _direct_sum_error_bound(grad, table):
+    """Per-face bound on the error of the memory sum summed in any order.
+
+    Face i is off by at most gamma_{n+4} * (|W| * |grad|)[i] (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 4), whatever the
+    order of the n products and sums.
+    """
+    n = table.n
+    return _gamma(n + 4) * np.convolve(np.abs(table.w[:n]), np.abs(grad))[:n]
 
 
 def _fft_error_bound(grad, table):
-    """Per-face bound on |FFT route - direct route| of the memory sum.
+    """Per-face bound on |FFT product - direct sum| of the memory sum.
 
-    The direct sum at face i is off by at most gamma_{n+4} * (|W| * |grad|)[i]
-    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4).  The
+    The direct sum contributes :func:`_direct_sum_error_bound`.  The
     FFT product is bounded in norm (ibid., ch. 24): a length-L transform
     with twiddle factors accurate to mu has relative 2-norm error at most
     eps = log2(L) * eta / (1 - log2(L) * eta), eta = mu + gamma_4 * (sqrt(2) + mu).
@@ -304,20 +319,15 @@ def _fft_error_bound(grad, table):
     3 * eps covers the second-order terms.  mu is taken as one unit of
     round-off.
     """
-    n = table.n
     unit = np.finfo(np.float64).eps / 2
-
-    def gamma(k):
-        return k * unit / (1 - k * unit)
-
-    w = table.w[:n]
-    direct = gamma(n + 4) * np.convolve(np.abs(w), np.abs(grad))[:n]
+    w = table.w[: table.n]
     size = 2 * (table.w_hat.size - 1)
-    eta = unit + gamma(4) * (np.sqrt(2.0) + unit)
+    eta = unit + _gamma(4) * (np.sqrt(2.0) + unit)
     eps = np.log2(size) * eta / (1 - np.log2(size) * eta)
     norms = (np.linalg.norm(w) * np.abs(grad).sum()
              + np.abs(w).sum() * np.linalg.norm(grad))
-    return direct + (3 * eps + np.sqrt(2.0) * gamma(2)) * norms
+    fft = (3 * eps + np.sqrt(2.0) * _gamma(2)) * norms
+    return _direct_sum_error_bound(grad, table) + fft
 
 
 def _offset_noisy_field(n, seed):
@@ -326,28 +336,35 @@ def _offset_noisy_field(n, seed):
 
 
 @pytest.mark.parametrize("kappa", [1.0, 1.5])
-@pytest.mark.parametrize("n", [511, 512, 513, 1000, 2047])
+@pytest.mark.parametrize(
+    "n", [100, FFT_MIN_N - 1, FFT_MIN_N, FFT_MIN_N + 1, 511, 512, 513, 1000, 2047]
+)
 def test_fft_route_matches_direct_oracle(n, kappa):
     table = build_table(0.6, 1.0 / n, n)
     assert (table.w_hat is None) == (n < FFT_MIN_N)
+    assert (table.toeplitz is None) != (table.w_hat is None)
     u = _offset_noisy_field(n, seed=n)
     unit = np.finfo(np.float64).eps / 2
+    grad = (u[:-1] - u[1:]) / table.dx
     for kind, law in LAWS.items():
         got = face_fluxes(u, kind, table, kappa=kappa)
         want = face_fluxes_direct(u, kind, table, kappa=kappa)
-        if table.w_hat is None or law.local:
+        if law.local:
             assert np.array_equal(got, want), kind
             continue
-        memory = kappa * _fft_error_bound((u[:-1] - u[1:]) / table.dx, table)
+        if table.w_hat is None:
+            # the dense product and np.convolve each sum in their own order
+            memory = 2 * kappa * _direct_sum_error_bound(grad, table)
+        else:
+            memory = kappa * _fft_error_bound(grad, table)
         # the advection sum and the kappa product each round once more
         bound = memory + 2 * unit * (np.abs(got) + np.abs(want))
         assert np.all(np.abs(got - want) <= bound), kind
 
 
-@pytest.mark.parametrize("n", [512, 2047])
+@pytest.mark.parametrize("n", [100, FFT_MIN_N - 1, 512, 2047])
 def test_fft_route_keeps_exact_zeros_and_the_rl_split(n):
     table = build_table(0.4, 1.0 / n, n)
-    assert table.w_hat is not None
     for c in (-3.5, 0.0, 32.0):
         for kind in (CAPUTO, PARSIMONIOUS):
             assert np.all(face_fluxes(np.full(n + 1, c), kind, table) == 0.0)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracflux.weights import FFT_MIN_N, build_table
+from fracflux.weights import FFT_MIN_N, TABLE_CACHE_SIZE, build_table
 from oracles import partial_g_sum
 
 
@@ -40,12 +40,38 @@ def test_table_shape_and_immutability():
 
 
 def test_weight_transform_from_fft_min_n_up():
-    for n, size in ((FFT_MIN_N, 1024), (FFT_MIN_N + 1, 2048), (1000, 2048), (1025, 4096)):
+    for n in (FFT_MIN_N, FFT_MIN_N + 1, 512, 513, 1000, 1025):
         table = build_table(0.5, 1.0 / n, n)
+        size = 2 ** math.ceil(math.log2(2 * n - 1))
         # an rfft of length size keeps size // 2 + 1 bins
         assert table.w_hat.shape == (size // 2 + 1,)
+        assert table.toeplitz is None
         with pytest.raises(ValueError):
             table.w_hat[0] = 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 100, FFT_MIN_N - 1])
+def test_memory_matrix_below_fft_min_n(n):
+    table = build_table(0.5, 1.0 / n, n)
+    assert table.w_hat is None
+    matrix = table.toeplitz
+    assert matrix.shape == (n, n)
+    assert matrix.flags.c_contiguous
+    with pytest.raises(ValueError):
+        matrix[0, 0] = 0.0
+    i, j = np.indices((n, n))
+    lower = i >= j
+    assert np.array_equal(matrix[lower], table.w[(i - j)[lower]])
+    upper = matrix[~lower]
+    assert np.all(upper == 0.0) and not np.any(np.signbit(upper))
+
+
+def test_table_cache_is_bounded():
+    maxsize = build_table.cache_info().maxsize
+    assert maxsize == TABLE_CACHE_SIZE
+    for k in range(maxsize + 8):
+        build_table(0.5, 1.0 / 50, 50 + k)
+    assert build_table.cache_info().currsize <= maxsize
 
 
 @pytest.mark.parametrize("alpha", [0.0, -0.3, 1.0001, 2.0])
