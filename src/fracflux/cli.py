@@ -63,8 +63,11 @@ def resolve_config(args: argparse.Namespace) -> SimConfig:
     Precedence: flags beat the file, the file beats the scenario template,
     and the template beats the SimConfig defaults.  A flag overrides the
     field its argparse destination is named after; the boundary flags
-    replace one side of ``bc``.  Without snapshot times the run keeps
-    only its final field.
+    replace one side of ``bc``.  Snapshot times inherited from the
+    scenario template that lie past the run's end give way to the end
+    itself, so a shorter ``t_end`` needs no ``--snapshots``; times given
+    by the file or a flag must lie within the run.  Without snapshot
+    times the run keeps only its final field.
     """
     file_data: dict = {}
     if args.config:
@@ -81,7 +84,15 @@ def resolve_config(args: argparse.Namespace) -> SimConfig:
         for f in fields(SimConfig)
         if flags.get(f.name) is not None
     )
+    inherited = ()
+    if scenario_name and "snapshot_times" not in file_data and args.snapshot_times is None:
+        inherited = mapping.pop("snapshot_times")
     cfg = SimConfig.from_mapping(mapping)
+    if inherited:
+        kept = [t for t in inherited if round(t / cfg.dt) <= cfg.n_steps]
+        if len(kept) < len(inherited):
+            kept.append(cfg.t_end)
+        cfg = replace(cfg, snapshot_times=kept)
 
     bc = cfg.bc
     if args.bc_left is not None:

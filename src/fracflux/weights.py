@@ -61,19 +61,18 @@ class GrunwaldTable:
 
     alpha: float
     dx: float
-    g: np.ndarray  # raw coefficients g_0..g_n, dimensionless
     w: np.ndarray  # cumulative weights W_0..W_n, units of dx**(1 - alpha)
     toeplitz: np.ndarray | None  # T(W), n x n, below FFT_MIN_N faces
     w_hat: np.ndarray | None  # rfft of W_0..W_{n-1}, length L/2 + 1, from FFT_MIN_N up
 
     @property
     def n(self) -> int:
-        return self.g.size - 1
+        return self.w.size - 1
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def build_table(alpha: float, dx: float, n: int) -> GrunwaldTable:
-    """Build and cache the weight table with entries g_0..g_n and W_0..W_n.
+    """Build and cache the weight table with the cumulative weights W_0..W_n.
 
     The recurrence and the cumulative sums run in the widest native float
     available (80-bit extended on x86) before rounding to float64: the
@@ -96,11 +95,7 @@ def build_table(alpha: float, dx: float, n: int) -> GrunwaldTable:
     g_ext[0] = 1.0
     np.cumprod((j - 1.0 - a) / j, out=g_ext[1:])
     scale = np.longdouble(dx) ** (1.0 - a)
-    w_ext = scale * np.cumsum(g_ext)
-
-    g = g_ext.astype(np.float64)
-    w = w_ext.astype(np.float64)
-    g.flags.writeable = False
+    w = (scale * np.cumsum(g_ext)).astype(np.float64)
     w.flags.writeable = False
     toeplitz = w_hat = None
     if n < FFT_MIN_N:
@@ -114,6 +109,4 @@ def build_table(alpha: float, dx: float, n: int) -> GrunwaldTable:
     else:
         w_hat = np.fft.rfft(w[:n], 1 << (2 * n - 2).bit_length())
         w_hat.flags.writeable = False
-    return GrunwaldTable(
-        alpha=float(alpha), dx=float(dx), g=g, w=w, toeplitz=toeplitz, w_hat=w_hat
-    )
+    return GrunwaldTable(alpha=float(alpha), dx=float(dx), w=w, toeplitz=toeplitz, w_hat=w_hat)

@@ -145,6 +145,25 @@ def test_flag_overrides_beat_scenario(tmp_path):
     assert manifest["snapshot_times"] == [0.01, 0.02]
 
 
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_shorter_t_end_drops_scenario_snapshots_past_it(tmp_path, source):
+    # pulse-reflective snapshots at 0.01, 0.1, 1 and 10; the run's end
+    # takes the place of those past it
+    out = tmp_path / "short"
+    args = ["run", "--scenario", "pulse-reflective", "--out-dir", str(out)]
+    if source == "flag":
+        args += ["--t-end", "0.05"]
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scenario": "pulse-reflective", "t_end": 0.05}))
+        args += ["--config", str(path)]
+    assert main(args) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["snapshot_times"] == [0.01, 0.05]
+    _, rows = _read_csv(out / "snapshots.csv")
+    assert sorted({row[0] for row in rows}) == [0.01, 0.05]
+
+
 def test_bc_override_requires_force_for_inconsistent_data(tmp_path):
     args = ["run", "--scenario", "pulse-reflective", "--flux", "caputo",
             "--t-end", "0.01", "--snapshots", "0.01",
@@ -213,11 +232,15 @@ def test_config_file_without_scenario(tmp_path):
         ["--config", {"snapshot_times": [True], "t_end": 1.0}],
         ["--config", {"snapshot_times": "0"}],
         ["--config", {"steady_eps": float("inf")}, "--stop-when-steady"],
+        # times the user gave must lie within the run, unlike inherited ones
+        ["--t-end", "0.02", "--snapshots", "0.04"],
+        ["--config", {"t_end": 0.02, "snapshot_times": [0.04]}],
     ],
     ids=["t-end-inf", "kappa-nan", "kappa-negative", "snapshot-nan", "bc-kind", "key-typo",
          "bool-string", "bool-word", "n-fraction", "n-true", "alpha-true", "param-typo",
          "param-string", "param-true", "bc-value-true", "bc-value-string",
-         "snapshot-string", "snapshot-true", "snapshots-not-a-list", "steady-eps-inf"],
+         "snapshot-string", "snapshot-true", "snapshots-not-a-list", "steady-eps-inf",
+         "snapshot-flag-past-end", "snapshot-file-past-end"],
 )
 def test_bad_input_is_a_configuration_error(tmp_path, capsys, flags):
     out = tmp_path / "out"
@@ -357,19 +380,29 @@ def test_fft_route_run_conserves_keeps_bounds_and_reruns_bit_for_bit(tmp_path):
 
 
 def test_output_bits_do_not_depend_on_blas_threads(tmp_path):
-    # the n = 100 memory sum is a BLAS matrix-vector product; its summation
-    # order, and so every output bit, must not follow the thread count
+    # at n = 100 a run leaps 15 steps per BLAS matrix-vector product, built
+    # from BLAS matrix products; their summation order, and so every output
+    # bit, must not follow the thread count.  The run spans seven blocks
+    # with snapshots on and inside block edges; the compare runs two laws.
     src = str(Path(fracflux.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    commands = {
+        "run": ["run", "--scenario", "pulse-reflective", "--flux", "rl", "--t-end", "0.05",
+                "--snapshots", "0,0.0075,0.02,0.05"],
+        "compare": ["compare", "--scenario", "fig7-shifted", "--flux-a", "rl",
+                    "--flux-b", "caputo"],
+    }
     outputs = []
     for threads in ("1", "2"):
-        out = tmp_path / f"threads-{threads}"
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
-        subprocess.run(
-            [sys.executable, "-m", "fracflux", "run", "--scenario", "pulse-reflective",
-             "--flux", "rl", "--t-end", "0.05", "--snapshots", "0,0.05",
-             "--out-dir", str(out)],
-            env=env, check=True, capture_output=True, timeout=120,
-        )
-        outputs.append((out / "snapshots.csv").read_bytes())
+        files = {}
+        for name, argv in commands.items():
+            out = tmp_path / f"{name}-threads-{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "fracflux", *argv, "--out-dir", str(out)],
+                env=env, check=True, capture_output=True, timeout=120,
+            )
+            files.update({f"{name}/{f.name}": f.read_bytes() for f in out.iterdir()})
+        outputs.append(files)
+    assert set(outputs[0]) >= {"run/snapshots.csv", "run/summary.json", "compare/compare.csv"}
     assert outputs[0] == outputs[1]

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from fracflux.flux import LAWS, FluxKind, apparent_advection, face_fluxes
 from fracflux.weights import FFT_MIN_N, build_table
-from oracles import face_fluxes_direct, partial_g_sum, rl_faces_grunwald
+from oracles import face_fluxes_direct, grunwald_coefficients, partial_g_sum, rl_faces_grunwald
 
 FOURIER = FluxKind.FOURIER
 RL = FluxKind.RIEMANN_LIOUVILLE
@@ -108,7 +108,8 @@ def _summation_error_bound(u, table):
     k = n + 4
     unit = np.finfo(np.float64).eps / 2
     gamma = k * unit / (1 - k * unit)
-    grunwald = dx**-table.alpha * np.convolve(np.abs(table.g), np.abs(u))[1 : n + 1]
+    g = grunwald_coefficients(table.alpha, n)
+    grunwald = dx**-table.alpha * np.convolve(np.abs(g), np.abs(u))[1 : n + 1]
     gradient = np.abs(np.diff(u)) / dx
     weighted = np.convolve(table.w, gradient)[:n] + table.w[1:] * abs(u[0]) / dx
     return gamma * (grunwald + weighted)

@@ -4,8 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from fracflux import solver
 from fracflux.flux import FluxKind, apparent_advection, face_fluxes
 from fracflux.solver import (
+    LEAP_BYTES,
+    LEAP_MIN_STEPS,
     BoundarySpec,
     ConfigurationError,
     Dirichlet,
@@ -14,11 +17,13 @@ from fracflux.solver import (
     InstabilityError,
     SimConfig,
     StabilityWarning,
+    leap_steps,
     run,
     stability_ratio,
     step,
 )
-from fracflux.weights import build_table
+from fracflux.weights import FFT_MIN_N, build_table
+from oracles import run_stepwise
 
 
 def _config(**overrides):
@@ -329,14 +334,17 @@ _EPS = np.finfo(np.float64).eps
 
 
 def _step_matrix(kind, alpha, kappa, rho, bc, n=40):
-    """S built column by column: column j is one step of the unit field e_j."""
+    """S built column by column: column j is one step of the unit field e_j
+    less one step of the zero field, which is the boundary term b."""
     dx = 1.0 / n
     cfg = _config(
         flux=kind, alpha=alpha, kappa=kappa, n=n, dt=rho * dx ** (1.0 + alpha) / kappa,
         t_end=1.0, snapshot_times=(), bc=bc,
     )
     table = build_table(cfg.alpha, cfg.dx, cfg.n)
-    columns = [step(e, face_fluxes(e, kind, table, kappa=kappa), cfg) for e in np.eye(n + 1)]
+    zero = np.zeros(n + 1)
+    b = step(zero, face_fluxes(zero, kind, table, kappa=kappa), cfg)
+    columns = [step(e, face_fluxes(e, kind, table, kappa=kappa), cfg) - b for e in np.eye(n + 1)]
     return cfg, np.column_stack(columns)
 
 
@@ -368,3 +376,154 @@ def test_step_matrix_is_nonnegative_at_the_dirichlet_certificate(kind, alpha, ka
     assert s[1:-1, 1:-1].min() >= -4 * _EPS
     _, past = _step_matrix(kind, alpha, kappa, 1.02 * rho, bc)
     assert past[1:-1, 1:-1].min() <= -1e-2
+
+
+# ------------------------------------------------------------ leap route
+#
+# On grids small enough for leap_steps, run() sums the face fluxes of up
+# to K steps with one matrix-vector product and applies their face
+# differences.  The checks below hold it to the column-by-column step
+# matrix and to the step-by-step loop of tests/oracles.py.
+
+_LEAP_BCS = {
+    "reflective": BoundarySpec.reflective(),
+    "dirichlet": BoundarySpec(Dirichlet(0.75), Dirichlet(-0.5)),
+    "fixed-flux": BoundarySpec(FixedFlux(0.375), FixedFlux(0.125)),
+    "mixed": BoundarySpec(Dirichlet(0.75), FixedFlux(0.125)),
+}
+
+
+def test_leap_size_follows_the_byte_rule():
+    assert leap_steps(100, 10**6) == LEAP_BYTES // (8 * 101**2) == 15
+    assert leap_steps(100, 12) == 12  # capped at the run's length
+    assert leap_steps(100, LEAP_MIN_STEPS - 1) == 0
+    assert leap_steps(141, 10**6) == LEAP_MIN_STEPS
+    # from n = 142 up every run steps one level at a time, the n = 200
+    # alpha sweeps and the FFT route included
+    for n in (142, 200, FFT_MIN_N, 4000):
+        assert leap_steps(n, 10**6) == 0
+
+
+@pytest.mark.parametrize("bc", list(_LEAP_BCS))
+@pytest.mark.parametrize("kappa", [1.0, 1.5])
+@pytest.mark.parametrize("kind", list(FluxKind))
+def test_leap_operators_match_the_column_by_column_step_matrix(kind, kappa, bc):
+    rho, k, n = 0.4, 12, 40
+    cfg, s_cols = _step_matrix(kind, 0.5, kappa, rho, _LEAP_BCS[bc], n=n)
+    table = build_table(cfg.alpha, cfg.dx, cfg.n)
+    s, b = solver._step_operator(cfg, table)
+    zero = np.zeros(n + 1)
+    # entries are O(1); the two builds round each entry in their own order
+    np.testing.assert_allclose(s, s_cols, rtol=0.0, atol=8 * _EPS * np.abs(s_cols).max())
+    np.testing.assert_allclose(
+        b, step(zero, face_fluxes(zero, kind, table, kappa=kappa), cfg), rtol=0.0, atol=8 * _EPS
+    )
+
+    # E_j = rates (P_j[:-1] - P_j[1:]) is the j-step increment: E_j + I = S^j
+    # off the Dirichlet rows, each of the j products off by at most
+    # gamma_{n+1} of entries that stay O(1) at this stable ratio
+    fluxes, offsets = solver._leap_operators(cfg, table, k, 0.0)
+    rates = solver._volume_rates(cfg)
+    free = [i for i in range(n + 1) if i not in dict(solver._pinned(cfg))]
+    power = np.eye(n + 1)
+    for j, summed in enumerate(fluxes.reshape(k, n + 2, n + 1), start=1):
+        power = s_cols @ power
+        e_j = rates[:, None] * (summed[:-1] - summed[1:]) + np.eye(n + 1)
+        bound = j * (n + 1) * _EPS * max(1.0, np.abs(power).max())
+        assert np.abs(e_j - power)[free].max() <= bound
+
+
+def _leap_case(kind, bc, **overrides):
+    # n = 100 leaps 15 steps a block: 50 steps are three full blocks and a
+    # partial one; snapshots at block edges (15, 45) and inside (7, 50)
+    cfg = _config(
+        flux=kind, bc=_LEAP_BCS[bc], dt=0.0002, t_end=0.01,
+        snapshot_times=(0.0, 7 * 0.0002, 15 * 0.0002, 45 * 0.0002, 0.01), **overrides,
+    )
+    u0 = _pulse(cfg) + 0.25  # u(0) != 0: the rl advection is live
+    pinned = solver._pinned(cfg)
+    for node, value in pinned:
+        u0[node] = value
+    return cfg, u0
+
+
+def _assert_runs_agree(got, want, bound):
+    assert got.steps_taken == want.steps_taken
+    assert got.steady_stop_time == want.steady_stop_time
+    assert got.snapshot_times == want.snapshot_times
+    for a, b in zip(got.snapshots, want.snapshots):
+        assert np.abs(a - b).max() <= bound
+    assert np.abs(got.final - want.final).max() <= bound
+    for name in ("mass", "u_min", "u_max", "step_change"):
+        assert np.abs(getattr(got.trace, name) - getattr(want.trace, name)).max() <= bound
+    assert np.array_equal(got.trace.t, want.trace.t)
+
+
+@pytest.mark.parametrize("bc", list(_LEAP_BCS))
+@pytest.mark.parametrize("kind", list(FluxKind))
+def test_leap_run_matches_the_stepwise_oracle(kind, bc):
+    cfg, u0 = _leap_case(kind, bc, kappa=1.5 if kind is FluxKind.FOURIER else 1.0)
+    if kind is FluxKind.FOURIER:
+        cfg = replace(cfg, dt=1e-5, t_end=5e-4, snapshot_times=(7e-5, 15e-5, 45e-5, 5e-4))
+    assert leap_steps(cfg.n, cfg.n_steps) == 15 and cfg.n_steps == 50
+    got, want = run(cfg, u0), run_stepwise(cfg, u0)
+    # 50 steps of sums over ~n terms, each in its own order: a few ulps of
+    # the field's scale per step
+    _assert_runs_agree(got, want, 50 * 8 * _EPS * np.abs(u0).max())
+
+
+@pytest.mark.parametrize("kind,steps", [(FluxKind.RIEMANN_LIOUVILLE, 6833), (FluxKind.CAPUTO, 3376)])
+def test_leap_run_stops_at_the_oracles_steady_step(kind, steps):
+    from fracflux.scenarios import make_scenario
+
+    cfg = replace(make_scenario("pulse-reflective").cfg, flux=kind, stop_when_steady=True)
+    u0 = _pulse(cfg)
+    got, want = run(cfg, u0), run_stepwise(cfg, u0)
+    assert got.steps_taken == want.steps_taken == steps
+    assert steps % leap_steps(cfg.n, cfg.n_steps) != 0  # the stop falls inside a block
+    # a stable run forgets its round-off: a few ulps of the field's scale
+    # (2.5) over thousands of steps
+    _assert_runs_agree(got, want, 64 * _EPS * np.abs(u0).max())
+    # the leap moves the conserved mass no more than single steps do
+    assert np.abs(got.trace.mass - 1.0).max() <= 5e-15
+
+
+def test_leap_run_aborts_at_the_oracles_step():
+    # pulse-reflective under the gradient law at dt/dx^2 = 5 passes the
+    # 1e12 guard at step 12, inside the first block
+    cfg = _config(flux=FluxKind.FOURIER, t_end=10.0, snapshot_times=())
+    with pytest.warns(StabilityWarning), pytest.raises(InstabilityError) as got:
+        run(cfg, _pulse(cfg))
+    with pytest.raises(InstabilityError) as want:
+        run_stepwise(cfg, _pulse(cfg))
+    assert got.value.step_index == want.value.step_index == 12
+    assert "over 1e12" in str(got.value)
+
+
+def test_non_finite_leap_block_is_redone_one_step_at_a_time():
+    # At a scale of 1e300 the guard limit overflows to inf, so the first
+    # sign of the blow-up is a non-finite value: the leap's block turns
+    # non-finite, and single steps must find the exact step.
+    cfg = _config(flux=FluxKind.FOURIER, t_end=10.0, snapshot_times=())
+    u0 = 1e300 * _pulse(cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.warns(StabilityWarning), pytest.raises(InstabilityError) as got:
+            run(cfg, u0)
+        with pytest.raises(InstabilityError) as want:
+            run_stepwise(cfg, u0)
+    assert got.value.step_index == want.value.step_index
+    assert 1 < got.value.step_index < leap_steps(cfg.n, cfg.n_steps)
+    assert "non-finite" in str(got.value) and str(got.value) == str(want.value)
+
+
+def test_leap_keeps_constant_runs_exact():
+    # caputo, parsimonious and fourier are blind to the constant left
+    # value, which the leap subtracts before the product
+    for kind in (FluxKind.CAPUTO, FluxKind.PARSIMONIOUS, FluxKind.FOURIER):
+        cfg = _config(
+            flux=kind, dt=1e-5, t_end=5e-4, snapshot_times=(1e-4, 5e-4),
+            bc=BoundarySpec(Dirichlet(32.0), Dirichlet(32.0)),
+        )
+        result = run(cfg, np.full(101, 32.0))
+        assert all(np.all(u == 32.0) for u in result.snapshots)
+        assert np.all(result.trace.step_change == 0.0)

@@ -6,13 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracflux.weights import FFT_MIN_N, TABLE_CACHE_SIZE, build_table
-from oracles import partial_g_sum
+from oracles import grunwald_coefficients, partial_g_sum
 
 
 def test_first_coefficients_alpha_half():
     table = build_table(0.5, 0.01, 6)
-    # all dyadic, so the recurrence is exact
-    assert np.array_equal(table.g[:4], [1.0, -0.5, -0.125, -0.0625])
+    # all dyadic, so the recurrence is exact, and so are its partial sums
+    g = grunwald_coefficients(0.5, 6)
+    assert np.array_equal(g[:4], [1.0, -0.5, -0.125, -0.0625])
+    for j, partial in enumerate([1.0, 0.5, 0.375, 0.3125]):
+        assert partial_g_sum(table, j) == pytest.approx(partial, rel=1e-14)
 
 
 def test_cumulative_weights_alpha_half():
@@ -24,9 +27,10 @@ def test_cumulative_weights_alpha_half():
 
 def test_alpha_one_degenerates_to_gradient_weights():
     table = build_table(1.0, 0.01, 8)
-    assert table.g[0] == 1.0
-    assert table.g[1] == -1.0
-    assert np.all(table.g[2:] == 0.0)
+    g = grunwald_coefficients(1.0, 8)
+    assert g[0] == 1.0
+    assert g[1] == -1.0
+    assert np.all(g[2:] == 0.0)
     assert table.w[0] == 1.0
     assert np.all(table.w[1:] == 0.0)
 
@@ -34,9 +38,9 @@ def test_alpha_one_degenerates_to_gradient_weights():
 def test_table_shape_and_immutability():
     table = build_table(0.5, 0.02, 17)
     assert table.n == 17
-    assert table.g.shape == table.w.shape == (18,)
+    assert table.w.shape == (18,)
     with pytest.raises(ValueError):
-        table.g[0] = 2.0
+        table.w[0] = 2.0
 
 
 def test_weight_transform_from_fft_min_n_up():
@@ -107,8 +111,9 @@ def test_partial_sums_decay_to_zero():
     assert all(a > b for a, b in zip(values, values[1:]))
     assert values[-1] < 2e-3
     # exact summation of the raw coefficients agrees with the cached sums
+    g = grunwald_coefficients(0.5, 100_000)
     for j in samples:
-        brute = math.fsum(table.g[: j + 1])
+        brute = math.fsum(g[: j + 1])
         assert partial_g_sum(table, j) == pytest.approx(brute, rel=1e-13)
 
 
@@ -120,15 +125,16 @@ def test_partial_sums_decay_to_zero():
 def test_weight_invariants(alpha, n):
     dx = 1.0 / n
     table = build_table(alpha, dx, n)
-    assert table.g[0] == 1.0
-    assert np.all(table.g[1:] <= 0.0)
+    g = grunwald_coefficients(alpha, n)
+    assert g[0] == 1.0
+    assert np.all(g[1:] <= 0.0)
     assert np.all(table.w >= 0.0)
     assert np.all(np.diff(table.w) <= 0.0)
     assert table.w[0] == pytest.approx(dx ** (1.0 - alpha), rel=1e-14)
     # the recurrence itself, rechecked in plain float64
     j = np.arange(1, n + 1)
-    expected = (j - 1 - alpha) / j * table.g[:-1]
-    np.testing.assert_allclose(table.g[1:], expected, rtol=5e-15, atol=0.0)
+    expected = (j - 1 - alpha) / j * g[:-1]
+    np.testing.assert_allclose(g[1:], expected, rtol=5e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9])
