@@ -129,9 +129,8 @@ def write_snapshots_csv(path: Path, result: RunResult) -> None:
     _write_long_csv(path, "t,x,u", result.cfg.x, rows)
 
 
-def write_summary_json(
-    path: Path, manifest: dict, result: RunResult, initial_u: np.ndarray
-) -> None:
+def _summary(manifest: dict, result: RunResult, initial_u: np.ndarray) -> dict:
+    """The summary.json document of a run."""
     trace = result.trace
     idx = _downsample_indices(trace.t.size)
     principle = max_principle_check(trace, initial_u)
@@ -158,7 +157,55 @@ def write_summary_json(
             "diffusive": list(diffusive),
             "advective": list(advective),
         }
-    path.write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+    return summary
+
+
+# The trace lists of summary.json as (section, key), in document order.
+# json.dumps(indent=2) puts their items six spaces deep and their closing
+# brackets four.
+_TRACE_LISTS = (
+    ("mass_trace", "t"), ("mass_trace", "mass"),
+    ("extrema_trace", "min"), ("extrema_trace", "max"),
+)
+
+
+def _write_summary(path: Path, summary: dict) -> None:
+    """Write json.dumps(summary, indent=2) + "\n" to path, byte for byte.
+
+    With an indent, json.dumps takes its pure-Python encoder, one call per
+    list item.  Here each trace list is one join of float.__repr__ strings,
+    which is what that encoder writes for a finite float, spliced in where
+    json.dumps put a placeholder string, and written chunk by chunk.
+    """
+    skeleton = dict(summary)
+    slots = []
+    for section, key in _TRACE_LISTS:
+        values = summary[section][key]
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"summary {section}.{key} holds a non-finite value")
+        skeleton[section] = {**skeleton[section], key: f"{section}.{key}"}
+        slots.append((json.dumps(f"{section}.{key}"), values))
+    head = json.dumps(skeleton, indent=2)
+    # Only the manifest, which precedes the traces, holds free text, so
+    # searching back from the end finds each placeholder and no look-alike.
+    tails = []
+    for slot, values in reversed(slots):
+        head, _, tail = head.rpartition(slot)
+        tails.append((values, tail))
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(head)
+        for values, tail in reversed(tails):  # never empty: t[0] is always there
+            fh.write("[\n      ")
+            fh.write(",\n      ".join(map(float.__repr__, values)))
+            fh.write("\n    ]")
+            fh.write(tail)
+        fh.write("\n")
+
+
+def write_summary_json(
+    path: Path, manifest: dict, result: RunResult, initial_u: np.ndarray
+) -> None:
+    _write_summary(path, _summary(manifest, result, initial_u))
 
 
 def run_command(args: argparse.Namespace) -> int:

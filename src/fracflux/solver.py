@@ -18,21 +18,26 @@ With fixed-flux conditions at both ends the discrete mass
 changes by exactly dt * (q_left - q_right) per step; the interior flux
 differences telescope away.
 
-Every law is linear and every boundary condition affine, so on small
-grids (see :func:`leap_steps`) :func:`run` advances K steps per
+Every law is linear and every boundary condition affine, so below the
+FFT crossover (see :func:`leap_steps`) :func:`run` advances K steps per
 matrix-vector product without leaving the flux-difference form.  One
 product gives, for j = 1..K, the face fluxes summed over the next j
 steps, F (I + S + ... + S^(j-1)) u plus a boundary offset, with F the
 face-flux operator and S the one-step matrix; the field j steps on is u
-plus the rate-weighted face differences of those sums.  The interior
+plus the rate-weighted face differences of those sums.  Where K would be
+small the product is F u alone, one step per product.  The interior
 differences still telescope, so the mass still moves only through the
-ends, to round-off.
+ends, to round-off.  From the FFT crossover up each step is one
+:func:`~fracflux.flux.face_fluxes` and one :func:`step`.  Every route
+fills a block of fields, and the run records each block in one
+vectorised pass.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
 from typing import ClassVar
@@ -42,7 +47,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import DiagnosticTrace, total_mass
 from .flux import LAWS, FluxKind, apparent_advection, face_fluxes
-from .weights import GrunwaldTable, build_table
+from .weights import FFT_MIN_N, GrunwaldTable, build_table
 
 # Abort threshold for runaway explicit steps, relative to the initial
 # magnitude (floored at 1 so an all-zero start still has a usable scale).
@@ -51,17 +56,27 @@ _BLOWUP_FACTOR = 1e12
 # A StabilityWarning fires when stability_ratio exceeds this value.
 _STABILITY_WARN_RATIO = 0.5
 
-# run() leaps K steps per matrix-vector product, with the K (n+1)^2 stacked
-# doubles of the leap operator held within LEAP_BYTES, and only where that
-# allows K >= LEAP_MIN_STEPS: up to n = 141, all below the FFT route.
-# Fixed constants, not config keys, so the route, and hence every output
-# bit, is a function of n and the step count alone.  On a 2-vCPU x86 host
-# with one OpenBLAS thread, n = 100 and K = 15 took the bundled experiments
-# from 0.72 to 0.32 s (benchmark `reproduce`, median of 10 pairs); at
-# n = 200 a leap of K = 4 made a 300-step run slower than single steps
-# (rl 9.2 -> 11.4 ms, caputo 8.6 -> 8.9 ms, operator build included).
+# Below the FFT crossover run() leaps K steps per matrix-vector product,
+# with the K (n+1)^2 stacked doubles of the leap operator held within
+# LEAP_BYTES, where that allows K >= LEAP_MIN_STEPS: up to n = 141.  Every
+# other dense grid takes K = 1, one product with the face-flux operator F
+# per step.  Fixed constants, not config keys, so the route, and hence
+# every output bit, is a function of n and the step count alone.  On a
+# 2-vCPU x86 host with one OpenBLAS thread, n = 100 and K = 15 took the
+# bundled experiments from 0.72 to 0.32 s (benchmark `reproduce`, median
+# of 10 pairs); at n = 200 a leap of K = 4 made a 300-step run slower than
+# single steps (rl 9.2 -> 11.4 ms, caputo 8.6 -> 8.9 ms, operator build
+# included), while K = 1 took the `alpha-sweep` benchmark from 0.33 to
+# 0.17 s (median of 10 pairs).
 LEAP_BYTES = 1_300_000
 LEAP_MIN_STEPS = 8
+
+# Fields per recorded block on the K = 1 and FFT routes: BLOCK_ROWS, or
+# fewer where that many would hold more than BLOCK_BYTES (from n = 512 up),
+# so that a block and its step differences add little to a run's peak
+# memory.  The K >= 8 route records one product's K fields at a time.
+BLOCK_ROWS = 32
+BLOCK_BYTES = 131_072
 
 
 class ConfigurationError(ValueError):
@@ -357,14 +372,19 @@ def stability_ratio(cfg: SimConfig) -> float:
     return cfg.kappa * cfg.dt / cfg.dx ** LAWS[cfg.flux].order(cfg.alpha)
 
 
-def step(u: np.ndarray, q: np.ndarray, cfg: SimConfig, step_index: int = 0) -> np.ndarray:
+def step(
+    u: np.ndarray, q: np.ndarray, cfg: SimConfig, step_index: int = 0,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Advance the nodal values u one explicit step, given the interior
-    face fluxes q; step_index dates an :class:`InstabilityError`."""
+    face fluxes q; step_index dates an :class:`InstabilityError`.  The new
+    field goes to out if given (it must not be u), which holds it even when
+    the step raises."""
     if q.size != u.size - 1:
         raise ValueError(f"expected {u.size - 1} face fluxes, got {q.size}")
     r = cfg.dt / cfg.dx
 
-    nxt = np.empty_like(u)
+    nxt = np.empty_like(u) if out is None else out
     interior = nxt[1:-1]
     np.subtract(q[:-1], q[1:], out=interior)
     interior *= r
@@ -396,10 +416,17 @@ def _check_dirichlet_consistency(cfg: SimConfig, u0: np.ndarray) -> None:
 
 
 def leap_steps(n: int, n_steps: int) -> int:
-    """Steps per block on :func:`run`'s leap route for n intervals and a
-    run of n_steps, or 0 where the run takes one step at a time."""
+    """Steps per matrix-vector product on :func:`run`'s dense route for n
+    intervals and a run of n_steps, or 0 where n takes the FFT route."""
+    if n >= FFT_MIN_N:
+        return 0
     k = min(LEAP_BYTES // (8 * (n + 1) ** 2), n_steps)
-    return k if k >= LEAP_MIN_STEPS else 0
+    return k if k >= LEAP_MIN_STEPS else 1
+
+
+def _block_rows(n: int) -> int:
+    """Fields per recorded block on the K = 1 and FFT routes for n intervals."""
+    return max(1, min(BLOCK_ROWS, BLOCK_BYTES // (8 * (n + 1))))
 
 
 def _pinned(cfg: SimConfig) -> list[tuple[int, float]]:
@@ -448,9 +475,9 @@ def _volume_rates(cfg: SimConfig) -> np.ndarray:
     return rates
 
 
-def _step_operator(cfg: SimConfig, table: GrunwaldTable) -> tuple[np.ndarray, np.ndarray]:
-    """(S, b) with step(u, face_fluxes(u, ...), cfg) = S @ u + b to round-off."""
-    f, g = _face_operator(cfg, table)
+def _step_operator(cfg: SimConfig, f: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S, b) with step(u, face_fluxes(u, ...), cfg) = S @ u + b to round-off,
+    from the face operator (F, g) of :func:`_face_operator`."""
     rates = _volume_rates(cfg)
     s = (f[:-1] - f[1:]) * rates[:, None]
     s[np.diag_indices_from(s)] += 1.0
@@ -476,10 +503,13 @@ def _leap_operators(
     P_j = F + F S + ... + F S^(j-1), with S the step matrix, each new term
     one matrix product from the last; p_j sums the face fluxes of the
     first j steps of the zero field with the Dirichlet values lowered by
-    the shift.
+    the shift.  So P starts with F and p with g, and for k = 1 they are
+    just (F, g), with no S built.
     """
     f, g = _face_operator(cfg, table)
-    s, b = _step_operator(cfg, table)
+    if k == 1:
+        return f, g[None]
+    s, b = _step_operator(cfg, f, g)
     fluxes = np.empty((k,) + f.shape)
     fluxes[0] = term = f
     for j in range(1, k):
@@ -496,6 +526,51 @@ def _leap_operators(
         offsets[j] = total
         w = s @ w + b
     return fluxes.reshape(-1, f.shape[1]), offsets
+
+
+def _dense_rows(
+    u: np.ndarray, rows: np.ndarray, fluxes: np.ndarray, offsets: np.ndarray,
+    shift: float, rates: np.ndarray, pinned: list,
+) -> None:
+    """Fill rows with the fields of the next len(rows) steps from u, with
+    the (P, p) of :func:`_leap_operators` for K steps: one product for all
+    of them if K > 1 (then len(rows) <= K), else one product with F per
+    row.  Each field is the last one plus the volume rates times the face
+    differences of the summed fluxes, with the Dirichlet nodes assigned."""
+    if len(offsets) > 1:
+        m, faces = rows.shape[0], rates.size + 1
+        summed = (fluxes[: m * faces] @ (u - shift)).reshape(m, faces)
+        summed += offsets[:m]
+        np.subtract(summed[:, :-1], summed[:, 1:], out=rows)
+        rows *= rates
+        rows += u
+        for node, value in pinned:
+            rows[:, node] = value
+        return
+    f, g = fluxes, offsets[0]
+    for row in rows:
+        summed = f @ (u - shift)
+        summed += g
+        np.subtract(summed[:-1], summed[1:], out=row)
+        row *= rates
+        row += u
+        for node, value in pinned:
+            row[node] = value
+        u = row
+
+
+def _single_rows(u: np.ndarray, rows: np.ndarray, k: int, cfg: SimConfig, table: GrunwaldTable) -> int:
+    """Fill rows with the fields of the steps after step k from u, one
+    face_fluxes and one step each, and return how many it filled: all of
+    them, or up to and including the first non-finite field."""
+    for j, row in enumerate(rows):
+        q = face_fluxes(u, cfg.flux, table, kappa=cfg.kappa)
+        try:
+            step(u, q, cfg, step_index=k + j + 1, out=row)
+        except InstabilityError:
+            return j + 1
+        u = row
+    return len(rows)
 
 
 def run(cfg: SimConfig, u0) -> RunResult:
@@ -544,89 +619,73 @@ def run(cfg: SimConfig, u0) -> RunResult:
     if 0 in snap_steps:
         snapshots[0] = u0.copy()
 
-    limit = _BLOWUP_FACTOR * max(np.abs(u0).max(), 1.0)
+    # In Python floats, which overflow without a warning, and capped at the
+    # largest double, so that no non-finite field passes.
+    limit = min(_BLOWUP_FACTOR * max(np.abs(u0).max().item(), 1.0), sys.float_info.max)
     u = u0
     steps_taken = n_steps
     steady_time = None
 
-    leap = leap_steps(cfg.n, n_steps)
-    if leap:
+    stride = leap_steps(cfg.n, n_steps)  # steps per product; 0 on the FFT route
+    if stride:
         shift = 0.0 if LAWS[cfg.flux].advection else u0.item(0)
-        fluxes, flux_offsets = _leap_operators(cfg, table, leap, shift)
-        rates = _volume_rates(cfg)
-        pinned = _pinned(cfg)
-        faces = cfg.n + 2
+        fluxes, flux_offsets = _leap_operators(cfg, table, stride, shift)
+        dense = (fluxes, flux_offsets, shift, _volume_rates(cfg), _pinned(cfg))
+    block = stride if stride > 1 else _block_rows(cfg.n)
+    buffer = np.empty((block, cfg.n + 1))
     k = 0
-    single_until = 0  # steps up to here go one at a time
-    while k < n_steps:
-        if leap and k >= single_until:
-            # Up to K steps from one product, in flux-difference form, with
-            # the bookkeeping vectorised over them.
-            m = min(leap, n_steps - k)
-            summed = (fluxes[: m * faces] @ (u - shift)).reshape(m, faces)
-            summed += flux_offsets[:m]
-            block = summed[:, :-1] - summed[:, 1:]
-            block *= rates
-            block += u
-            for node, value in pinned:
-                block[:, node] = value
-            change = np.abs(np.diff(block, axis=0, prepend=u[None])).max(axis=1)
+    redo = False  # the dense block at k failed the guard: take it step by step
+    # A field that overflows past a blow-up is reported below as an
+    # InstabilityError; numpy's overflow warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k < n_steps:
+            rows = buffer[: min(block, n_steps - k)]
+            if stride and not redo:
+                _dense_rows(u, rows, *dense)
+            else:
+                rows = rows[: _single_rows(u, rows, k, cfg, table)]
+
+            # One pass over the block's fields: step change and steady stop,
+            # runaway guard, mass, extrema and snapshots.
+            delta = np.empty_like(rows)
+            np.subtract(rows[0], u, out=delta[0])
+            np.subtract(rows[1:], rows[:-1], out=delta[1:])
+            change = np.abs(delta, out=delta).max(axis=1)
             quiet = np.flatnonzero(change < cfg.steady_eps) if cfg.stop_when_steady else ()
             if len(quiet):
-                m = int(quiet[0]) + 1
-                block, change = block[:m], change[:m]
-            lo, hi = block.min(axis=1), block.max(axis=1)
+                rows, change = rows[: quiet[0] + 1], change[: quiet[0] + 1]
+            lo, hi = rows.min(axis=1), rows.max(axis=1)
             peak = np.maximum(hi, -lo)
-            top = peak.max()
-            if not top <= limit:
-                if not np.isfinite(top):
-                    # Redone one step at a time, which raises at the exact step.
-                    single_until = k + m
+            if not peak.max() <= limit:
+                if stride and not redo:
+                    # Redone with single steps, so an abort has the step
+                    # and the message of the single-step loop, bit for bit,
+                    # overflow included.
+                    redo = True
                     continue
-                j = int(np.argmax(peak > limit))
-                raise InstabilityError(
-                    k + j + 1, (k + j + 1) * cfg.dt,
-                    f"|u| reached {peak[j]:.3g}, over 1e12 x initial scale",
+                j = int(np.argmin(peak <= limit))
+                detail = (
+                    f"|u| reached {peak[j]:.3g}, over 1e12 x initial scale"
+                    if np.isfinite(peak[j]) else "non-finite value produced"
                 )
+                raise InstabilityError(k + j + 1, (k + j + 1) * cfg.dt, detail)
+            m = len(rows)
             mass[k + 1 : k + m + 1] = cfg.dx * (
-                0.5 * block[:, 0] + block[:, 1:-1].sum(axis=1) + 0.5 * block[:, -1]
+                0.5 * rows[:, 0] + rows[:, 1:-1].sum(axis=1) + 0.5 * rows[:, -1]
             )
             u_min[k + 1 : k + m + 1] = lo
             u_max[k + 1 : k + m + 1] = hi
             step_change[k : k + m] = change
             for ks in snap_steps:
                 if k < ks <= k + m:
-                    snapshots[ks] = block[ks - k - 1].copy()
-            u = block[-1]
+                    snapshots[ks] = rows[ks - k - 1].copy()
+            u = rows[-1].copy()
             k += m
+            redo = False
             if len(quiet):
                 steps_taken = k
                 steady_time = k * cfg.dt
                 break
-            continue
-
-        k += 1
-        q = face_fluxes(u, cfg.flux, table, kappa=cfg.kappa)
-        advanced = step(u, q, cfg, step_index=k)
-        lo, hi = advanced.min(), advanced.max()
-        peak = max(hi, -lo)
-        if peak > limit:
-            raise InstabilityError(
-                k, k * cfg.dt, f"|u| reached {peak:.3g}, over 1e12 x initial scale"
-            )
-        diff = advanced - u
-        change = np.abs(diff, out=diff).max()
-        u = advanced
-        mass[k] = total_mass(u)
-        u_min[k] = lo
-        u_max[k] = hi
-        step_change[k - 1] = change
-        if k in snap_steps:
-            snapshots[k] = u.copy()
-        if cfg.stop_when_steady and change < cfg.steady_eps:
-            steps_taken = k
-            steady_time = k * cfg.dt
-            break
 
     # Later snapshot times inherit the frozen steady field.
     for k in snap_steps:

@@ -75,10 +75,11 @@ def face_fluxes_direct(u, kind: FluxKind, table: GrunwaldTable, kappa: float = 1
 def run_stepwise(cfg: SimConfig, u0) -> RunResult:
     """:func:`fracflux.solver.run` one explicit step at a time, every n.
 
-    The package leaps several steps per matrix product on small grids;
-    this is the plain loop it replaces there: one ``face_fluxes`` and one
-    ``step`` per time level, with the same runaway guard, steady stop and
-    snapshot rules.  No Dirichlet consistency check, no stability warning
+    Below the FFT crossover the package takes one or several steps per
+    matrix product; this is the plain loop it replaces there, and the one
+    it runs from the crossover up: one ``face_fluxes`` and one ``step``
+    per time level, with the same runaway guard, steady stop and snapshot
+    rules.  No Dirichlet consistency check, no stability warning
     and no rl flux decomposition.
     """
     u = np.asarray(u0, dtype=np.float64)

@@ -3,14 +3,19 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fracflux
+from fracflux import cli
 from fracflux.cli import main
-from fracflux.solver import StabilityWarning
+from fracflux.diagnostics import DiagnosticTrace
+from fracflux.flux import FluxKind
+from fracflux.scenarios import build_initial, make_scenario
+from fracflux.solver import StabilityWarning, run
 
 
 def _read_csv(path):
@@ -406,3 +411,46 @@ def test_output_bits_do_not_depend_on_blas_threads(tmp_path):
         outputs.append(files)
     assert set(outputs[0]) >= {"run/snapshots.csv", "run/summary.json", "compare/compare.csv"}
     assert outputs[0] == outputs[1]
+
+
+def _summary_case(case):
+    # rl, stopped when steady: a flux decomposition follows the traces
+    cfg = replace(
+        make_scenario("pulse-reflective").cfg, flux=FluxKind.RIEMANN_LIOUVILLE,
+        stop_when_steady=True,
+    )
+    if case == "decimated":
+        # 12 000 steps
+        cfg = replace(cfg, n=4, dt=0.01, t_end=120.0, snapshot_times=(120.0,), stop_when_steady=False)
+    u0 = build_initial(cfg.initial, cfg.x)
+    result = run(cfg, u0)
+    if case == "one-point":
+        t = result.trace
+        result = replace(result, trace=DiagnosticTrace(
+            t=t.t[:1], mass=t.mass[:1], u_min=t.u_min[:1], u_max=t.u_max[:1],
+            step_change=t.step_change[:0],
+        ))
+    return cfg, result, u0
+
+
+@pytest.mark.parametrize("case", ["steady-stop", "one-point", "decimated"])
+def test_summary_writer_matches_json_dumps(tmp_path, case):
+    cfg, result, u0 = _summary_case(case)
+    path = tmp_path / "summary.json"
+    cli.write_summary_json(path, cfg.manifest(), result, u0)
+    summary = cli._summary(cfg.manifest(), result, u0)
+    assert path.read_text(encoding="utf-8") == json.dumps(summary, indent=2) + "\n"
+    # 12 001 points exceed 10^4, so the decimated trace keeps every second one
+    points = {"steady-stop": result.steps_taken + 1, "one-point": 1, "decimated": 6001}[case]
+    assert len(summary["mass_trace"]["t"]) == points
+    if case == "steady-stop":
+        assert result.steady_stop_time is not None and "flux_decomposition" in summary
+
+
+def test_summary_writer_refuses_a_non_finite_trace_value(tmp_path):
+    # json.dumps would write it as NaN; a run that goes non-finite aborts first
+    cfg, result, u0 = _summary_case("one-point")
+    summary = cli._summary(cfg.manifest(), result, u0)
+    summary["extrema_trace"]["max"][0] = float("nan")
+    with pytest.raises(ValueError, match="extrema_trace.max"):
+        cli._write_summary(tmp_path / "summary.json", summary)

@@ -396,12 +396,17 @@ _LEAP_BCS = {
 def test_leap_size_follows_the_byte_rule():
     assert leap_steps(100, 10**6) == LEAP_BYTES // (8 * 101**2) == 15
     assert leap_steps(100, 12) == 12  # capped at the run's length
-    assert leap_steps(100, LEAP_MIN_STEPS - 1) == 0
     assert leap_steps(141, 10**6) == LEAP_MIN_STEPS
-    # from n = 142 up every run steps one level at a time, the n = 200
-    # alpha sweeps and the FFT route included
-    for n in (142, 200, FFT_MIN_N, 4000):
-        assert leap_steps(n, 10**6) == 0
+    # where the byte rule leaves fewer than LEAP_MIN_STEPS, a dense grid
+    # takes one step per product with F: short runs at n <= 141 and every
+    # run from n = 142 to FFT_MIN_N - 1, the n = 200 alpha sweeps included
+    assert leap_steps(100, LEAP_MIN_STEPS - 1) == 1
+    assert leap_steps(1, 1) == 1
+    for n in (142, 200, FFT_MIN_N - 1):
+        assert leap_steps(n, 10**6) == leap_steps(n, 1) == 1
+    # from FFT_MIN_N up every step is one face_fluxes and one step
+    for n in (FFT_MIN_N, 4000):
+        assert leap_steps(n, 10**6) == leap_steps(n, 1) == 0
 
 
 @pytest.mark.parametrize("bc", list(_LEAP_BCS))
@@ -411,7 +416,7 @@ def test_leap_operators_match_the_column_by_column_step_matrix(kind, kappa, bc):
     rho, k, n = 0.4, 12, 40
     cfg, s_cols = _step_matrix(kind, 0.5, kappa, rho, _LEAP_BCS[bc], n=n)
     table = build_table(cfg.alpha, cfg.dx, cfg.n)
-    s, b = solver._step_operator(cfg, table)
+    s, b = solver._step_operator(cfg, *solver._face_operator(cfg, table))
     zero = np.zeros(n + 1)
     # entries are O(1); the two builds round each entry in their own order
     np.testing.assert_allclose(s, s_cols, rtol=0.0, atol=8 * _EPS * np.abs(s_cols).max())
@@ -516,14 +521,95 @@ def test_non_finite_leap_block_is_redone_one_step_at_a_time():
     assert "non-finite" in str(got.value) and str(got.value) == str(want.value)
 
 
-def test_leap_keeps_constant_runs_exact():
+@pytest.mark.parametrize("n,alpha", [(100, 0.5), (200, 0.9)])
+def test_leap_keeps_constant_runs_exact(n, alpha):
     # caputo, parsimonious and fourier are blind to the constant left
-    # value, which the leap subtracts before the product
+    # value, which the stacked (n = 100) and F (n = 200) routes subtract
+    # before the product; at n = 200 and alpha = 0.9 the product with F
+    # alone moves the constant by an ulp
     for kind in (FluxKind.CAPUTO, FluxKind.PARSIMONIOUS, FluxKind.FOURIER):
         cfg = _config(
-            flux=kind, dt=1e-5, t_end=5e-4, snapshot_times=(1e-4, 5e-4),
+            flux=kind, n=n, alpha=alpha, dt=1e-5, t_end=5e-4, snapshot_times=(1e-4, 5e-4),
             bc=BoundarySpec(Dirichlet(32.0), Dirichlet(32.0)),
         )
-        result = run(cfg, np.full(101, 32.0))
+        result = run(cfg, np.full(n + 1, 32.0))
         assert all(np.all(u == 32.0) for u in result.snapshots)
         assert np.all(result.trace.step_change == 0.0)
+
+
+# ------------------------------------------------- F route and FFT route
+#
+# From n = 142 to FFT_MIN_N - 1 run() takes one product with the face
+# operator F per step; from FFT_MIN_N up, one face_fluxes and one step.
+# Both fill a block of fields before recording them, solver.BLOCK_ROWS of
+# them at the n below, so the cases run past two block edges and take
+# snapshots on and inside them.
+
+_ROUTE_BCS = {name: _LEAP_BCS[name] for name in ("reflective", "dirichlet", "fixed-flux")}
+
+
+def _route_case(kind, bc, n, steps):
+    rows = solver.BLOCK_ROWS
+    assert solver._block_rows(n) == rows
+    dt = 0.4 * (1.0 / n) ** (2.0 if kind is FluxKind.FOURIER else 1.5)
+    snaps = tuple(k * dt for k in (0, 7, rows, 2 * rows, 2 * rows + 5, steps))
+    cfg = _config(flux=kind, bc=_ROUTE_BCS[bc], n=n, dt=dt, t_end=steps * dt, snapshot_times=snaps)
+    u0 = _pulse(cfg) + 0.25  # u(0) != 0: the rl advection is live
+    for node, value in solver._pinned(cfg):
+        u0[node] = value
+    return cfg, u0
+
+
+@pytest.mark.parametrize("bc", list(_ROUTE_BCS))
+@pytest.mark.parametrize("kind", list(FluxKind))
+def test_f_route_matches_the_stepwise_oracle(kind, bc):
+    steps = 2 * solver.BLOCK_ROWS + 16
+    cfg, u0 = _route_case(kind, bc, 200, steps)
+    assert leap_steps(cfg.n, cfg.n_steps) == 1
+    got, want = run(cfg, u0), run_stepwise(cfg, u0)
+    _assert_runs_agree(got, want, steps * 8 * _EPS * np.abs(u0).max())
+
+
+@pytest.mark.parametrize("kind", list(FluxKind))
+def test_f_route_stops_at_the_oracles_steady_step(kind):
+    # a threshold between the step changes of steps 76 and 77, which fall
+    # steadily here: the stop lands inside the third block
+    cfg, u0 = _route_case(kind, "reflective", 200, 120)
+    change = run_stepwise(cfg, u0).trace.step_change
+    cfg = replace(cfg, stop_when_steady=True, steady_eps=0.5 * (change[75] + change[76]))
+    got, want = run(cfg, u0), run_stepwise(cfg, u0)
+    assert got.steps_taken == want.steps_taken == 77
+    _assert_runs_agree(got, want, 77 * 8 * _EPS * np.abs(u0).max())
+    # the snapshots past the stop hold the frozen field
+    assert np.array_equal(got.snapshots[-1], got.final)
+
+
+@pytest.mark.parametrize("bc", list(_ROUTE_BCS))
+@pytest.mark.parametrize("kind", list(FluxKind))
+def test_fft_route_equals_the_stepwise_oracle_bit_for_bit(kind, bc):
+    cfg, u0 = _route_case(kind, bc, FFT_MIN_N, 2 * solver.BLOCK_ROWS + 16)
+    assert leap_steps(cfg.n, cfg.n_steps) == 0
+    got, want = run(cfg, u0), run_stepwise(cfg, u0)
+    _assert_runs_agree(got, want, 0.0)
+    for name in ("mass", "u_min", "u_max", "step_change"):
+        assert np.array_equal(getattr(got.trace, name), getattr(want.trace, name))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e290, 1e300])
+@pytest.mark.parametrize("n", [100, 200, FFT_MIN_N])
+def test_abort_step_and_message_equal_the_oracles_on_every_route(n, scale):
+    # the gradient law at dt/dx^2 >= 5 on the stacked, F and FFT routes:
+    # at scale 1 the field passes the 1e12 guard; at 1e290 it does so and
+    # overflows a few steps on, in the same block; at 1e300 the guard limit
+    # is out of range and the field first turns non-finite
+    cfg = _config(flux=FluxKind.FOURIER, n=n, t_end=10.0, snapshot_times=())
+    u0 = scale * _pulse(cfg)
+    with pytest.warns(StabilityWarning) as caught, pytest.raises(InstabilityError) as got:
+        run(cfg, u0)
+    # the fields computed past the blow-up raise no numpy warnings
+    assert [w.category for w in caught] == [StabilityWarning]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InstabilityError) as want:
+        run_stepwise(cfg, u0)
+    assert got.value.step_index == want.value.step_index > 1
+    assert str(got.value) == str(want.value)
+    assert ("non-finite" if scale == 1e300 else "over 1e12") in str(got.value)
