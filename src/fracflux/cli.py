@@ -154,18 +154,19 @@ def _summary(manifest: dict, result: RunResult, initial_u: np.ndarray) -> dict:
         diffusive, advective = result.decomposition
         summary["flux_decomposition"] = {
             "t": float(trace.t[-1]),
-            "diffusive": list(diffusive),
-            "advective": list(advective),
+            "diffusive": diffusive.tolist(),
+            "advective": advective.tolist(),
         }
     return summary
 
 
-# The trace lists of summary.json as (section, key), in document order.
-# json.dumps(indent=2) puts their items six spaces deep and their closing
-# brackets four.
-_TRACE_LISTS = (
+# The float lists of summary.json as (section, key), in document order;
+# only an rl run has the flux_decomposition section.  json.dumps(indent=2)
+# puts their items six spaces deep and their closing brackets four.
+_FLOAT_LISTS = (
     ("mass_trace", "t"), ("mass_trace", "mass"),
     ("extrema_trace", "min"), ("extrema_trace", "max"),
+    ("flux_decomposition", "diffusive"), ("flux_decomposition", "advective"),
 )
 
 
@@ -173,20 +174,23 @@ def _write_summary(path: Path, summary: dict) -> None:
     """Write json.dumps(summary, indent=2) + "\n" to path, byte for byte.
 
     With an indent, json.dumps takes its pure-Python encoder, one call per
-    list item.  Here each trace list is one join of float.__repr__ strings,
-    which is what that encoder writes for a finite float, spliced in where
-    json.dumps put a placeholder string, and written chunk by chunk.
+    list item.  Here each float list (the traces, and an rl run's flux
+    decomposition) is one join of float.__repr__ strings, which is what
+    that encoder writes for a finite float, spliced in where json.dumps
+    put a placeholder string, and written chunk by chunk.
     """
     skeleton = dict(summary)
     slots = []
-    for section, key in _TRACE_LISTS:
+    for section, key in _FLOAT_LISTS:
+        if section not in summary:
+            continue
         values = summary[section][key]
         if not all(map(math.isfinite, values)):
             raise ValueError(f"summary {section}.{key} holds a non-finite value")
         skeleton[section] = {**skeleton[section], key: f"{section}.{key}"}
         slots.append((json.dumps(f"{section}.{key}"), values))
     head = json.dumps(skeleton, indent=2)
-    # Only the manifest, which precedes the traces, holds free text, so
+    # Only the manifest, which precedes the float lists, holds free text, so
     # searching back from the end finds each placeholder and no look-alike.
     tails = []
     for slot, values in reversed(slots):
@@ -194,7 +198,8 @@ def _write_summary(path: Path, summary: dict) -> None:
         tails.append((values, tail))
     with path.open("w", encoding="utf-8") as fh:
         fh.write(head)
-        for values, tail in reversed(tails):  # never empty: t[0] is always there
+        # never empty: t[0] is always there, and n >= 1 faces
+        for values, tail in reversed(tails):
             fh.write("[\n      ")
             fh.write(",\n      ".join(map(float.__repr__, values)))
             fh.write("\n    ]")

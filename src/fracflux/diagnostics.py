@@ -110,11 +110,13 @@ def equivariance_test(
     Dirichlet values map to a*v + b and fixed-flux values to a*v (a
     constant offset does not add flux under any of the gradient-built
     laws).  Both runs use a fixed horizon, never the steady-state early
-    stop, so snapshots are always taken at identical step counts.
+    stop, so snapshots are always taken at identical step counts.  They
+    share their step operator and march as one block
+    (:func:`fracflux.solver.run_block`).
     """
     # Imported here: solver imports this module for its trace type.
     from .scenarios import build_initial
-    from .solver import BoundarySpec, Dirichlet, FixedFlux, run
+    from .solver import BoundarySpec, Dirichlet, FixedFlux, run_block
 
     cfg = scenario.cfg
     eff_t_end = cfg.t_end if t_end is None else float(t_end)
@@ -138,8 +140,7 @@ def equivariance_test(
     )
 
     u0 = build_initial(cfg.initial, cfg.x)
-    base = run(base_cfg, u0)
-    mapped = run(mapped_cfg, a * u0 + b)
+    base, mapped = run_block([base_cfg, mapped_cfg], [u0, a * u0 + b])
 
     deviations = tuple(
         float(np.abs(um - (a * ub + b)).max())

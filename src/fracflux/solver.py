@@ -27,10 +27,17 @@ face-flux operator and S the one-step matrix; the field j steps on is u
 plus the rate-weighted face differences of those sums.  Where K would be
 small the product is F u alone, one step per product.  The interior
 differences still telescope, so the mass still moves only through the
-ends, to round-off.  From the FFT crossover up each step is one
+ends, to round-off.  From the FFT crossover up, and for the local law
+from where the leap ends, each step is one
 :func:`~fracflux.flux.face_fluxes` and one :func:`step`.  Every route
 fills a block of fields, and the run records each block in one
 vectorised pass.
+
+:func:`run_block` marches several fields whose configurations differ
+only in their boundary values, and so share the step operator: it is
+built once and one recorder pass serves the whole block, and where one
+product with F makes one step, a matrix-matrix product makes it for
+every field at once.  :func:`run` is a block of one.
 """
 
 from __future__ import annotations
@@ -70,6 +77,16 @@ _STABILITY_WARN_RATIO = 0.5
 # 0.17 s (median of 10 pairs).
 LEAP_BYTES = 1_300_000
 LEAP_MIN_STEPS = 8
+
+# The local fourier law's face fluxes cost O(n) per step, but its F is as
+# dense as any other law's.  From LOCAL_SINGLE_MIN_N up, where the stacked
+# leap ends, it takes single steps, as every law does from FFT_MIN_N up.
+# F product / single steps per step for fourier, 300-step runs, best of
+# 60 interleaved rounds in each of three processes, 2-vCPU x86 host, one
+# OpenBLAS thread: 10.3-17.2 / 9.7-17.3 us at n = 142, 11.8-16.8 /
+# 9.9-15.6 us at 160, 14.2-21.8 / 10.2-16.4 us at 200, 25-33 / 12-16 us
+# at 300 and 37-45 / 12-18 us at 399.
+LOCAL_SINGLE_MIN_N = 142
 
 # Fields per recorded block on the K = 1 and FFT routes: BLOCK_ROWS, or
 # fewer where that many would hold more than BLOCK_BYTES (from n = 512 up),
@@ -415,17 +432,19 @@ def _check_dirichlet_consistency(cfg: SimConfig, u0: np.ndarray) -> None:
                 )
 
 
-def leap_steps(n: int, n_steps: int) -> int:
+def leap_steps(n: int, n_steps: int, local: bool = False) -> int:
     """Steps per matrix-vector product on :func:`run`'s dense route for n
-    intervals and a run of n_steps, or 0 where n takes the FFT route."""
-    if n >= FFT_MIN_N:
+    intervals and a run of n_steps, or 0 where the run takes single steps:
+    from FFT_MIN_N up, and from LOCAL_SINGLE_MIN_N up for a local law
+    (``LAWS[kind].local``)."""
+    if n >= (LOCAL_SINGLE_MIN_N if local else FFT_MIN_N):
         return 0
     k = min(LEAP_BYTES // (8 * (n + 1) ** 2), n_steps)
     return k if k >= LEAP_MIN_STEPS else 1
 
 
 def _block_rows(n: int) -> int:
-    """Fields per recorded block on the K = 1 and FFT routes for n intervals."""
+    """Fields per recorded block on the K = 1 and single-step routes for n intervals."""
     return max(1, min(BLOCK_ROWS, BLOCK_BYTES // (8 * (n + 1))))
 
 
@@ -438,6 +457,16 @@ def _pinned(cfg: SimConfig) -> list[tuple[int, float]]:
     ]
 
 
+def _boundary_fluxes(cfg: SimConfig) -> np.ndarray:
+    """The n + 2 face fluxes of the zero field: a fixed-flux end's
+    prescribed flux at its boundary face, zero everywhere else."""
+    g = np.zeros(cfg.n + 2)
+    for face, bc in ((0, cfg.bc.left), (-1, cfg.bc.right)):
+        if isinstance(bc, FixedFlux):
+            g[face] = bc.value
+    return g
+
+
 def _face_operator(cfg: SimConfig, table: GrunwaldTable) -> tuple[np.ndarray, np.ndarray]:
     """(F, g) with F @ u + g the fluxes at all n + 2 faces of u, to round-off.
 
@@ -445,8 +474,9 @@ def _face_operator(cfg: SimConfig, table: GrunwaldTable) -> tuple[np.ndarray, np
     :func:`~fracflux.flux.face_fluxes`, kappa (T(W) G + a e_0^T) u with G
     the gradient and a the apparent advection of a unit left value, and
     face n + 1 is the right boundary.  A fixed-flux end's face carries its
-    prescribed flux in g; a Dirichlet end's face is zero.  Needs the dense
-    memory matrix, so n < FFT_MIN_N.
+    prescribed flux in g; a Dirichlet end's face is zero.  F depends on
+    the boundary kinds, not their values.  Needs the dense memory matrix,
+    so n < FFT_MIN_N.
     """
     n = cfg.n
     law = LAWS[cfg.flux]
@@ -459,11 +489,7 @@ def _face_operator(cfg: SimConfig, table: GrunwaldTable) -> tuple[np.ndarray, np
     if law.advection:
         inner[:, 0] += apparent_advection(1.0, table)
     inner *= cfg.kappa
-    g = np.zeros(n + 2)
-    for face, bc in ((0, cfg.bc.left), (-1, cfg.bc.right)):
-        if isinstance(bc, FixedFlux):
-            g[face] = bc.value
-    return f, g
+    return f, _boundary_fluxes(cfg)
 
 
 def _volume_rates(cfg: SimConfig) -> np.ndarray:
@@ -489,88 +515,119 @@ def _step_operator(cfg: SimConfig, f: np.ndarray, g: np.ndarray) -> tuple[np.nda
 
 
 def _leap_operators(
-    cfg: SimConfig, table: GrunwaldTable, k: int, shift: float
+    cfgs: list[SimConfig], table: GrunwaldTable, k: int, shifts: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(P, p) giving the face fluxes of the next k steps summed, for a law
-    blind to the constant shift (any value for caputo, parsimonious and
-    fourier, 0 for rl).  From a field u, the fluxes through the n + 2
-    faces summed over the next j steps are
+    """(P, p) giving the face fluxes of the next k steps summed, for a
+    block of configs that differ only in their boundary values, each
+    field with its own shift, to which its law is blind: a column of any
+    values for caputo, parsimonious and fourier, None (no shift) for rl.
+    From the fields U, the fluxes through the n + 2 faces summed over the
+    next j steps are
 
-        (P @ (u - shift)).reshape(k, n + 2)[j - 1] + p[j - 1],
+        ((U - shifts) @ P.T).reshape(-1, k, n + 2)[:, j - 1] + p[:, j - 1],
 
-    and the field j steps on is u plus the volume rates times their
-    face differences, off the Dirichlet nodes.  P stacks
-    P_j = F + F S + ... + F S^(j-1), with S the step matrix, each new term
-    one matrix product from the last; p_j sums the face fluxes of the
-    first j steps of the zero field with the Dirichlet values lowered by
-    the shift.  So P starts with F and p with g, and for k = 1 they are
-    just (F, g), with no S built.
+    and each field j steps on is its field now plus the volume rates
+    times their face differences, off the Dirichlet nodes.  P, shared by
+    the block, stacks P_j = F + F S + ... + F S^(j-1), with S the step
+    matrix, each new term one matrix product from the last; p[i, j - 1]
+    sums the face fluxes of the first j steps of the zero field under
+    config i, with the Dirichlet values lowered by field i's shift.  So P
+    starts with F and p with g, and for k = 1 they are just (F, g), with
+    no S built.
     """
-    f, g = _face_operator(cfg, table)
+    f, _ = _face_operator(cfgs[0], table)
+    gs = [_boundary_fluxes(cfg) for cfg in cfgs]
     if k == 1:
-        return f, g[None]
-    s, b = _step_operator(cfg, f, g)
+        return f, np.array(gs)[:, None]
+    s, b = _step_operator(cfgs[0], f, gs[0])
+    # the other fields' b (S is shared)
+    bs = [b] + [_step_operator(cfg, f, g)[1] for cfg, g in zip(cfgs[1:], gs[1:])]
     fluxes = np.empty((k,) + f.shape)
     fluxes[0] = term = f
     for j in range(1, k):
         term = term @ s
         np.add(fluxes[j - 1], term, out=fluxes[j])
 
-    for node, _ in _pinned(cfg):
-        b[node] -= shift
-    offsets = np.empty((k, f.shape[0]))
-    total = np.zeros(f.shape[0])
-    w = np.zeros(f.shape[1])
-    for j in range(k):
-        total = total + (f @ w + g)
-        offsets[j] = total
-        w = s @ w + b
+    offsets = np.empty((len(cfgs), k, f.shape[0]))
+    lowered = np.zeros(len(cfgs)) if shifts is None else shifts[:, 0]
+    for cfg, g, b, shift, out in zip(cfgs, gs, bs, lowered, offsets):
+        for node, _ in _pinned(cfg):
+            b[node] -= shift
+        total = np.zeros(f.shape[0])
+        w = np.zeros(f.shape[1])
+        for j in range(k):
+            total = total + (f @ w + g)
+            out[j] = total
+            w = s @ w + b
     return fluxes.reshape(-1, f.shape[1]), offsets
 
 
 def _dense_rows(
     u: np.ndarray, rows: np.ndarray, fluxes: np.ndarray, offsets: np.ndarray,
-    shift: float, rates: np.ndarray, pinned: list,
+    shifts: np.ndarray | None, rates: np.ndarray, pinned: list,
 ) -> None:
-    """Fill rows with the fields of the next len(rows) steps from u, with
-    the (P, p) of :func:`_leap_operators` for K steps: one product for all
-    of them if K > 1 (then len(rows) <= K), else one product with F per
-    row.  Each field is the last one plus the volume rates times the face
-    differences of the summed fluxes, with the Dirichlet nodes assigned."""
-    if len(offsets) > 1:
-        m, faces = rows.shape[0], rates.size + 1
-        summed = (fluxes[: m * faces] @ (u - shift)).reshape(m, faces)
-        summed += offsets[:m]
-        np.subtract(summed[:, :-1], summed[:, 1:], out=rows)
-        rows *= rates
-        rows += u
-        for node, value in pinned:
-            rows[:, node] = value
+    """Fill the block rows with the fields of the next m steps from the
+    fields u, m = len(rows) // len(u): field i's steps are rows i m to
+    i m + m - 1.  With the (P, p) of :func:`_leap_operators` for K steps,
+    one product per field gives all of them if K > 1 (then m <= K), and
+    else one product with F for every field gives each step.  Each field
+    is the last one plus the volume rates times the face differences of
+    the summed fluxes, with the Dirichlet nodes assigned.  shifts is a
+    column, or None for none; pinned holds (node, one value per field)."""
+    width = len(u)
+    m = len(rows) // width
+    if offsets.shape[1] > 1:
+        # One GEMV per field: a GEMM would pack the stacked P on every
+        # call, which costs more than a second GEMV.
+        faces = rates.size + 1
+        stacked = fluxes[: m * faces]
+        for i in range(width):
+            field = rows[i * m : (i + 1) * m]
+            summed = (stacked @ (u[i] if shifts is None else u[i] - shifts[i])).reshape(m, faces)
+            summed += offsets[i, :m]
+            np.subtract(summed[:, :-1], summed[:, 1:], out=field)
+            field *= rates
+            field += u[i]
+            for node, values in pinned:
+                field[:, node] = values[i]
         return
-    f, g = fluxes, offsets[0]
-    for row in rows:
-        summed = f @ (u - shift)
+    f, g = fluxes, offsets[:, 0]
+    for j in range(m):
+        row = rows[j::m]  # step j of every field
+        v = u if shifts is None else u - shifts
+        # One GEMM of F for the block's fields; numpy calls a GEMV for a
+        # single field with less overhead than a one-row GEMM.
+        summed = v @ f.T if width > 1 else (f @ v[0])[None]
         summed += g
-        np.subtract(summed[:-1], summed[1:], out=row)
+        np.subtract(summed[:, :-1], summed[:, 1:], out=row)
         row *= rates
         row += u
-        for node, value in pinned:
-            row[node] = value
+        for node, values in pinned:
+            row[:, node] = values
         u = row
 
 
-def _single_rows(u: np.ndarray, rows: np.ndarray, k: int, cfg: SimConfig, table: GrunwaldTable) -> int:
+def _single_rows(u: np.ndarray, rows: np.ndarray, k: int, cfg: SimConfig, table: GrunwaldTable) -> None:
     """Fill rows with the fields of the steps after step k from u, one
-    face_fluxes and one step each, and return how many it filled: all of
-    them, or up to and including the first non-finite field."""
+    face_fluxes and one step each, up to and including the first
+    non-finite field, where the runaway guard stops the run; any rows
+    after it are left as they were."""
     for j, row in enumerate(rows):
         q = face_fluxes(u, cfg.flux, table, kappa=cfg.kappa)
         try:
             step(u, q, cfg, step_index=k + j + 1, out=row)
         except InstabilityError:
-            return j + 1
+            return
         u = row
-    return len(rows)
+
+
+def _block_key(cfg: SimConfig) -> tuple:
+    """What the configs of one block must share: the step operator (up to
+    the boundary values) and the steps and snapshot times."""
+    return (
+        cfg.n, cfg.alpha, cfg.dt, cfg.t_end, cfg.snapshot_times, cfg.flux, cfg.kappa,
+        cfg.bc.left.kind, cfg.bc.right.kind,
+    )
 
 
 def run(cfg: SimConfig, u0) -> RunResult:
@@ -581,108 +638,178 @@ def run(cfg: SimConfig, u0) -> RunResult:
     Raises :class:`InstabilityError` if the field turns non-finite or its
     magnitude exceeds 1e12 times the initial scale, and
     :class:`ConfigurationError` for Dirichlet data that contradicts the
-    initial profile (unless ``force_inconsistent_bc`` is set).
+    initial profile (unless ``force_inconsistent_bc`` is set).  The same
+    as ``run_block([cfg], [u0])[0]``.
     """
-    u0 = np.asarray(u0, dtype=np.float64)
-    if u0.shape != (cfg.n + 1,):
-        raise ConfigurationError(
-            f"initial field must have {cfg.n + 1} nodes, got shape {u0.shape}"
-        )
-    if not np.all(np.isfinite(u0)):
-        raise ConfigurationError("initial field contains non-finite values")
-    if not cfg.force_inconsistent_bc:
-        _check_dirichlet_consistency(cfg, u0)
+    return _run_block([cfg], [u0])[0]
 
-    ratio = stability_ratio(cfg)
+
+def run_block(cfgs, u0s) -> list[RunResult]:
+    """:func:`run` for several fields at once: the result of each config
+    with its initial values, in order.
+
+    The configs may differ only in their boundary values (the kinds must
+    agree), labels and ``force_inconsistent_bc``, so the fields share one
+    step operator, built once.  Each field's results equal its solo
+    :func:`run` bit for bit, except where one product with F makes a
+    step (K = 1 in :func:`leap_steps`): there one matrix-matrix product
+    serves every field and sums in its own order, so they agree to
+    round-off.  If a field fails the runaway guard the fields are run
+    alone, in order, so the first failing one raises exactly the error
+    of its solo run.  ``stop_when_steady`` needs a block of one.  Raises
+    ValueError for configs that do not share an operator.
+    """
+    return _run_block(cfgs, u0s)
+
+
+def _run_block(cfgs, u0s) -> list[RunResult]:
+    """:func:`run_block`, called straight from :func:`run` or :func:`run_block`,
+    so that a StabilityWarning two frames up names their caller."""
+    cfgs = list(cfgs)
+    if not cfgs or len(cfgs) != len(u0s):
+        raise ValueError(f"need one initial field per config, got {len(cfgs)} configs and {len(u0s)} fields")
+    if any(_block_key(cfg) != _block_key(cfgs[0]) for cfg in cfgs):
+        raise ValueError(
+            "a block's configs must agree on n, alpha, dt, t_end, snapshot times, "
+            "flux law, kappa and boundary kinds"
+        )
+    if len(cfgs) > 1 and any(cfg.stop_when_steady for cfg in cfgs):
+        raise ValueError("stop_when_steady needs a block of one field")
+    starts = []
+    for cfg, u0 in zip(cfgs, u0s):
+        u0 = np.asarray(u0, dtype=np.float64)
+        if u0.shape != (cfg.n + 1,):
+            raise ConfigurationError(
+                f"initial field must have {cfg.n + 1} nodes, got shape {u0.shape}"
+            )
+        if not np.all(np.isfinite(u0)):
+            raise ConfigurationError("initial field contains non-finite values")
+        if not cfg.force_inconsistent_bc:
+            _check_dirichlet_consistency(cfg, u0)
+        starts.append(u0)
+
+    ratio = stability_ratio(cfgs[0])
     if ratio > _STABILITY_WARN_RATIO:
         warnings.warn(
             f"kappa*dt/dx^order = {ratio:.3g} exceeds the advisory threshold "
             f"{_STABILITY_WARN_RATIO:g}; the explicit step may diverge",
             StabilityWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
 
+    results = _march(cfgs, np.array(starts))
+    if results is None:
+        results = [_march([cfg], u0[None])[0] for cfg, u0 in zip(cfgs, starts)]
+    return results
+
+
+def _march(cfgs: list[SimConfig], u0s: np.ndarray) -> list[RunResult] | None:
+    """The results of the checked fields u0s (one row each) under the
+    block's configs, or None if a block of more than one fails the
+    runaway guard."""
+    cfg = cfgs[0]
+    width = len(cfgs)
     table = build_table(cfg.alpha, cfg.dx, cfg.n)
     n_steps = cfg.n_steps
     snap_steps = {int(round(t / cfg.dt)): t for t in cfg.snapshot_times}
 
-    mass = np.empty(n_steps + 1)
-    u_min = np.empty(n_steps + 1)
-    u_max = np.empty(n_steps + 1)
-    step_change = np.empty(n_steps)
+    # One row per field.
+    mass = np.empty((width, n_steps + 1))
+    u_min = np.empty((width, n_steps + 1))
+    u_max = np.empty((width, n_steps + 1))
+    step_change = np.empty((width, n_steps))
 
-    mass[0] = total_mass(u0)
-    u_min[0] = u0.min()
-    u_max[0] = u0.max()
+    mass[:, 0] = [total_mass(u0) for u0 in u0s]
+    u_min[:, 0] = u0s.min(axis=-1)
+    u_max[:, 0] = u0s.max(axis=-1)
 
     snapshots: dict[int, np.ndarray] = {}
     if 0 in snap_steps:
-        snapshots[0] = u0.copy()
+        snapshots[0] = u0s.copy()
 
     # In Python floats, which overflow without a warning, and capped at the
     # largest double, so that no non-finite field passes.
-    limit = min(_BLOWUP_FACTOR * max(np.abs(u0).max().item(), 1.0), sys.float_info.max)
-    u = u0
+    limits = [
+        min(_BLOWUP_FACTOR * max(np.abs(u0).max().item(), 1.0), sys.float_info.max)
+        for u0 in u0s
+    ]
+    lowest = min(limits)
+    limits = np.array(limits)[:, None]
+    u = u0s
     steps_taken = n_steps
     steady_time = None
 
-    stride = leap_steps(cfg.n, n_steps)  # steps per product; 0 on the FFT route
+    # steps per product; 0 on the single-step route
+    stride = leap_steps(cfg.n, n_steps, LAWS[cfg.flux].local)
     if stride:
-        shift = 0.0 if LAWS[cfg.flux].advection else u0.item(0)
-        fluxes, flux_offsets = _leap_operators(cfg, table, stride, shift)
-        dense = (fluxes, flux_offsets, shift, _volume_rates(cfg), _pinned(cfg))
+        shifts = None if LAWS[cfg.flux].advection else u0s[:, :1]
+        fluxes, flux_offsets = _leap_operators(cfgs, table, stride, shifts)
+        values = np.array([[value for _, value in _pinned(c)] for c in cfgs])
+        pinned = [(node, values[:, j]) for j, (node, _) in enumerate(_pinned(cfg))]
+        dense = (fluxes, flux_offsets, shifts, _volume_rates(cfg), pinned)
     block = stride if stride > 1 else _block_rows(cfg.n)
-    buffer = np.empty((block, cfg.n + 1))
+    # A block of m steps is the first width * m rows, field by field.
+    buffer = np.empty((width * block, cfg.n + 1))
+    deltas = np.empty_like(buffer)
+    dx = cfg.dx
     k = 0
     redo = False  # the dense block at k failed the guard: take it step by step
     # A field that overflows past a blow-up is reported below as an
     # InstabilityError; numpy's overflow warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         while k < n_steps:
-            rows = buffer[: min(block, n_steps - k)]
+            m = min(block, n_steps - k)
+            rows = buffer[: width * m]
             if stride and not redo:
                 _dense_rows(u, rows, *dense)
             else:
-                rows = rows[: _single_rows(u, rows, k, cfg, table)]
+                for i in range(width):
+                    _single_rows(u[i], rows[i * m : (i + 1) * m], k, cfgs[i], table)
 
-            # One pass over the block's fields: step change and steady stop,
-            # runaway guard, mass, extrema and snapshots.
-            delta = np.empty_like(rows)
-            np.subtract(rows[0], u, out=delta[0])
+            # One pass over the block's rows: step change and steady stop,
+            # runaway guard, mass, extrema and snapshots.  The reductions
+            # call the ufuncs' own, without the wrappers of the ndarray
+            # methods: the same sums in fewer microseconds.
+            delta = deltas[: width * m]
             np.subtract(rows[1:], rows[:-1], out=delta[1:])
-            change = np.abs(delta, out=delta).max(axis=1)
-            quiet = np.flatnonzero(change < cfg.steady_eps) if cfg.stop_when_steady else ()
-            if len(quiet):
-                rows, change = rows[: quiet[0] + 1], change[: quiet[0] + 1]
-            lo, hi = rows.min(axis=1), rows.max(axis=1)
+            np.subtract(rows[::m], u, out=delta[::m])  # each field's first step
+            change = np.maximum.reduce(np.abs(delta, out=delta), axis=1)
+            quiet = cfg.stop_when_steady and (change < cfg.steady_eps).any()
+            if quiet:  # a block of one field
+                m = int((change < cfg.steady_eps).argmax()) + 1
+                rows, change = rows[:m], change[:m]
+            lo, hi = np.minimum.reduce(rows, axis=1), np.maximum.reduce(rows, axis=1)
             peak = np.maximum(hi, -lo)
-            if not peak.max() <= limit:
+            # Under the lowest field limit the block passes at once; else
+            # each field is held to its own limit.
+            if not np.maximum.reduce(peak) <= lowest and not (peak.reshape(width, m) <= limits).all():
+                if width > 1:
+                    return None
                 if stride and not redo:
                     # Redone with single steps, so an abort has the step
                     # and the message of the single-step loop, bit for bit,
                     # overflow included.
                     redo = True
                     continue
-                j = int(np.argmin(peak <= limit))
+                j = int(np.argmin(peak <= lowest))
                 detail = (
                     f"|u| reached {peak[j]:.3g}, over 1e12 x initial scale"
                     if np.isfinite(peak[j]) else "non-finite value produced"
                 )
                 raise InstabilityError(k + j + 1, (k + j + 1) * cfg.dt, detail)
-            m = len(rows)
-            mass[k + 1 : k + m + 1] = cfg.dx * (
-                0.5 * rows[:, 0] + rows[:, 1:-1].sum(axis=1) + 0.5 * rows[:, -1]
-            )
-            u_min[k + 1 : k + m + 1] = lo
-            u_max[k + 1 : k + m + 1] = hi
-            step_change[k : k + m] = change
+            mass[:, k + 1 : k + m + 1] = (dx * (
+                0.5 * rows[:, 0] + np.add.reduce(rows[:, 1:-1], axis=1) + 0.5 * rows[:, -1]
+            )).reshape(width, m)
+            u_min[:, k + 1 : k + m + 1] = lo.reshape(width, m)
+            u_max[:, k + 1 : k + m + 1] = hi.reshape(width, m)
+            step_change[:, k : k + m] = change.reshape(width, m)
             for ks in snap_steps:
                 if k < ks <= k + m:
-                    snapshots[ks] = rows[ks - k - 1].copy()
-            u = rows[-1].copy()
+                    snapshots[ks] = rows[ks - k - 1 :: m].copy()
+            u = rows[m - 1 :: m].copy()
             k += m
             redo = False
-            if len(quiet):
+            if quiet:
                 steps_taken = k
                 steady_time = k * cfg.dt
                 break
@@ -692,24 +819,27 @@ def run(cfg: SimConfig, u0) -> RunResult:
         if k > steps_taken:
             snapshots[k] = u.copy()
     end = steps_taken + 1
-    trace = DiagnosticTrace(
-        t=np.arange(end) * cfg.dt, mass=mass[:end],
-        u_min=u_min[:end], u_max=u_max[:end], step_change=step_change[:steps_taken],
-    )
     ordered = sorted(snap_steps.items())
-    decomposition = None
-    if cfg.flux is FluxKind.RIEMANN_LIOUVILLE:
-        decomposition = (
-            face_fluxes(u, FluxKind.CAPUTO, table, kappa=cfg.kappa),
-            cfg.kappa * apparent_advection(u[0], table),
+    results = []
+    for i, cfg in enumerate(cfgs):
+        trace = DiagnosticTrace(
+            t=np.arange(end) * cfg.dt, mass=mass[i, :end],
+            u_min=u_min[i, :end], u_max=u_max[i, :end], step_change=step_change[i, :steps_taken],
         )
-    return RunResult(
-        cfg=cfg,
-        snapshot_times=tuple(t for _, t in ordered),
-        snapshots=[snapshots[k] for k, _ in ordered],
-        trace=trace,
-        final=u,
-        steps_taken=steps_taken,
-        steady_stop_time=steady_time,
-        decomposition=decomposition,
-    )
+        decomposition = None
+        if cfg.flux is FluxKind.RIEMANN_LIOUVILLE:
+            decomposition = (
+                face_fluxes(u[i], FluxKind.CAPUTO, table, kappa=cfg.kappa),
+                cfg.kappa * apparent_advection(u[i, 0], table),
+            )
+        results.append(RunResult(
+            cfg=cfg,
+            snapshot_times=tuple(t for _, t in ordered),
+            snapshots=[snapshots[k][i] for k, _ in ordered],
+            trace=trace,
+            final=u[i],
+            steps_taken=steps_taken,
+            steady_stop_time=steady_time,
+            decomposition=decomposition,
+        ))
+    return results

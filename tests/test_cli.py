@@ -422,6 +422,13 @@ def _summary_case(case):
     if case == "decimated":
         # 12 000 steps
         cfg = replace(cfg, n=4, dt=0.01, t_end=120.0, snapshot_times=(120.0,), stop_when_steady=False)
+    if case == "fine-grid":
+        # a 4000-face flux decomposition, spliced like the traces
+        dt = 0.4 * (1.0 / 4000) ** 1.5
+        cfg = replace(cfg, n=4000, dt=dt, t_end=20 * dt, snapshot_times=(20 * dt,), stop_when_steady=False)
+    if case == "caputo":
+        # no flux decomposition
+        cfg = replace(cfg, flux=FluxKind.CAPUTO, t_end=0.05, snapshot_times=(0.05,), stop_when_steady=False)
     u0 = build_initial(cfg.initial, cfg.x)
     result = run(cfg, u0)
     if case == "one-point":
@@ -433,7 +440,7 @@ def _summary_case(case):
     return cfg, result, u0
 
 
-@pytest.mark.parametrize("case", ["steady-stop", "one-point", "decimated"])
+@pytest.mark.parametrize("case", ["steady-stop", "one-point", "decimated", "fine-grid", "caputo"])
 def test_summary_writer_matches_json_dumps(tmp_path, case):
     cfg, result, u0 = _summary_case(case)
     path = tmp_path / "summary.json"
@@ -441,16 +448,28 @@ def test_summary_writer_matches_json_dumps(tmp_path, case):
     summary = cli._summary(cfg.manifest(), result, u0)
     assert path.read_text(encoding="utf-8") == json.dumps(summary, indent=2) + "\n"
     # 12 001 points exceed 10^4, so the decimated trace keeps every second one
-    points = {"steady-stop": result.steps_taken + 1, "one-point": 1, "decimated": 6001}[case]
+    points = {
+        "steady-stop": result.steps_taken + 1, "one-point": 1, "decimated": 6001,
+        "fine-grid": 21, "caputo": 101,
+    }[case]
     assert len(summary["mass_trace"]["t"]) == points
+    if case == "caputo":
+        assert "flux_decomposition" not in summary
+    else:
+        # every digit of the decomposition survives the round trip
+        written = json.loads(path.read_text(encoding="utf-8"))["flux_decomposition"]
+        assert written["diffusive"] == result.decomposition[0].tolist()
+        assert written["advective"] == result.decomposition[1].tolist()
+        assert len(written["advective"]) == cfg.n
     if case == "steady-stop":
-        assert result.steady_stop_time is not None and "flux_decomposition" in summary
+        assert result.steady_stop_time is not None
 
 
-def test_summary_writer_refuses_a_non_finite_trace_value(tmp_path):
+@pytest.mark.parametrize("section,key", [("extrema_trace", "max"), ("flux_decomposition", "advective")])
+def test_summary_writer_refuses_a_non_finite_trace_value(tmp_path, section, key):
     # json.dumps would write it as NaN; a run that goes non-finite aborts first
     cfg, result, u0 = _summary_case("one-point")
     summary = cli._summary(cfg.manifest(), result, u0)
-    summary["extrema_trace"]["max"][0] = float("nan")
-    with pytest.raises(ValueError, match="extrema_trace.max"):
+    summary[section][key][0] = float("nan")
+    with pytest.raises(ValueError, match=f"{section}.{key}"):
         cli._write_summary(tmp_path / "summary.json", summary)

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracflux
 from fracflux.diagnostics import (
     DiagnosticTrace,
     equivariance_test,
@@ -183,3 +188,38 @@ def test_affine_equivariance_of_gradient_built_laws():
             snapshot_times=(0.02, 0.04),
         )
         assert report.max_deviation <= 1e-12
+
+
+# The base and the mapped run march as one block: at n = 200 one GEMM of
+# the face operator per step, at n = 100 one stacked product per block.
+_EQUIVARIANCE_BY_THREADS = """
+from dataclasses import replace
+from fracflux.diagnostics import equivariance_test
+from fracflux.flux import FluxKind
+from fracflux.scenarios import make_scenario
+for n in (100, 200):
+    scenario = make_scenario("fig7-shifted")
+    dt = 0.4 * (1.0 / n) ** 1.5
+    scenario = replace(scenario, cfg=replace(scenario.cfg, n=n, dt=dt))
+    for law in (FluxKind.RIEMANN_LIOUVILLE, FluxKind.CAPUTO):
+        for a, b in ((-1.75, 6.5), (2.5, 0.0)):
+            report = equivariance_test(
+                scenario, law, a, b, t_end=100 * dt, snapshot_times=(10 * dt, 100 * dt)
+            )
+            print(law.value, n, a, b, *map(float.hex, report.deviations))
+"""
+
+
+def test_equivariance_deviations_do_not_depend_on_blas_threads():
+    src = str(Path(fracflux.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        done = subprocess.run(
+            [sys.executable, "-c", _EQUIVARIANCE_BY_THREADS],
+            env=env, check=True, capture_output=True, text=True, timeout=120,
+        )
+        outputs.append(done.stdout)
+    assert len(outputs[0].splitlines()) == 8
+    assert outputs[0] == outputs[1]

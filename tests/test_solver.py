@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from fracflux import solver
-from fracflux.flux import FluxKind, apparent_advection, face_fluxes
+from fracflux.flux import LAWS, FluxKind, apparent_advection, face_fluxes
 from fracflux.solver import (
     LEAP_BYTES,
     LEAP_MIN_STEPS,
+    LOCAL_SINGLE_MIN_N,
     BoundarySpec,
     ConfigurationError,
     Dirichlet,
@@ -19,6 +20,7 @@ from fracflux.solver import (
     StabilityWarning,
     leap_steps,
     run,
+    run_block,
     stability_ratio,
     step,
 )
@@ -407,6 +409,13 @@ def test_leap_size_follows_the_byte_rule():
     # from FFT_MIN_N up every step is one face_fluxes and one step
     for n in (FFT_MIN_N, 4000):
         assert leap_steps(n, 10**6) == leap_steps(n, 1) == 0
+    # the local law leaps where the byte rule allows and takes single steps
+    # from LOCAL_SINGLE_MIN_N = 142 up, F being dense even for it
+    assert LOCAL_SINGLE_MIN_N == 142
+    assert leap_steps(141, 10**6, local=True) == LEAP_MIN_STEPS
+    assert leap_steps(100, LEAP_MIN_STEPS - 1, local=True) == 1
+    for n in (142, 200, FFT_MIN_N - 1, FFT_MIN_N):
+        assert leap_steps(n, 10**6, local=True) == leap_steps(n, 1, local=True) == 0
 
 
 @pytest.mark.parametrize("bc", list(_LEAP_BCS))
@@ -427,7 +436,7 @@ def test_leap_operators_match_the_column_by_column_step_matrix(kind, kappa, bc):
     # E_j = rates (P_j[:-1] - P_j[1:]) is the j-step increment: E_j + I = S^j
     # off the Dirichlet rows, each of the j products off by at most
     # gamma_{n+1} of entries that stay O(1) at this stable ratio
-    fluxes, offsets = solver._leap_operators(cfg, table, k, 0.0)
+    fluxes, _ = solver._leap_operators([cfg], table, k, None)
     rates = solver._volume_rates(cfg)
     free = [i for i in range(n + 1) if i not in dict(solver._pinned(cfg))]
     power = np.eye(n + 1)
@@ -540,7 +549,8 @@ def test_leap_keeps_constant_runs_exact(n, alpha):
 # ------------------------------------------------- F route and FFT route
 #
 # From n = 142 to FFT_MIN_N - 1 run() takes one product with the face
-# operator F per step; from FFT_MIN_N up, one face_fluxes and one step.
+# operator F per step; from FFT_MIN_N up, one face_fluxes and one step,
+# and so does the local fourier law from n = 142 up.
 # Both fill a block of fields before recording them, solver.BLOCK_ROWS of
 # them at the n below, so the cases run past two block edges and take
 # snapshots on and inside them.
@@ -565,7 +575,8 @@ def _route_case(kind, bc, n, steps):
 def test_f_route_matches_the_stepwise_oracle(kind, bc):
     steps = 2 * solver.BLOCK_ROWS + 16
     cfg, u0 = _route_case(kind, bc, 200, steps)
-    assert leap_steps(cfg.n, cfg.n_steps) == 1
+    # fourier takes single steps here
+    assert leap_steps(cfg.n, cfg.n_steps, LAWS[kind].local) == (0 if kind is FluxKind.FOURIER else 1)
     got, want = run(cfg, u0), run_stepwise(cfg, u0)
     _assert_runs_agree(got, want, steps * 8 * _EPS * np.abs(u0).max())
 
@@ -595,14 +606,24 @@ def test_fft_route_equals_the_stepwise_oracle_bit_for_bit(kind, bc):
         assert np.array_equal(getattr(got.trace, name), getattr(want.trace, name))
 
 
+def _runaway_config(kind, n):
+    # the gradient law at dt/dx^2 >= 5, caputo at dt/dx^1.5 = 5
+    if kind is FluxKind.FOURIER:
+        return _config(flux=kind, n=n, t_end=10.0, snapshot_times=())
+    dt = 5.0 * (1.0 / n) ** 1.5
+    return _config(flux=kind, n=n, dt=dt, t_end=2000 * dt, snapshot_times=())
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e290, 1e300])
 @pytest.mark.parametrize("n", [100, 200, FFT_MIN_N])
-def test_abort_step_and_message_equal_the_oracles_on_every_route(n, scale):
-    # the gradient law at dt/dx^2 >= 5 on the stacked, F and FFT routes:
-    # at scale 1 the field passes the 1e12 guard; at 1e290 it does so and
-    # overflows a few steps on, in the same block; at 1e300 the guard limit
-    # is out of range and the field first turns non-finite
-    cfg = _config(flux=FluxKind.FOURIER, n=n, t_end=10.0, snapshot_times=())
+@pytest.mark.parametrize("kind", [FluxKind.FOURIER, FluxKind.CAPUTO])
+def test_abort_step_and_message_equal_the_oracles_on_every_route(kind, n, scale):
+    # the stacked (n = 100), F (caputo at n = 200) and single-step routes
+    # (fourier at n = 200, and n = FFT_MIN_N): at scale 1 the field passes
+    # the 1e12 guard; at 1e290 it does so and overflows a few steps on, in
+    # the same block; at 1e300 the guard limit is out of range and the
+    # field first turns non-finite
+    cfg = _runaway_config(kind, n)
     u0 = scale * _pulse(cfg)
     with pytest.warns(StabilityWarning) as caught, pytest.raises(InstabilityError) as got:
         run(cfg, u0)
@@ -613,3 +634,121 @@ def test_abort_step_and_message_equal_the_oracles_on_every_route(n, scale):
     assert got.value.step_index == want.value.step_index > 1
     assert str(got.value) == str(want.value)
     assert ("non-finite" if scale == 1e300 else "over 1e12") in str(got.value)
+
+
+# ------------------------------------------------------------ field blocks
+#
+# run_block marches fields whose configs differ only in their boundary
+# values and records them together.  On the F route (n = 200) one GEMM
+# per step serves every field; on the stacked route (n = 100) each field
+# takes its own GEMV of the shared operator, and from FFT_MIN_N up its
+# own face_fluxes and step.  Each field must match its solo run: to
+# round-off where the GEMM sums in its own order, else bit for bit.
+
+_BLOCK_BCS = {
+    "dirichlet": (BoundarySpec(Dirichlet(0.75), Dirichlet(-0.5)),
+                  BoundarySpec(Dirichlet(-1.25), Dirichlet(2.0))),
+    "fixed-flux": (BoundarySpec(FixedFlux(0.375), FixedFlux(0.125)),
+                   BoundarySpec(FixedFlux(-0.5), FixedFlux(0.25))),
+    "mixed": (BoundarySpec(Dirichlet(0.75), FixedFlux(0.125)),
+              BoundarySpec(Dirichlet(-1.0), FixedFlux(-0.375))),
+}
+
+
+def _block_case(kind, bc, n, steps=2 * solver.BLOCK_ROWS + 16):
+    base, _ = _route_case(kind, "reflective", n, steps)
+    cfgs, u0s = [], []
+    for spec, (a, b) in zip(_BLOCK_BCS[bc], [(1.0, 0.25), (-2.0, 1.0)]):
+        cfg = replace(base, bc=spec)
+        u0 = a * _pulse(cfg) + b  # u(0) != 0: the rl advection is live
+        for node, value in solver._pinned(cfg):
+            u0[node] = value
+        cfgs.append(cfg)
+        u0s.append(u0)
+    return cfgs, u0s
+
+
+@pytest.mark.parametrize("bc", list(_BLOCK_BCS))
+@pytest.mark.parametrize("kind", list(FluxKind))
+@pytest.mark.parametrize("n", [100, 200, FFT_MIN_N])
+def test_block_fields_match_their_solo_runs(n, kind, bc):
+    cfgs, u0s = _block_case(kind, bc, n)
+    steps = cfgs[0].n_steps
+    block = run_block(cfgs, u0s)
+    gemm = leap_steps(n, steps, LAWS[kind].local) == 1
+    for got, cfg, u0 in zip(block, cfgs, u0s):
+        assert got.cfg is cfg
+        want = run(cfg, u0)
+        # a few ulps of the field's scale per step after a GEMM, else none
+        _assert_runs_agree(got, want, steps * 8 * _EPS * np.abs(u0).max() if gemm else 0.0)
+        if cfg.flux is FluxKind.RIEMANN_LIOUVILLE:
+            for a, b in zip(got.decomposition, want.decomposition):
+                assert np.abs(a - b).max() <= steps * 8 * _EPS * np.abs(b).max()
+    # the fields differ, so a mix-up of rows or offsets shows
+    assert np.abs(block[0].final - block[1].final).max() > 0.1
+
+
+@pytest.mark.parametrize("n", [100, 200, FFT_MIN_N])
+def test_block_of_one_is_run_bit_for_bit(n):
+    for kind in FluxKind:
+        cfg, u0 = _route_case(kind, "dirichlet", n, 2 * solver.BLOCK_ROWS + 16)
+        _assert_runs_agree(run_block([cfg], [u0])[0], run(cfg, u0), 0.0)
+    # the steady stop is open to a block of one
+    cfg, u0 = _route_case(FluxKind.CAPUTO, "reflective", n, 120)
+    change = run(cfg, u0).trace.step_change
+    cfg = replace(cfg, stop_when_steady=True, steady_eps=0.5 * (change[75] + change[76]))
+    got, want = run_block([cfg], [u0])[0], run(cfg, u0)
+    assert got.steady_stop_time is not None
+    _assert_runs_agree(got, want, 0.0)
+
+
+@pytest.mark.parametrize("order", ["quiet-first", "runaway-first", "both-run-away"])
+@pytest.mark.parametrize("scale", [1.0, 1e300])
+@pytest.mark.parametrize("n", [100, 200, FFT_MIN_N])
+@pytest.mark.parametrize("kind", [FluxKind.FOURIER, FluxKind.CAPUTO])
+def test_block_with_a_runaway_field_raises_the_solo_error(kind, n, scale, order):
+    # a constant field stays put under an unstable step; the pulse runs
+    # away, and so does a third of it, with another message at scale 1
+    cfg = _runaway_config(kind, n)
+    quiet, wild = np.full(n + 1, 2.0), scale * _pulse(cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.warns(StabilityWarning), pytest.raises(InstabilityError) as want:
+            run(cfg, wild)
+    u0s = {
+        "quiet-first": [quiet, wild], "runaway-first": [wild, quiet],
+        "both-run-away": [wild, wild / 3.0],
+    }[order]
+    with pytest.warns(StabilityWarning) as caught, pytest.raises(InstabilityError) as got:
+        run_block([cfg, cfg], u0s)
+    # one warning for the block, and no numpy warnings from the fields
+    # computed past the blow-up
+    assert [w.category for w in caught] == [StabilityWarning]
+    assert got.value.step_index == want.value.step_index
+    assert str(got.value) == str(want.value)
+
+
+def test_block_configs_must_share_the_operator():
+    cfgs, u0s = _block_case(FluxKind.CAPUTO, "mixed", 100)
+    cfg = cfgs[0]
+    for other in (
+        replace(cfg, bc=BoundarySpec(FixedFlux(0.75), FixedFlux(0.125))),
+        replace(cfg, bc=BoundarySpec(Dirichlet(0.75), Dirichlet(0.125))),
+        replace(cfg, n=101),
+        replace(cfg, alpha=0.6),
+        replace(cfg, dt=cfg.dt / 2),
+        replace(cfg, t_end=2 * cfg.t_end),
+        replace(cfg, snapshot_times=(cfg.t_end,)),
+        replace(cfg, flux=FluxKind.RIEMANN_LIOUVILLE),
+        replace(cfg, kappa=1.5),
+    ):
+        with pytest.raises(ValueError, match="must agree"):
+            run_block([cfg, other], [u0s[0], u0s[0]])
+    with pytest.raises(ValueError, match="stop_when_steady"):
+        run_block([cfg, replace(cfgs[1], stop_when_steady=True)], u0s)
+    with pytest.raises(ValueError, match="one initial field per config"):
+        run_block(cfgs, u0s[:1])
+    with pytest.raises(ValueError, match="one initial field per config"):
+        run_block([], [])
+    # each field is checked as run checks it
+    with pytest.raises(ConfigurationError, match="left end"):
+        run_block(cfgs, [u0s[0], u0s[0]])
