@@ -348,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
     except InstabilityError as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, MemoryError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

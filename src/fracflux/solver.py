@@ -18,20 +18,21 @@ With fixed-flux conditions at both ends the discrete mass
 changes by exactly dt * (q_left - q_right) per step; the interior flux
 differences telescope away.
 
-Every law is linear and every boundary condition affine, so below the
-FFT crossover (see :func:`leap_steps`) :func:`run` advances K steps per
-matrix-vector product without leaving the flux-difference form.  One
-product gives, for j = 1..K, the face fluxes summed over the next j
-steps, F (I + S + ... + S^(j-1)) u plus a boundary offset, with F the
-face-flux operator and S the one-step matrix; the field j steps on is u
-plus the rate-weighted face differences of those sums.  Where K would be
-small the product is F u alone, one step per product.  The interior
-differences still telescope, so the mass still moves only through the
-ends, to round-off.  From the FFT crossover up, and for the local law
-from where the leap ends, each step is one
-:func:`~fracflux.flux.face_fluxes` and one :func:`step`.  Every route
-fills a block of fields, and the run records each block in one
-vectorised pass.
+Every route of :func:`run` makes each new field by one update: the field
+before it plus the volume rates times the face differences of fluxes at
+all n + 2 faces, with the Dirichlet nodes assigned.  Every law is linear
+and every boundary condition affine, so below the FFT crossover (see
+:func:`leap_steps`) one matrix-vector product gives, for j = 1..K, the
+face fluxes summed over the next j steps, F (I + S + ... + S^(j-1)) u
+plus a boundary offset, with F the face-flux operator and S the one-step
+matrix.  Where K would be small, one loop takes a step at a time from one
+of two flux sources: the product F u + g, or, from the FFT crossover up
+and for the local law from where the leap ends, each field's
+:func:`~fracflux.flux.face_fluxes` inside its boundary fluxes g.  The
+interior differences telescope, so the mass moves only through the ends,
+to round-off.  :func:`step` is the same update for one field given its
+interior fluxes.  Every route fills a block of fields, and the run
+records each block in one vectorised pass.
 
 :func:`run_block` marches several fields whose configurations differ
 only in their boundary values, and so share the step operator: it is
@@ -47,6 +48,7 @@ import numbers
 import sys
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 from typing import ClassVar
 
 import numpy as np
@@ -389,19 +391,14 @@ def stability_ratio(cfg: SimConfig) -> float:
     return cfg.kappa * cfg.dt / cfg.dx ** LAWS[cfg.flux].order(cfg.alpha)
 
 
-def step(
-    u: np.ndarray, q: np.ndarray, cfg: SimConfig, step_index: int = 0,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def step(u: np.ndarray, q: np.ndarray, cfg: SimConfig, step_index: int = 0) -> np.ndarray:
     """Advance the nodal values u one explicit step, given the interior
-    face fluxes q; step_index dates an :class:`InstabilityError`.  The new
-    field goes to out if given (it must not be u), which holds it even when
-    the step raises."""
+    face fluxes q; step_index dates an :class:`InstabilityError`."""
     if q.size != u.size - 1:
         raise ValueError(f"expected {u.size - 1} face fluxes, got {q.size}")
     r = cfg.dt / cfg.dx
 
-    nxt = np.empty_like(u) if out is None else out
+    nxt = np.empty_like(u)
     interior = nxt[1:-1]
     np.subtract(q[:-1], q[1:], out=interior)
     interior *= r
@@ -532,13 +529,10 @@ def _leap_operators(
     matrix, each new term one matrix product from the last; p[i, j - 1]
     sums the face fluxes of the first j steps of the zero field under
     config i, with the Dirichlet values lowered by field i's shift.  So P
-    starts with F and p with g, and for k = 1 they are just (F, g), with
-    no S built.
+    starts with F and p with g.
     """
     f, _ = _face_operator(cfgs[0], table)
     gs = [_boundary_fluxes(cfg) for cfg in cfgs]
-    if k == 1:
-        return f, np.array(gs)[:, None]
     s, b = _step_operator(cfgs[0], f, gs[0])
     # the other fields' b (S is shared)
     bs = [b] + [_step_operator(cfg, f, g)[1] for cfg, g in zip(cfgs[1:], gs[1:])]
@@ -562,62 +556,61 @@ def _leap_operators(
     return fluxes.reshape(-1, f.shape[1]), offsets
 
 
-def _dense_rows(
-    u: np.ndarray, rows: np.ndarray, fluxes: np.ndarray, offsets: np.ndarray,
-    shifts: np.ndarray | None, rates: np.ndarray, pinned: list,
-) -> None:
+def _product_fluxes(f: np.ndarray, g: np.ndarray, shifts: np.ndarray | None, u: np.ndarray) -> np.ndarray:
+    """Flux source of the F route: (u - shifts) @ F.T + g for the fields u,
+    one row each, with g a row of boundary fluxes per field."""
+    v = u if shifts is None else u - shifts
+    # One GEMM of F for the block's fields; numpy calls a GEMV for a
+    # single field with less overhead than a one-row GEMM.
+    summed = v @ f.T if len(v) > 1 else (f @ v[0])[None]
+    summed += g
+    return summed
+
+
+def _kernel_fluxes(cfg: SimConfig, table: GrunwaldTable, faces: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Flux source of single steps: faces, with each field's face_fluxes
+    written inside its row, whose ends hold the field's boundary fluxes."""
+    for field, out in zip(u, faces):
+        out[1:-1] = face_fluxes(field, cfg.flux, table, kappa=cfg.kappa)
+    return faces
+
+
+def _advance(summed: np.ndarray, u: np.ndarray, rates: np.ndarray, pinned: list, out: np.ndarray) -> None:
+    """out = u + rates (summed[:, :-1] - summed[:, 1:]) with the Dirichlet
+    nodes assigned: the fields u moved on by the fluxes through their
+    n + 2 faces, one row of summed per row of out.  pinned holds (node,
+    one value per row, or one for all)."""
+    np.subtract(summed[:, :-1], summed[:, 1:], out=out)
+    out *= rates
+    out += u
+    for node, values in pinned:
+        out[:, node] = values
+
+
+def _fill(u: np.ndarray, rows: np.ndarray, route, rates: np.ndarray, pinned: list) -> None:
     """Fill the block rows with the fields of the next m steps from the
     fields u, m = len(rows) // len(u): field i's steps are rows i m to
-    i m + m - 1.  With the (P, p) of :func:`_leap_operators` for K steps,
-    one product per field gives all of them if K > 1 (then m <= K), and
-    else one product with F for every field gives each step.  Each field
-    is the last one plus the volume rates times the face differences of
-    the summed fluxes, with the Dirichlet nodes assigned.  shifts is a
-    column, or None for none; pinned holds (node, one value per field)."""
+    i m + m - 1, each made by :func:`_advance`.  route is the stacked
+    leap's (P, p, shifts) of :func:`_leap_operators` (then m <= K), one
+    product per field for the fluxes summed over each of its m steps, or
+    a flux source, which gives every field's fluxes at all n + 2 faces
+    for one step.  pinned holds (node, one value per field)."""
     width = len(u)
     m = len(rows) // width
-    if offsets.shape[1] > 1:
+    if isinstance(route, tuple):
+        stacked, offsets, shifts = route
+        stacked = stacked[: m * (rates.size + 1)]
         # One GEMV per field: a GEMM would pack the stacked P on every
         # call, which costs more than a second GEMV.
-        faces = rates.size + 1
-        stacked = fluxes[: m * faces]
         for i in range(width):
-            field = rows[i * m : (i + 1) * m]
-            summed = (stacked @ (u[i] if shifts is None else u[i] - shifts[i])).reshape(m, faces)
+            summed = (stacked @ (u[i] if shifts is None else u[i] - shifts[i])).reshape(m, -1)
             summed += offsets[i, :m]
-            np.subtract(summed[:, :-1], summed[:, 1:], out=field)
-            field *= rates
-            field += u[i]
-            for node, values in pinned:
-                field[:, node] = values[i]
+            pins = [(node, values[i]) for node, values in pinned]
+            _advance(summed, u[i], rates, pins, rows[i * m : (i + 1) * m])
         return
-    f, g = fluxes, offsets[:, 0]
     for j in range(m):
         row = rows[j::m]  # step j of every field
-        v = u if shifts is None else u - shifts
-        # One GEMM of F for the block's fields; numpy calls a GEMV for a
-        # single field with less overhead than a one-row GEMM.
-        summed = v @ f.T if width > 1 else (f @ v[0])[None]
-        summed += g
-        np.subtract(summed[:, :-1], summed[:, 1:], out=row)
-        row *= rates
-        row += u
-        for node, values in pinned:
-            row[:, node] = values
-        u = row
-
-
-def _single_rows(u: np.ndarray, rows: np.ndarray, k: int, cfg: SimConfig, table: GrunwaldTable) -> None:
-    """Fill rows with the fields of the steps after step k from u, one
-    face_fluxes and one step each, up to and including the first
-    non-finite field, where the runaway guard stops the run; any rows
-    after it are left as they were."""
-    for j, row in enumerate(rows):
-        q = face_fluxes(u, cfg.flux, table, kappa=cfg.kappa)
-        try:
-            step(u, q, cfg, step_index=k + j + 1, out=row)
-        except InstabilityError:
-            return
+        _advance(route(u), u, rates, pinned, row)
         u = row
 
 
@@ -741,12 +734,22 @@ def _march(cfgs: list[SimConfig], u0s: np.ndarray) -> list[RunResult] | None:
 
     # steps per product; 0 on the single-step route
     stride = leap_steps(cfg.n, n_steps, LAWS[cfg.flux].local)
-    if stride:
-        shifts = None if LAWS[cfg.flux].advection else u0s[:, :1]
-        fluxes, flux_offsets = _leap_operators(cfgs, table, stride, shifts)
-        values = np.array([[value for _, value in _pinned(c)] for c in cfgs])
-        pinned = [(node, values[:, j]) for j, (node, _) in enumerate(_pinned(cfg))]
-        dense = (fluxes, flux_offsets, shifts, _volume_rates(cfg), pinned)
+    # Each field's boundary fluxes, rates and Dirichlet values, and the
+    # route that fills a block.  Single steps also redo a failed dense
+    # block, in a copy of the boundary fluxes that the F route adds.  The
+    # partials are positional: keywords would cost some 0.3 us a step.
+    faces = np.array([_boundary_fluxes(c) for c in cfgs])
+    rates = _volume_rates(cfg)
+    values = np.array([[value for _, value in _pinned(c)] for c in cfgs])
+    pinned = [(node, values[:, j]) for j, (node, _) in enumerate(_pinned(cfg))]
+    single = partial(_kernel_fluxes, cfg, table, faces.copy())
+    shifts = None if LAWS[cfg.flux].advection else u0s[:, :1]
+    if stride > 1:
+        route = (*_leap_operators(cfgs, table, stride, shifts), shifts)
+    elif stride:
+        route = partial(_product_fluxes, _face_operator(cfg, table)[0], faces, shifts)
+    else:
+        route = single
     block = stride if stride > 1 else _block_rows(cfg.n)
     # A block of m steps is the first width * m rows, field by field.
     buffer = np.empty((width * block, cfg.n + 1))
@@ -760,11 +763,7 @@ def _march(cfgs: list[SimConfig], u0s: np.ndarray) -> list[RunResult] | None:
         while k < n_steps:
             m = min(block, n_steps - k)
             rows = buffer[: width * m]
-            if stride and not redo:
-                _dense_rows(u, rows, *dense)
-            else:
-                for i in range(width):
-                    _single_rows(u[i], rows[i * m : (i + 1) * m], k, cfgs[i], table)
+            _fill(u, rows, single if redo else route, rates, pinned)
 
             # One pass over the block's rows: step change and steady stop,
             # runaway guard, mass, extrema and snapshots.  The reductions

@@ -75,12 +75,13 @@ def face_fluxes_direct(u, kind: FluxKind, table: GrunwaldTable, kappa: float = 1
 def run_stepwise(cfg: SimConfig, u0) -> RunResult:
     """:func:`fracflux.solver.run` one explicit step at a time, every n.
 
-    Below the FFT crossover the package takes one or several steps per
-    matrix product; this is the plain loop it replaces there, and the one
-    it runs from the crossover up: one ``face_fluxes`` and one ``step``
-    per time level, with the same runaway guard, steady stop and snapshot
-    rules.  No Dirichlet consistency check, no stability warning
-    and no rl flux decomposition.
+    The package fills blocks of steps and moves every field on with one
+    face-difference update of its own; this is the plain loop: one
+    ``face_fluxes`` and one ``step`` per time level, ``step`` being the
+    single-field API with its own encoding of the boundary treatment,
+    with the same runaway guard, steady stop and snapshot rules.  No
+    Dirichlet consistency check, no stability warning and no rl flux
+    decomposition.
     """
     u = np.asarray(u0, dtype=np.float64)
     table = build_table(cfg.alpha, cfg.dx, cfg.n)

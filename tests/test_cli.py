@@ -192,6 +192,20 @@ def test_unstable_run_exits_nonzero(tmp_path):
                  "--out-dir", str(tmp_path / "blow")]) == 3
 
 
+@pytest.mark.parametrize(
+    "command", [["run"], ["compare", "--flux-a", "rl", "--flux-b", "caputo"]], ids=["run", "compare"]
+)
+def test_input_too_large_for_memory_is_an_error(tmp_path, capsys, command):
+    # 1e17 steps: the per-step traces would take 711 PiB, beyond any 64-bit
+    # address space, so the allocation fails at once
+    out = tmp_path / "out"
+    args = [*command, "--scenario", "fig7-zero", "--dt", "2e-18", "--out-dir", str(out)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "allocate" in err
+    assert not out.exists()
+
+
 def test_config_file_without_scenario(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -406,7 +406,7 @@ def test_leap_size_follows_the_byte_rule():
     assert leap_steps(1, 1) == 1
     for n in (142, 200, FFT_MIN_N - 1):
         assert leap_steps(n, 10**6) == leap_steps(n, 1) == 1
-    # from FFT_MIN_N up every step is one face_fluxes and one step
+    # from FFT_MIN_N up every step takes one face_fluxes per field
     for n in (FFT_MIN_N, 4000):
         assert leap_steps(n, 10**6) == leap_steps(n, 1) == 0
     # the local law leaps where the byte rule allows and takes single steps
@@ -549,8 +549,10 @@ def test_leap_keeps_constant_runs_exact(n, alpha):
 # ------------------------------------------------- F route and FFT route
 #
 # From n = 142 to FFT_MIN_N - 1 run() takes one product with the face
-# operator F per step; from FFT_MIN_N up, one face_fluxes and one step,
-# and so does the local fourier law from n = 142 up.
+# operator F per step; from FFT_MIN_N up, one face_fluxes per step, and
+# so does the local fourier law from n = 142 up.  Both feed the update
+# the stacked leap uses, which the stepwise oracle's solver.step encodes
+# on its own.
 # Both fill a block of fields before recording them, solver.BLOCK_ROWS of
 # them at the n below, so the cases run past two block edges and take
 # snapshots on and inside them.
@@ -562,7 +564,7 @@ def _route_case(kind, bc, n, steps):
     rows = solver.BLOCK_ROWS
     assert solver._block_rows(n) == rows
     dt = 0.4 * (1.0 / n) ** (2.0 if kind is FluxKind.FOURIER else 1.5)
-    snaps = tuple(k * dt for k in (0, 7, rows, 2 * rows, 2 * rows + 5, steps))
+    snaps = tuple(k * dt for k in (0, 7, rows, 2 * rows, 2 * rows + 5, steps) if k <= steps)
     cfg = _config(flux=kind, bc=_ROUTE_BCS[bc], n=n, dt=dt, t_end=steps * dt, snapshot_times=snaps)
     u0 = _pulse(cfg) + 0.25  # u(0) != 0: the rl advection is live
     for node, value in solver._pinned(cfg):
@@ -577,6 +579,13 @@ def test_f_route_matches_the_stepwise_oracle(kind, bc):
     cfg, u0 = _route_case(kind, bc, 200, steps)
     # fourier takes single steps here
     assert leap_steps(cfg.n, cfg.n_steps, LAWS[kind].local) == (0 if kind is FluxKind.FOURIER else 1)
+    got, want = run(cfg, u0), run_stepwise(cfg, u0)
+    _assert_runs_agree(got, want, steps * 8 * _EPS * np.abs(u0).max())
+    # at n = 100 a run too short for the stacked leap takes F products,
+    # fourier too
+    steps = LEAP_MIN_STEPS - 1
+    cfg, u0 = _route_case(kind, bc, 100, steps)
+    assert leap_steps(cfg.n, cfg.n_steps, LAWS[kind].local) == 1
     got, want = run(cfg, u0), run_stepwise(cfg, u0)
     _assert_runs_agree(got, want, steps * 8 * _EPS * np.abs(u0).max())
 
@@ -642,7 +651,7 @@ def test_abort_step_and_message_equal_the_oracles_on_every_route(kind, n, scale)
 # values and records them together.  On the F route (n = 200) one GEMM
 # per step serves every field; on the stacked route (n = 100) each field
 # takes its own GEMV of the shared operator, and from FFT_MIN_N up its
-# own face_fluxes and step.  Each field must match its solo run: to
+# own face_fluxes.  Each field must match its solo run: to
 # round-off where the GEMM sums in its own order, else bit for bit.
 
 _BLOCK_BCS = {
@@ -672,20 +681,23 @@ def _block_case(kind, bc, n, steps=2 * solver.BLOCK_ROWS + 16):
 @pytest.mark.parametrize("kind", list(FluxKind))
 @pytest.mark.parametrize("n", [100, 200, FFT_MIN_N])
 def test_block_fields_match_their_solo_runs(n, kind, bc):
-    cfgs, u0s = _block_case(kind, bc, n)
-    steps = cfgs[0].n_steps
-    block = run_block(cfgs, u0s)
-    gemm = leap_steps(n, steps, LAWS[kind].local) == 1
-    for got, cfg, u0 in zip(block, cfgs, u0s):
-        assert got.cfg is cfg
-        want = run(cfg, u0)
-        # a few ulps of the field's scale per step after a GEMM, else none
-        _assert_runs_agree(got, want, steps * 8 * _EPS * np.abs(u0).max() if gemm else 0.0)
-        if cfg.flux is FluxKind.RIEMANN_LIOUVILLE:
-            for a, b in zip(got.decomposition, want.decomposition):
-                assert np.abs(a - b).max() <= steps * 8 * _EPS * np.abs(b).max()
-    # the fields differ, so a mix-up of rows or offsets shows
-    assert np.abs(block[0].final - block[1].final).max() > 0.1
+    runs = [2 * solver.BLOCK_ROWS + 16]
+    if n == 100:  # and a run too short for the stacked leap: one GEMM of F per step
+        runs.append(LEAP_MIN_STEPS - 1)
+    for steps in runs:
+        cfgs, u0s = _block_case(kind, bc, n, steps)
+        block = run_block(cfgs, u0s)
+        gemm = leap_steps(n, steps, LAWS[kind].local) == 1
+        for got, cfg, u0 in zip(block, cfgs, u0s):
+            assert got.cfg is cfg
+            want = run(cfg, u0)
+            # a few ulps of the field's scale per step after a GEMM, else none
+            _assert_runs_agree(got, want, steps * 8 * _EPS * np.abs(u0).max() if gemm else 0.0)
+            if cfg.flux is FluxKind.RIEMANN_LIOUVILLE:
+                for a, b in zip(got.decomposition, want.decomposition):
+                    assert np.abs(a - b).max() <= steps * 8 * _EPS * np.abs(b).max()
+        # the fields differ, so a mix-up of rows or offsets shows
+        assert np.abs(block[0].final - block[1].final).max() > 0.1
 
 
 @pytest.mark.parametrize("n", [100, 200, FFT_MIN_N])
