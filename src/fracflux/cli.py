@@ -89,7 +89,7 @@ def resolve_config(args: argparse.Namespace) -> SimConfig:
         inherited = mapping.pop("snapshot_times")
     cfg = SimConfig.from_mapping(mapping)
     if inherited:
-        kept = [t for t in inherited if round(t / cfg.dt) <= cfg.n_steps]
+        kept = [t for t in inherited if cfg.steps_to(t) <= cfg.n_steps]
         if len(kept) < len(inherited):
             kept.append(cfg.t_end)
         cfg = replace(cfg, snapshot_times=kept)

@@ -27,12 +27,16 @@ face fluxes summed over the next j steps, F (I + S + ... + S^(j-1)) u
 plus a boundary offset, with F the face-flux operator and S the one-step
 matrix.  Where K would be small, one loop takes a step at a time from one
 of two flux sources: the product F u + g, or, from the FFT crossover up
-and for the local law from where the leap ends, each field's
+and for the local law wherever it does not leap, each field's
 :func:`~fracflux.flux.face_fluxes` inside its boundary fluxes g.  The
 interior differences telescope, so the mass moves only through the ends,
 to round-off.  :func:`step` is the same update for one field given its
 interior fluxes.  Every route fills a block of fields, and the run
 records each block in one vectorised pass.
+
+A run keeps one route to its end; one that fails the runaway guard on a
+dense route is marched again from t = 0 on single steps, so every abort
+has the step and the message of the single-step loop, bit for bit.
 
 :func:`run_block` marches several fields whose configurations differ
 only in their boundary values, and so share the step operator: it is
@@ -79,16 +83,6 @@ _STABILITY_WARN_RATIO = 0.5
 # 0.17 s (median of 10 pairs).
 LEAP_BYTES = 1_300_000
 LEAP_MIN_STEPS = 8
-
-# The local fourier law's face fluxes cost O(n) per step, but its F is as
-# dense as any other law's.  From LOCAL_SINGLE_MIN_N up, where the stacked
-# leap ends, it takes single steps, as every law does from FFT_MIN_N up.
-# F product / single steps per step for fourier, 300-step runs, best of
-# 60 interleaved rounds in each of three processes, 2-vCPU x86 host, one
-# OpenBLAS thread: 10.3-17.2 / 9.7-17.3 us at n = 142, 11.8-16.8 /
-# 9.9-15.6 us at 160, 14.2-21.8 / 10.2-16.4 us at 200, 25-33 / 12-16 us
-# at 300 and 37-45 / 12-18 us at 399.
-LOCAL_SINGLE_MIN_N = 142
 
 # Fields per recorded block on the K = 1 and FFT routes: BLOCK_ROWS, or
 # fewer where that many would hold more than BLOCK_BYTES (from n = 512 up),
@@ -281,7 +275,7 @@ class SimConfig:
             t = float(t)
             if not math.isfinite(t):
                 raise ConfigurationError(f"snapshot time {t} is not finite")
-            k = int(round(t / self.dt))
+            k = self.steps_to(t)
             if k < 0 or k > self.n_steps:
                 raise ConfigurationError(
                     f"snapshot time {t} outside [0, {self.t_end}]"
@@ -291,7 +285,15 @@ class SimConfig:
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.t_end / self.dt))
+        return self.steps_to(self.t_end)
+
+    def steps_to(self, t: float) -> int:
+        """The whole number of steps nearest time t.  Raises
+        :class:`ConfigurationError` where t / dt overflows."""
+        steps = t / self.dt
+        if not math.isfinite(steps):
+            raise ConfigurationError(f"time {t:g} over dt = {self.dt:g} overflows the step count")
+        return int(round(steps))
 
     @property
     def dx(self) -> float:
@@ -432,11 +434,11 @@ def _check_dirichlet_consistency(cfg: SimConfig, u0: np.ndarray) -> None:
 def leap_steps(n: int, n_steps: int, local: bool = False) -> int:
     """Steps per matrix-vector product on :func:`run`'s dense route for n
     intervals and a run of n_steps, or 0 where the run takes single steps:
-    from FFT_MIN_N up, and from LOCAL_SINGLE_MIN_N up for a local law
-    (``LAWS[kind].local``)."""
-    if n >= (LOCAL_SINGLE_MIN_N if local else FFT_MIN_N):
-        return 0
+    from FFT_MIN_N up, and for a local law (``LAWS[kind].local``) wherever
+    it does not leap, its face fluxes being O(n) a step to F's O(n^2)."""
     k = min(LEAP_BYTES // (8 * (n + 1) ** 2), n_steps)
+    if n >= FFT_MIN_N or local and k < LEAP_MIN_STEPS:
+        return 0
     return k if k >= LEAP_MIN_STEPS else 1
 
 
@@ -648,8 +650,10 @@ def run_block(cfgs, u0s) -> list[RunResult]:
     step (K = 1 in :func:`leap_steps`): there one matrix-matrix product
     serves every field and sums in its own order, so they agree to
     round-off.  If a field fails the runaway guard the fields are run
-    alone, in order, so the first failing one raises exactly the error
-    of its solo run.  ``stop_when_steady`` needs a block of one.  Raises
+    again from t = 0, alone and on single steps, in order, so the first
+    failing one raises the error of the single-step loop; if none fails
+    alone, the block returns those single-step results.
+    ``stop_when_steady`` needs a block of one.  Raises
     ValueError for configs that do not share an operator.
     """
     return _run_block(cfgs, u0s)
@@ -681,7 +685,8 @@ def _run_block(cfgs, u0s) -> list[RunResult]:
             _check_dirichlet_consistency(cfg, u0)
         starts.append(u0)
 
-    ratio = stability_ratio(cfgs[0])
+    cfg = cfgs[0]
+    ratio = stability_ratio(cfg)
     if ratio > _STABILITY_WARN_RATIO:
         warnings.warn(
             f"kappa*dt/dx^order = {ratio:.3g} exceeds the advisory threshold "
@@ -690,21 +695,22 @@ def _run_block(cfgs, u0s) -> list[RunResult]:
             stacklevel=3,
         )
 
-    results = _march(cfgs, np.array(starts))
-    if results is None:
-        results = [_march([cfg], u0[None])[0] for cfg, u0 in zip(cfgs, starts)]
+    results = _march(cfgs, np.array(starts), leap_steps(cfg.n, cfg.n_steps, LAWS[cfg.flux].local))
+    if results is None:  # each field alone on single steps, from t = 0
+        results = [_march([cfg], u0[None], 0)[0] for cfg, u0 in zip(cfgs, starts)]
     return results
 
 
-def _march(cfgs: list[SimConfig], u0s: np.ndarray) -> list[RunResult] | None:
+def _march(cfgs: list[SimConfig], u0s: np.ndarray, stride: int) -> list[RunResult] | None:
     """The results of the checked fields u0s (one row each) under the
-    block's configs, or None if a block of more than one fails the
-    runaway guard."""
+    block's configs, marched stride steps per product (0: single steps,
+    see :func:`leap_steps`), or None if the runaway guard fails in a block
+    of more than one field or on a dense route."""
     cfg = cfgs[0]
     width = len(cfgs)
     table = build_table(cfg.alpha, cfg.dx, cfg.n)
     n_steps = cfg.n_steps
-    snap_steps = {int(round(t / cfg.dt)): t for t in cfg.snapshot_times}
+    snap_steps = {cfg.steps_to(t): t for t in cfg.snapshot_times}
 
     # One row per field.
     mass = np.empty((width, n_steps + 1))
@@ -732,38 +738,33 @@ def _march(cfgs: list[SimConfig], u0s: np.ndarray) -> list[RunResult] | None:
     steps_taken = n_steps
     steady_time = None
 
-    # steps per product; 0 on the single-step route
-    stride = leap_steps(cfg.n, n_steps, LAWS[cfg.flux].local)
     # Each field's boundary fluxes, rates and Dirichlet values, and the
-    # route that fills a block.  Single steps also redo a failed dense
-    # block, in a copy of the boundary fluxes that the F route adds.  The
-    # partials are positional: keywords would cost some 0.3 us a step.
+    # route that fills a block.  The partials are positional: keywords
+    # would cost some 0.3 us a step.
     faces = np.array([_boundary_fluxes(c) for c in cfgs])
     rates = _volume_rates(cfg)
     values = np.array([[value for _, value in _pinned(c)] for c in cfgs])
     pinned = [(node, values[:, j]) for j, (node, _) in enumerate(_pinned(cfg))]
-    single = partial(_kernel_fluxes, cfg, table, faces.copy())
     shifts = None if LAWS[cfg.flux].advection else u0s[:, :1]
     if stride > 1:
         route = (*_leap_operators(cfgs, table, stride, shifts), shifts)
     elif stride:
         route = partial(_product_fluxes, _face_operator(cfg, table)[0], faces, shifts)
     else:
-        route = single
+        route = partial(_kernel_fluxes, cfg, table, faces)
     block = stride if stride > 1 else _block_rows(cfg.n)
     # A block of m steps is the first width * m rows, field by field.
     buffer = np.empty((width * block, cfg.n + 1))
     deltas = np.empty_like(buffer)
     dx = cfg.dx
     k = 0
-    redo = False  # the dense block at k failed the guard: take it step by step
     # A field that overflows past a blow-up is reported below as an
     # InstabilityError; numpy's overflow warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         while k < n_steps:
             m = min(block, n_steps - k)
             rows = buffer[: width * m]
-            _fill(u, rows, single if redo else route, rates, pinned)
+            _fill(u, rows, route, rates, pinned)
 
             # One pass over the block's rows: step change and steady stop,
             # runaway guard, mass, extrema and snapshots.  The reductions
@@ -782,14 +783,8 @@ def _march(cfgs: list[SimConfig], u0s: np.ndarray) -> list[RunResult] | None:
             # Under the lowest field limit the block passes at once; else
             # each field is held to its own limit.
             if not np.maximum.reduce(peak) <= lowest and not (peak.reshape(width, m) <= limits).all():
-                if width > 1:
+                if width > 1 or stride:
                     return None
-                if stride and not redo:
-                    # Redone with single steps, so an abort has the step
-                    # and the message of the single-step loop, bit for bit,
-                    # overflow included.
-                    redo = True
-                    continue
                 j = int(np.argmin(peak <= lowest))
                 detail = (
                     f"|u| reached {peak[j]:.3g}, over 1e12 x initial scale"
@@ -807,7 +802,6 @@ def _march(cfgs: list[SimConfig], u0s: np.ndarray) -> list[RunResult] | None:
                     snapshots[ks] = rows[ks - k - 1 :: m].copy()
             u = rows[m - 1 :: m].copy()
             k += m
-            redo = False
             if quiet:
                 steps_taken = k
                 steady_time = k * cfg.dt

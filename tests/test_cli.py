@@ -206,6 +206,28 @@ def test_input_too_large_for_memory_is_an_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command", [["run"], ["compare", "--flux-a", "rl", "--flux-b", "caputo"]], ids=["run", "compare"]
+)
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--scenario", "fig7-zero", "--dt", "1e-320"],
+        ["--scenario", "fig7-zero", "--t-end", "1e300", "--dt", "1e-10"],
+        ["--scenario", "fig7-zero", "--snapshots", "1e300", "--dt", "1e-10"],
+        # the scenario's own snapshot times, filtered against the run's end
+        ["--scenario", "ice-minneapolis", "--t-end", "1e-300", "--dt", "1e-320"],
+    ],
+    ids=["t-end", "t-end-flag", "snapshot", "inherited-snapshot"],
+)
+def test_step_count_overflow_is_a_configuration_error(tmp_path, capsys, command, flags):
+    out = tmp_path / "out"
+    assert main([*command, *flags, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "overflows the step count" in err
+    assert not out.exists()
+
+
 def test_config_file_without_scenario(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -9,7 +9,6 @@ from fracflux.flux import LAWS, FluxKind, apparent_advection, face_fluxes
 from fracflux.solver import (
     LEAP_BYTES,
     LEAP_MIN_STEPS,
-    LOCAL_SINGLE_MIN_N,
     BoundarySpec,
     ConfigurationError,
     Dirichlet,
@@ -284,6 +283,12 @@ def test_bad_config_values_rejected():
         _config(t_end=0.0)
     with pytest.raises(ConfigurationError):
         _config(n=0)
+    # step counts past the largest double
+    for overrides in (
+        dict(dt=1e-320), dict(t_end=1e300, dt=1e-10), dict(snapshot_times=(1e300,), dt=1e-10),
+    ):
+        with pytest.raises(ConfigurationError, match="overflows the step count"):
+            _config(**overrides)
 
 
 # -------------------------------------------------------------- stability
@@ -410,10 +415,10 @@ def test_leap_size_follows_the_byte_rule():
     for n in (FFT_MIN_N, 4000):
         assert leap_steps(n, 10**6) == leap_steps(n, 1) == 0
     # the local law leaps where the byte rule allows and takes single steps
-    # from LOCAL_SINGLE_MIN_N = 142 up, F being dense even for it
-    assert LOCAL_SINGLE_MIN_N == 142
+    # wherever it does not, F being dense even for it: short runs at
+    # n <= 141 and every run from n = 142 up
     assert leap_steps(141, 10**6, local=True) == LEAP_MIN_STEPS
-    assert leap_steps(100, LEAP_MIN_STEPS - 1, local=True) == 1
+    assert leap_steps(100, LEAP_MIN_STEPS - 1, local=True) == 0
     for n in (142, 200, FFT_MIN_N - 1, FFT_MIN_N):
         assert leap_steps(n, 10**6, local=True) == leap_steps(n, 1, local=True) == 0
 
@@ -517,7 +522,8 @@ def test_leap_run_aborts_at_the_oracles_step():
 def test_non_finite_leap_block_is_redone_one_step_at_a_time():
     # At a scale of 1e300 the guard limit overflows to inf, so the first
     # sign of the blow-up is a non-finite value: the leap's block turns
-    # non-finite, and single steps must find the exact step.
+    # non-finite, and the run redone on single steps must find the exact
+    # step.
     cfg = _config(flux=FluxKind.FOURIER, t_end=10.0, snapshot_times=())
     u0 = 1e300 * _pulse(cfg)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -550,7 +556,8 @@ def test_leap_keeps_constant_runs_exact(n, alpha):
 #
 # From n = 142 to FFT_MIN_N - 1 run() takes one product with the face
 # operator F per step; from FFT_MIN_N up, one face_fluxes per step, and
-# so does the local fourier law from n = 142 up.  Both feed the update
+# so does the local fourier law wherever it does not leap (from n = 142
+# up, and short runs below).  Both feed the update
 # the stacked leap uses, which the stepwise oracle's solver.step encodes
 # on its own.
 # Both fill a block of fields before recording them, solver.BLOCK_ROWS of
@@ -582,12 +589,13 @@ def test_f_route_matches_the_stepwise_oracle(kind, bc):
     got, want = run(cfg, u0), run_stepwise(cfg, u0)
     _assert_runs_agree(got, want, steps * 8 * _EPS * np.abs(u0).max())
     # at n = 100 a run too short for the stacked leap takes F products,
-    # fourier too
+    # and fourier single steps, bit for bit
     steps = LEAP_MIN_STEPS - 1
     cfg, u0 = _route_case(kind, bc, 100, steps)
-    assert leap_steps(cfg.n, cfg.n_steps, LAWS[kind].local) == 1
+    single = kind is FluxKind.FOURIER
+    assert leap_steps(cfg.n, cfg.n_steps, LAWS[kind].local) == (0 if single else 1)
     got, want = run(cfg, u0), run_stepwise(cfg, u0)
-    _assert_runs_agree(got, want, steps * 8 * _EPS * np.abs(u0).max())
+    _assert_runs_agree(got, want, 0.0 if single else steps * 8 * _EPS * np.abs(u0).max())
 
 
 @pytest.mark.parametrize("kind", list(FluxKind))
@@ -643,6 +651,38 @@ def test_abort_step_and_message_equal_the_oracles_on_every_route(kind, n, scale)
     assert got.value.step_index == want.value.step_index > 1
     assert str(got.value) == str(want.value)
     assert ("non-finite" if scale == 1e300 else "over 1e12") in str(got.value)
+
+
+# Just over the stable ratio, round-off takes hundreds of steps to pass
+# the guard: many blocks on the stacked route (caputo and rl at n = 100)
+# and on the F route (caputo at n = 200).  The run, and a block with a
+# quiet field first, then start again on single steps from t = 0.
+_LATE_ABORTS = {
+    "caputo-100": (FluxKind.CAPUTO, 0.5, 0.75, 100, Dirichlet(0.0), 552),
+    "caputo-200": (FluxKind.CAPUTO, 0.5, 0.75, 200, Dirichlet(0.0), 323),
+    "rl-100": (FluxKind.RIEMANN_LIOUVILLE, 0.3, 0.9, 100, FixedFlux(0.0), 163),
+}
+
+
+@pytest.mark.parametrize("case", list(_LATE_ABORTS))
+def test_late_abort_equals_the_oracles_solo_and_in_a_block(case):
+    kind, alpha, ratio, n, end, abort = _LATE_ABORTS[case]
+    dt = ratio * (1.0 / n) ** (1.0 + alpha)
+    cfg = _config(
+        flux=kind, alpha=alpha, n=n, dt=dt, t_end=2 * abort * dt, snapshot_times=(),
+        bc=BoundarySpec(end, end),
+    )
+    wild = _pulse(cfg)
+    with pytest.raises(InstabilityError) as want:
+        run_stepwise(cfg, wild)
+    assert want.value.step_index == abort
+    stride = leap_steps(n, cfg.n_steps)
+    assert abort > 10 * (stride if stride > 1 else solver.BLOCK_ROWS)  # ten blocks in
+    for march in (lambda: run(cfg, wild), lambda: run_block([cfg, cfg], [np.zeros(n + 1), wild])):
+        with pytest.warns(StabilityWarning), pytest.raises(InstabilityError) as got:
+            march()
+        assert got.value.step_index == abort
+        assert str(got.value) == str(want.value)
 
 
 # ------------------------------------------------------------ field blocks
