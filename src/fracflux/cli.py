@@ -10,6 +10,7 @@ configuration and writes ``compare.csv`` plus ``verdict.json``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -337,9 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser of main, built once per process: building it costs some
+# fifteen times what parsing one command line does, and parse_args keeps
+# no state between calls.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except ConfigurationError as exc:

@@ -25,13 +25,16 @@ and every boundary condition affine, so below the FFT crossover (see
 :func:`leap_steps`) one matrix-vector product gives, for j = 1..K, the
 face fluxes summed over the next j steps, F (I + S + ... + S^(j-1)) u
 plus a boundary offset, with F the face-flux operator and S the one-step
-matrix.  Where K would be small, one loop takes a step at a time from one
-of two flux sources: the product F u + g, or, from the FFT crossover up
-and for the local law wherever it does not leap, each field's
-:func:`~fracflux.flux.face_fluxes` inside its boundary fluxes g.  The
-interior differences telescope, so the mass moves only through the ends,
-to round-off.  :func:`step` is the same update for one field given its
-interior fluxes.  Every route fills a block of fields, and the run
+matrix.  The stacked leap carries each field from leap end to leap end,
+one small product with the rows for j = K each, and then fills the K - 1
+fields between the ends of many leaps with one matrix-matrix product of
+the rows for j < K.  Where K would be small, one loop takes a step at a
+time from one of two flux sources: the product F u + g, or, from the FFT
+crossover up and for the local law wherever it does not leap, each
+field's :func:`~fracflux.flux.face_fluxes` inside its boundary fluxes g.
+The interior differences telescope, so the mass moves only through the
+ends, to round-off.  :func:`step` is the same update for one field given
+its interior fluxes.  Every route fills a block of fields, and the run
 records each block in one vectorised pass.
 
 A run keeps one route to its end; one that fails the runaway guard on a
@@ -69,25 +72,31 @@ _BLOWUP_FACTOR = 1e12
 # A StabilityWarning fires when stability_ratio exceeds this value.
 _STABILITY_WARN_RATIO = 0.5
 
-# Below the FFT crossover run() leaps K steps per matrix-vector product,
-# with the K (n+1)^2 stacked doubles of the leap operator held within
-# LEAP_BYTES, where that allows K >= LEAP_MIN_STEPS: up to n = 141.  Every
-# other dense grid takes K = 1, one product with the face-flux operator F
-# per step.  Fixed constants, not config keys, so the route, and hence
-# every output bit, is a function of n and the step count alone.  On a
-# 2-vCPU x86 host with one OpenBLAS thread, n = 100 and K = 15 took the
-# bundled experiments from 0.72 to 0.32 s (benchmark `reproduce`, median
-# of 10 pairs); at n = 200 a leap of K = 4 made a 300-step run slower than
-# single steps (rl 9.2 -> 11.4 ms, caputo 8.6 -> 8.9 ms, operator build
-# included), while K = 1 took the `alpha-sweep` benchmark from 0.33 to
-# 0.17 s (median of 10 pairs).
+# Below the FFT crossover run() leaps K steps per matrix-vector product
+# with the last n + 2 rows of the leap operator, whose K (n+1)^2 stacked
+# doubles are held within LEAP_BYTES, where that allows K >= LEAP_MIN_STEPS:
+# up to n = 141.  Its other rows fill the fields inside the leaps of a
+# chunk with one matrix-matrix product.  Every other dense grid takes
+# K = 1, one product with the face-flux operator F per step.  Fixed
+# constants, not config keys, so the route, and hence every output bit, is
+# a function of n and the step count alone.  On a 2-vCPU x86 host with one
+# OpenBLAS thread, n = 100 and K = 15 took the bundled experiments from
+# 0.72 to 0.32 s (benchmark `reproduce`, median of 10 pairs), and the
+# chunked fill took a `pulse-reflective`/`rl` run from 5.0 to 4.0 us a step
+# (6833 steps, best of 7, operator build included); at n = 200 a leap of
+# K = 4 made a 300-step run slower than single steps (rl 9.2 -> 11.4 ms,
+# caputo 8.6 -> 8.9 ms, operator build included), while K = 1 took the
+# `alpha-sweep` benchmark from 0.33 to 0.17 s (median of 10 pairs).
 LEAP_BYTES = 1_300_000
 LEAP_MIN_STEPS = 8
 
-# Fields per recorded block on the K = 1 and FFT routes: BLOCK_ROWS, or
-# fewer where that many would hold more than BLOCK_BYTES (from n = 512 up),
-# so that a block and its step differences add little to a run's peak
-# memory.  The K >= 8 route records one product's K fields at a time.
+# Fields per recorded block, per field.  On the K = 1 and FFT routes:
+# BLOCK_ROWS, or fewer where that many would hold more than BLOCK_BYTES
+# (from n = 512 up), so that a block and its step differences add little
+# to a run's peak memory.  On the stacked leap a block is a chunk of whole
+# leaps, as many as BLOCK_BYTES holds (10 leaps of K = 15 at n = 100) and
+# at least one.  The first chunk is one leap and each next one doubles up
+# to that size, so a run that goes quiet at once fills one leap only.
 BLOCK_ROWS = 32
 BLOCK_BYTES = 131_072
 
@@ -442,8 +451,11 @@ def leap_steps(n: int, n_steps: int, local: bool = False) -> int:
     return k if k >= LEAP_MIN_STEPS else 1
 
 
-def _block_rows(n: int) -> int:
-    """Fields per recorded block on the K = 1 and single-step routes for n intervals."""
+def _block_rows(n: int, stride: int = 1) -> int:
+    """Most fields per recorded block, per field, for n intervals: whole
+    leaps on the stacked leap of stride K > 1, else single steps."""
+    if stride > 1:
+        return stride * max(1, BLOCK_BYTES // (8 * (n + 1) * stride))
     return max(1, min(BLOCK_ROWS, BLOCK_BYTES // (8 * (n + 1))))
 
 
@@ -558,13 +570,23 @@ def _leap_operators(
     return fluxes.reshape(-1, f.shape[1]), offsets
 
 
-def _product_fluxes(f: np.ndarray, g: np.ndarray, shifts: np.ndarray | None, u: np.ndarray) -> np.ndarray:
+def _product_fluxes(
+    f: np.ndarray, g: np.ndarray, shifts: np.ndarray | None, v: np.ndarray, summed: np.ndarray,
+    u: np.ndarray,
+) -> np.ndarray:
     """Flux source of the F route: (u - shifts) @ F.T + g for the fields u,
-    one row each, with g a row of boundary fluxes per field."""
-    v = u if shifts is None else u - shifts
+    one row each, with g a row of boundary fluxes per field, written into
+    summed.  v and summed are per-run buffers of the shapes of u and g."""
+    if shifts is None:
+        v = u
+    else:
+        np.subtract(u, shifts, out=v)
     # One GEMM of F for the block's fields; numpy calls a GEMV for a
     # single field with less overhead than a one-row GEMM.
-    summed = v @ f.T if len(v) > 1 else (f @ v[0])[None]
+    if len(v) > 1:
+        np.matmul(v, f.T, out=summed)
+    else:
+        np.matmul(f, v[0], out=summed[0])
     summed += g
     return summed
 
@@ -578,42 +600,74 @@ def _kernel_fluxes(cfg: SimConfig, table: GrunwaldTable, faces: np.ndarray, u: n
 
 
 def _advance(summed: np.ndarray, u: np.ndarray, rates: np.ndarray, pinned: list, out: np.ndarray) -> None:
-    """out = u + rates (summed[:, :-1] - summed[:, 1:]) with the Dirichlet
-    nodes assigned: the fields u moved on by the fluxes through their
-    n + 2 faces, one row of summed per row of out.  pinned holds (node,
-    one value per row, or one for all)."""
-    np.subtract(summed[:, :-1], summed[:, 1:], out=out)
+    """out = u + rates (summed[..., :-1] - summed[..., 1:]) with the
+    Dirichlet nodes assigned: the fields u moved on by the fluxes through
+    their n + 2 faces, along the last axis, with u broadcast against out.
+    pinned holds (node, a value per field of out, or one for all)."""
+    np.subtract(summed[..., :-1], summed[..., 1:], out=out)
     out *= rates
     out += u
     for node, values in pinned:
-        out[:, node] = values
+        out[..., node] = values
 
 
-def _fill(u: np.ndarray, rows: np.ndarray, route, rates: np.ndarray, pinned: list) -> None:
+def _step_fill(source, u: np.ndarray, rows: np.ndarray, rates: np.ndarray, pinned: list) -> None:
     """Fill the block rows with the fields of the next m steps from the
     fields u, m = len(rows) // len(u): field i's steps are rows i m to
-    i m + m - 1, each made by :func:`_advance`.  route is the stacked
-    leap's (P, p, shifts) of :func:`_leap_operators` (then m <= K), one
-    product per field for the fluxes summed over each of its m steps, or
-    a flux source, which gives every field's fluxes at all n + 2 faces
-    for one step.  pinned holds (node, one value per field)."""
-    width = len(u)
-    m = len(rows) // width
-    if isinstance(route, tuple):
-        stacked, offsets, shifts = route
-        stacked = stacked[: m * (rates.size + 1)]
-        # One GEMV per field: a GEMM would pack the stacked P on every
-        # call, which costs more than a second GEMV.
-        for i in range(width):
-            summed = (stacked @ (u[i] if shifts is None else u[i] - shifts[i])).reshape(m, -1)
-            summed += offsets[i, :m]
-            pins = [(node, values[i]) for node, values in pinned]
-            _advance(summed, u[i], rates, pins, rows[i * m : (i + 1) * m])
-        return
+    i m + m - 1, each made by :func:`_advance` from the flux source, which
+    gives every field's fluxes at all n + 2 faces for one step.  pinned
+    holds (node, one value per field)."""
+    m = len(rows) // len(u)
     for j in range(m):
         row = rows[j::m]  # step j of every field
-        _advance(route(u), u, rates, pinned, row)
+        _advance(source(u), u, rates, pinned, row)
         u = row
+
+
+def _leap_fill(
+    stacked: np.ndarray, offsets: np.ndarray, shifts: np.ndarray | None, k: int,
+    bases: np.ndarray, starts: np.ndarray, inner: np.ndarray,
+    u: np.ndarray, rows: np.ndarray, rates: np.ndarray, pinned: list,
+) -> None:
+    """:func:`_step_fill` on the stacked leap (P, p, shifts) of
+    :func:`_leap_operators` with K = k, in leaps of k steps, the last of
+    which may be shorter.  Field by field, the leap ends come one after
+    the other, each the leap's start moved on by one GEMV with the n + 2
+    rows of P that sum its steps: the carried state.  Then one GEMM of
+    the leap starts with the rows of P for 1..k - 1 steps gives the fields
+    between the ends.  One GEMM per field, so a field of a block equals
+    its solo run bit for bit.  bases, starts and inner are per-run
+    buffers of leaps + 1, leaps and leaps rows, inner's of (k - 1)(n + 2)
+    doubles."""
+    width = len(u)
+    m = len(rows) // width
+    size = rates.size + 1  # faces
+    full, last = divmod(m, k)  # whole leaps, and the steps of a short one
+    leaps = full + (last > 0)
+    between = stacked[: (k - 1) * size].T
+    summed = inner[:leaps].reshape(leaps, k - 1, size)
+    for i in range(width):
+        field = rows[i * m : (i + 1) * m]
+        pins = [(node, values[i]) for node, values in pinned]
+        v = bases[:leaps] if shifts is None else starts[:leaps]
+        bases[0] = u[i]
+        for j in range(leaps):
+            steps = k if j < full else last
+            if shifts is not None:
+                np.subtract(bases[j], shifts[i], out=v[j])
+            end = stacked[(steps - 1) * size : steps * size] @ v[j]
+            end += offsets[i, steps - 1]
+            _advance(end, bases[j], rates, pins, bases[j + 1])
+        # The face differences come after the product, so the interior
+        # fluxes still telescope.
+        np.matmul(v, between, out=inner[:leaps])
+        summed += offsets[i, : k - 1]
+        inside = field[: full * k].reshape(full, k, size - 1)
+        _advance(summed[:full], bases[:full, None], rates, pins, inside[:, :-1])
+        inside[:, -1] = bases[1 : full + 1]
+        if last:
+            _advance(summed[full, : last - 1], bases[full], rates, pins, field[full * k : -1])
+            field[-1] = bases[leaps]
 
 
 def _block_key(cfg: SimConfig) -> tuple:
@@ -739,22 +793,32 @@ def _march(cfgs: list[SimConfig], u0s: np.ndarray, stride: int) -> list[RunResul
     steady_time = None
 
     # Each field's boundary fluxes, rates and Dirichlet values, and the
-    # route that fills a block.  The partials are positional: keywords
-    # would cost some 0.3 us a step.
+    # route that fills a block, with its per-run buffers.  The partials are
+    # positional: keywords would cost some 0.3 us a step.
     faces = np.array([_boundary_fluxes(c) for c in cfgs])
     rates = _volume_rates(cfg)
     values = np.array([[value for _, value in _pinned(c)] for c in cfgs])
     pinned = [(node, values[:, j]) for j, (node, _) in enumerate(_pinned(cfg))]
     shifts = None if LAWS[cfg.flux].advection else u0s[:, :1]
     if stride > 1:
-        route = (*_leap_operators(cfgs, table, stride, shifts), shifts)
+        leaps = _block_rows(cfg.n, stride) // stride
+        fill = partial(
+            _leap_fill, *_leap_operators(cfgs, table, stride, shifts), shifts, stride,
+            np.empty((leaps + 1, cfg.n + 1)), np.empty((leaps, cfg.n + 1)),
+            np.empty((leaps, (stride - 1) * (cfg.n + 2))),
+        )
     elif stride:
-        route = partial(_product_fluxes, _face_operator(cfg, table)[0], faces, shifts)
+        source = partial(
+            _product_fluxes, _face_operator(cfg, table)[0], faces, shifts,
+            np.empty_like(u0s), np.empty_like(faces),
+        )
+        fill = partial(_step_fill, source)
     else:
-        route = partial(_kernel_fluxes, cfg, table, faces)
-    block = stride if stride > 1 else _block_rows(cfg.n)
+        fill = partial(_step_fill, partial(_kernel_fluxes, cfg, table, faces))
+    most = _block_rows(cfg.n, stride)
+    block = stride if stride > 1 else most  # the first block: one leap
     # A block of m steps is the first width * m rows, field by field.
-    buffer = np.empty((width * block, cfg.n + 1))
+    buffer = np.empty((width * most, cfg.n + 1))
     deltas = np.empty_like(buffer)
     dx = cfg.dx
     k = 0
@@ -764,7 +828,7 @@ def _march(cfgs: list[SimConfig], u0s: np.ndarray, stride: int) -> list[RunResul
         while k < n_steps:
             m = min(block, n_steps - k)
             rows = buffer[: width * m]
-            _fill(u, rows, route, rates, pinned)
+            fill(u, rows, rates, pinned)
 
             # One pass over the block's rows: step change and steady stop,
             # runaway guard, mass, extrema and snapshots.  The reductions
@@ -802,6 +866,7 @@ def _march(cfgs: list[SimConfig], u0s: np.ndarray, stride: int) -> list[RunResul
                     snapshots[ks] = rows[ks - k - 1 :: m].copy()
             u = rows[m - 1 :: m].copy()
             k += m
+            block = min(2 * block, most)
             if quiet:
                 steps_taken = k
                 steady_time = k * cfg.dt

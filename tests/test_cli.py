@@ -421,10 +421,12 @@ def test_fft_route_run_conserves_keeps_bounds_and_reruns_bit_for_bit(tmp_path):
 
 
 def test_output_bits_do_not_depend_on_blas_threads(tmp_path):
-    # at n = 100 a run leaps 15 steps per BLAS matrix-vector product, built
-    # from BLAS matrix products; their summation order, and so every output
-    # bit, must not follow the thread count.  The run spans seven blocks
-    # with snapshots on and inside block edges; the compare runs two laws.
+    # at n = 100 a run leaps 15 steps per BLAS matrix-vector product and
+    # fills the fields between the leap ends with a matrix-matrix product,
+    # both of operators built from BLAS matrix products; their summation
+    # order, and so every output bit, must not follow the thread count.
+    # The run spans seven leaps in three chunks, with snapshots on and
+    # inside leap and chunk edges; the compare runs two laws.
     src = str(Path(fracflux.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     commands = {
@@ -447,6 +449,22 @@ def test_output_bits_do_not_depend_on_blas_threads(tmp_path):
         outputs.append(files)
     assert set(outputs[0]) >= {"run/snapshots.csv", "run/summary.json", "compare/compare.csv"}
     assert outputs[0] == outputs[1]
+
+
+def test_a_flag_of_one_call_does_not_carry_into_the_next(tmp_path):
+    # main builds its parser once per process, as the experiment script and
+    # the benchmark call it many times in one; each call still parses its
+    # own command line from the defaults
+    argv = ["run", "--scenario", "pulse-reflective", "--flux", "caputo", "--t-end", "0.05"]
+    assert main([*argv, "--stop-when-steady", "--out-dir", str(tmp_path / "steady")]) == 0
+    assert main([*argv, "--out-dir", str(tmp_path / "plain")]) == 0
+    steady, plain = (
+        json.loads((tmp_path / name / "manifest.json").read_text()) for name in ("steady", "plain")
+    )
+    assert steady["stop_when_steady"] is True and plain["stop_when_steady"] is False
+    fresh = cli.resolve_config(cli.build_parser().parse_args([*argv, "--out-dir", "."]))
+    assert plain == json.loads(json.dumps(fresh.manifest()))
+    assert cli._parser() is cli._parser()
 
 
 def _summary_case(case):

@@ -453,8 +453,9 @@ def test_leap_operators_match_the_column_by_column_step_matrix(kind, kappa, bc):
 
 
 def _leap_case(kind, bc, **overrides):
-    # n = 100 leaps 15 steps a block: 50 steps are three full blocks and a
-    # partial one; snapshots at block edges (15, 45) and inside (7, 50)
+    # n = 100 leaps 15 steps at a time: 50 steps are three full leaps and a
+    # short one, in chunks of one, two and the rest (see _CHUNK_EDGES);
+    # snapshots at leap and chunk edges (15, 45) and inside (7, 50)
     cfg = _config(
         flux=kind, bc=_LEAP_BCS[bc], dt=0.0002, t_end=0.01,
         snapshot_times=(0.0, 7 * 0.0002, 15 * 0.0002, 45 * 0.0002, 0.01), **overrides,
@@ -550,6 +551,91 @@ def test_leap_keeps_constant_runs_exact(n, alpha):
         result = run(cfg, np.full(n + 1, 32.0))
         assert all(np.all(u == 32.0) for u in result.snapshots)
         assert np.all(result.trace.step_change == 0.0)
+
+
+# The stacked leap records a chunk of whole leaps at a time: one leap
+# first, then twice as many each time up to solver._block_rows(n, K) steps,
+# 10 leaps of K = 15 at n = 100.  So chunks end at steps 15, 45, 105, 225,
+# 375, ..., and a 400-step run takes six, the last of 25 steps: one leap
+# and a short one of 10.  Each chunk carries the leap ends from one to
+# the next and fills the fields between them with one matrix product.
+
+_CHUNK_EDGES = (15, 45, 105, 225, 375)
+# chunk edges, leap edges inside a chunk (60, 240, 390), fields inside a
+# leap, and the end
+_CHUNK_SNAPS = (0, 7, 15, 45, 52, 60, 105, 225, 233, 240, 375, 380, 390, 398, 400)
+
+
+def _chunk_case(kind, bc):
+    cfg, u0 = _leap_case(kind, bc, kappa=1.5 if kind is FluxKind.FOURIER else 1.0)
+    dt = 1e-5 if kind is FluxKind.FOURIER else cfg.dt
+    cfg = replace(cfg, dt=dt, t_end=400 * dt, snapshot_times=tuple(k * dt for k in _CHUNK_SNAPS))
+    assert leap_steps(cfg.n, cfg.n_steps) == 15 and solver._block_rows(cfg.n, 15) == 150
+    return cfg, u0
+
+
+@pytest.mark.parametrize("bc", list(_LEAP_BCS))
+@pytest.mark.parametrize("kind", list(FluxKind))
+def test_leap_chunks_match_the_stepwise_oracle(kind, bc):
+    cfg, u0 = _chunk_case(kind, bc)
+    last = cfg.n_steps - _CHUNK_EDGES[-1]
+    assert last < 150 and last % 15  # a short last chunk, ending in a short leap
+    got, want = run(cfg, u0), run_stepwise(cfg, u0)
+    assert [cfg.steps_to(t) for t in got.snapshot_times] == list(_CHUNK_SNAPS)
+    _assert_runs_agree(got, want, cfg.n_steps * 8 * _EPS * np.abs(u0).max())
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "mixed"])
+@pytest.mark.parametrize("kind", list(FluxKind))
+def test_leap_end_snapshot_equals_the_truncated_runs_final(kind, bc):
+    # the leap ends are the carried state: the field j leaps in is the
+    # final field of the run cut there, bit for bit, whatever chunk
+    # either one ends in
+    cfg, u0 = _chunk_case(kind, bc)
+    ends = (1, 3, 7, 15, 16, 26)
+    cfg = replace(cfg, snapshot_times=tuple(15 * j * cfg.dt for j in ends))
+    result = run(cfg, u0)
+    for j, snapshot in zip(ends, result.snapshots):
+        cut = replace(cfg, t_end=15 * j * cfg.dt, snapshot_times=())
+        assert cut.n_steps == 15 * j
+        assert np.array_equal(snapshot, run(cut, u0).final)
+
+
+def test_leap_steady_stop_inside_a_later_chunk_is_the_oracles():
+    # a threshold between the step changes of steps 306 and 307, which
+    # fall steadily here: the stop lands inside a leap of the fifth chunk
+    cfg, u0 = _chunk_case(FluxKind.CAPUTO, "reflective")
+    change = run_stepwise(cfg, u0).trace.step_change
+    cfg = replace(cfg, stop_when_steady=True, steady_eps=0.5 * (change[305] + change[306]))
+    got, want = run(cfg, u0), run_stepwise(cfg, u0)
+    assert got.steps_taken == want.steps_taken == 307
+    assert _CHUNK_EDGES[3] < 307 <= _CHUNK_EDGES[4] and 307 % 15
+    _assert_runs_agree(got, want, 307 * 8 * _EPS * np.abs(u0).max())
+    # the snapshots past the stop hold the frozen field
+    assert np.array_equal(got.snapshots[-1], got.final)
+
+
+@pytest.mark.parametrize("scale,abort", [(1.0, 285), (1e300, 147)])
+def test_leap_abort_inside_a_later_chunk_is_the_oracles(scale, abort):
+    # rl just over its stable ratio: round-off grows until the field passes
+    # the 1e12 guard at a leap end of the fifth chunk, or, from a field of
+    # scale 1e300, overflows inside a leap of the fourth; the chain of leap
+    # ends carries the non-finite values on to the chunk's end
+    dt = 0.86 * 0.01 ** 1.3
+    cfg = _config(
+        flux=FluxKind.RIEMANN_LIOUVILLE, alpha=0.3, dt=dt, t_end=400 * dt, snapshot_times=(),
+        bc=BoundarySpec(FixedFlux(0.0), FixedFlux(0.0)),
+    )
+    u0 = scale * _pulse(cfg)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InstabilityError) as want:
+        run_stepwise(cfg, u0)
+    assert want.value.step_index == abort > _CHUNK_EDGES[2]
+    with pytest.warns(StabilityWarning) as caught, pytest.raises(InstabilityError) as got:
+        run(cfg, u0)
+    assert [w.category for w in caught] == [StabilityWarning]
+    assert got.value.step_index == abort
+    assert str(got.value) == str(want.value)
+    assert ("non-finite" if scale == 1e300 else "over 1e12") in str(got.value)
 
 
 # ------------------------------------------------- F route and FFT route
@@ -654,7 +740,7 @@ def test_abort_step_and_message_equal_the_oracles_on_every_route(kind, n, scale)
 
 
 # Just over the stable ratio, round-off takes hundreds of steps to pass
-# the guard: many blocks on the stacked route (caputo and rl at n = 100)
+# the guard: many leaps on the stacked route (caputo and rl at n = 100)
 # and on the F route (caputo at n = 200).  The run, and a block with a
 # quiet field first, then start again on single steps from t = 0.
 _LATE_ABORTS = {
@@ -677,7 +763,7 @@ def test_late_abort_equals_the_oracles_solo_and_in_a_block(case):
         run_stepwise(cfg, wild)
     assert want.value.step_index == abort
     stride = leap_steps(n, cfg.n_steps)
-    assert abort > 10 * (stride if stride > 1 else solver.BLOCK_ROWS)  # ten blocks in
+    assert abort > 10 * (stride if stride > 1 else solver.BLOCK_ROWS)  # ten leaps or blocks in
     for march in (lambda: run(cfg, wild), lambda: run_block([cfg, cfg], [np.zeros(n + 1), wild])):
         with pytest.warns(StabilityWarning), pytest.raises(InstabilityError) as got:
             march()
@@ -690,9 +776,10 @@ def test_late_abort_equals_the_oracles_solo_and_in_a_block(case):
 # run_block marches fields whose configs differ only in their boundary
 # values and records them together.  On the F route (n = 200) one GEMM
 # per step serves every field; on the stacked route (n = 100) each field
-# takes its own GEMV of the shared operator, and from FFT_MIN_N up its
-# own face_fluxes.  Each field must match its solo run: to
-# round-off where the GEMM sums in its own order, else bit for bit.
+# takes its own products with the shared operator, a GEMV per leap end
+# and a GEMM per chunk, and from FFT_MIN_N up its own face_fluxes.  Each
+# field must match its solo run: to round-off where one GEMM serves every
+# field and sums in its own order, else bit for bit.
 
 _BLOCK_BCS = {
     "dirichlet": (BoundarySpec(Dirichlet(0.75), Dirichlet(-0.5)),
@@ -722,8 +809,10 @@ def _block_case(kind, bc, n, steps=2 * solver.BLOCK_ROWS + 16):
 @pytest.mark.parametrize("n", [100, 200, FFT_MIN_N])
 def test_block_fields_match_their_solo_runs(n, kind, bc):
     runs = [2 * solver.BLOCK_ROWS + 16]
-    if n == 100:  # and a run too short for the stacked leap: one GEMM of F per step
-        runs.append(LEAP_MIN_STEPS - 1)
+    if n == 100:
+        # a run too short for the stacked leap: one GEMM of F per step;
+        # and one past six leap chunks (see _CHUNK_EDGES)
+        runs += [LEAP_MIN_STEPS - 1, 400]
     for steps in runs:
         cfgs, u0s = _block_case(kind, bc, n, steps)
         block = run_block(cfgs, u0s)
