@@ -75,7 +75,7 @@ def resolve_config(args: argparse.Namespace) -> SimConfig:
         file_data = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(file_data, dict):
             raise ConfigurationError(f"{args.config} does not hold a JSON object")
-    scenario_name = args.scenario or file_data.get("scenario")
+    scenario_name = args.scenario or SimConfig.decode("scenario", file_data.get("scenario"))
 
     mapping = make_scenario(scenario_name).cfg.to_mapping() if scenario_name else {}
     mapping.update(file_data)

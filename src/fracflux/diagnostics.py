@@ -29,13 +29,14 @@ class DiagnosticTrace:
     step_change: np.ndarray
 
 
-def total_mass(u) -> float:
-    """Discrete integral of the nodal values u over [0, 1]: half-weight
-    end nodes (half-size end volumes), full weight in the interior.  The
-    u.size nodes are equispaced, so dx = 1 / (u.size - 1)."""
+def total_mass(u) -> float | np.ndarray:
+    """Discrete integral over [0, 1] of the nodal values u along the last
+    axis, one per field: half-weight end nodes (half-size end volumes),
+    full weight in the interior.  The nodes are equispaced, so
+    dx = 1 / (number of nodes - 1)."""
     arr = np.asarray(u, dtype=np.float64)
-    dx = 1.0 / (arr.size - 1)
-    return float(dx * (0.5 * arr[0] + arr[1:-1].sum() + 0.5 * arr[-1]))
+    dx = 1.0 / (arr.shape[-1] - 1)
+    return dx * (0.5 * arr[..., 0] + np.add.reduce(arr[..., 1:-1], axis=-1) + 0.5 * arr[..., -1])
 
 
 @dataclass

@@ -33,8 +33,10 @@ time from one of two flux sources: the product F u + g, or, from the FFT
 crossover up and for the local law wherever it does not leap, each
 field's :func:`~fracflux.flux.face_fluxes` inside its boundary fluxes g.
 The interior differences telescope, so the mass moves only through the
-ends, to round-off.  :func:`step` is the same update for one field given
-its interior fluxes.  Every route fills a block of fields, and the run
+ends, to round-off.  The boundary treatment, g, the volume rates and the
+Dirichlet nodes, comes from one place, :func:`_boundaries`, for every
+route and for :func:`step`, the same update for one field given its
+interior fluxes.  Every route fills a block of fields, and the run
 records each block in one vectorised pass.
 
 A run keeps one route to its end; one that fails the runaway guard on a
@@ -142,7 +144,12 @@ BOUNDARY_KINDS = {cls.kind: cls for cls in (Dirichlet, FixedFlux)}
 
 def _decode_scalar(default, value):
     """Decode a scalar field strictly: a boolean field takes only a JSON
-    boolean, a number field only a number, and an int field an integral one."""
+    boolean, a number field only a number, an int field an integral one,
+    and a field that defaults to None (the scenario name) a string or null."""
+    if default is None:
+        if value is None or isinstance(value, str):
+            return value
+        raise TypeError(f"expected a string or null, got {value!r}")
     if (
         isinstance(default, bool) != isinstance(value, bool)
         or not isinstance(value, numbers.Real)
@@ -203,6 +210,8 @@ class InitialSpec:
 
     @classmethod
     def from_mapping(cls, data: dict) -> "InitialSpec":
+        if not isinstance(data, dict) or not isinstance(data.get("profile", ""), str):
+            raise TypeError(f"expected an object with a profile name, got {data!r}")
         params = dict(data.get("params", {}))
         return cls(data["profile"], {k: _decode_scalar(0.0, v) for k, v in params.items()})
 
@@ -337,21 +346,7 @@ class SimConfig:
                 f"unknown configuration key(s) {', '.join(map(repr, unknown))}; "
                 f"valid keys: {valid}"
             )
-        kwargs = {}
-        for name, f in by_name.items():
-            if name not in data:
-                continue
-            value = data[name]
-            try:
-                if name in _FIELD_CODECS:
-                    value = _FIELD_CODECS[name][1](value)
-                elif f.default is not None:
-                    value = _decode_scalar(f.default, value)
-            except KeyError as exc:
-                raise ConfigurationError(f"{name!r} is missing key {exc}") from None
-            except (TypeError, ValueError) as exc:
-                raise ConfigurationError(f"bad value for {name!r}: {exc}") from None
-            kwargs[name] = value
+        kwargs = {name: cls.decode(name, data[name]) for name in by_name if name in data}
         missing = [
             name for name, f in by_name.items()
             if f.default is f.default_factory is MISSING and name not in kwargs
@@ -362,6 +357,21 @@ class SimConfig:
                 "name a scenario or give a complete configuration"
             )
         return cls(**kwargs)
+
+    @classmethod
+    def decode(cls, name: str, value):
+        """The value of the field name from its JSON form.  Raises
+        :class:`ConfigurationError`, naming the key, for a value of the
+        wrong type or shape."""
+        try:
+            if name in _FIELD_CODECS:
+                return _FIELD_CODECS[name][1](value)
+            # the class attribute of a field with a plain default is that default
+            return _decode_scalar(getattr(cls, name), value)
+        except KeyError as exc:
+            raise ConfigurationError(f"{name!r} is missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"bad value for {name!r}: {exc}") from None
 
     def manifest(self) -> dict:
         """The configuration plus tool, version, dx and stability ratio."""
@@ -407,23 +417,10 @@ def step(u: np.ndarray, q: np.ndarray, cfg: SimConfig, step_index: int = 0) -> n
     face fluxes q; step_index dates an :class:`InstabilityError`."""
     if q.size != u.size - 1:
         raise ValueError(f"expected {u.size - 1} face fluxes, got {q.size}")
-    r = cfg.dt / cfg.dx
-
+    faces, rates, pinned = _boundaries([cfg])
+    faces[0, 1:-1] = q
     nxt = np.empty_like(u)
-    interior = nxt[1:-1]
-    np.subtract(q[:-1], q[1:], out=interior)
-    interior *= r
-    interior += u[1:-1]
-    left, right = cfg.bc.left, cfg.bc.right
-    if isinstance(left, Dirichlet):
-        nxt[0] = left.value
-    else:
-        nxt[0] = u.item(0) + 2.0 * r * (left.value - q.item(0))
-    if isinstance(right, Dirichlet):
-        nxt[-1] = right.value
-    else:
-        nxt[-1] = u.item(-1) + 2.0 * r * (q.item(-1) - right.value)
-
+    _advance(faces, u, rates, pinned, nxt[None])  # a block of one field
     if not np.isfinite(nxt).all():
         raise InstabilityError(step_index, step_index * cfg.dt, "non-finite value produced")
     return nxt
@@ -459,34 +456,38 @@ def _block_rows(n: int, stride: int = 1) -> int:
     return max(1, min(BLOCK_ROWS, BLOCK_BYTES // (8 * (n + 1))))
 
 
-def _pinned(cfg: SimConfig) -> list[tuple[int, float]]:
-    """(node, value) of each Dirichlet end."""
-    return [
-        (node, bc.value)
-        for node, bc in ((0, cfg.bc.left), (cfg.n, cfg.bc.right))
-        if isinstance(bc, Dirichlet)
-    ]
+def _boundaries(cfgs: list[SimConfig]) -> tuple[np.ndarray, np.ndarray, list]:
+    """(faces, rates, pinned), the discrete boundary treatment of a block
+    of configs that differ only in their boundary values: each field's
+    fluxes at the n + 2 faces of the zero field (a fixed-flux end's
+    prescribed flux at its boundary face, 0 elsewhere); dt over each
+    node's control-volume width (dt / dx inside, 2 dt / dx at the
+    half-size end volumes), by which a node gains the flux through its
+    left face less that through its right; and (node, one value per
+    field) for each Dirichlet end."""
+    cfg = cfgs[0]
+    faces = np.zeros((len(cfgs), cfg.n + 2))
+    pinned = []
+    for node, face, side in ((0, 0, "left"), (cfg.n, -1, "right")):
+        values = np.array([getattr(c.bc, side).value for c in cfgs])
+        if isinstance(getattr(cfg.bc, side), Dirichlet):
+            pinned.append((node, values))
+        else:
+            faces[:, face] = values
+    rates = np.full(cfg.n + 1, cfg.dt / cfg.dx)
+    rates[[0, -1]] *= 2.0
+    return faces, rates, pinned
 
 
-def _boundary_fluxes(cfg: SimConfig) -> np.ndarray:
-    """The n + 2 face fluxes of the zero field: a fixed-flux end's
-    prescribed flux at its boundary face, zero everywhere else."""
-    g = np.zeros(cfg.n + 2)
-    for face, bc in ((0, cfg.bc.left), (-1, cfg.bc.right)):
-        if isinstance(bc, FixedFlux):
-            g[face] = bc.value
-    return g
-
-
-def _face_operator(cfg: SimConfig, table: GrunwaldTable) -> tuple[np.ndarray, np.ndarray]:
-    """(F, g) with F @ u + g the fluxes at all n + 2 faces of u, to round-off.
+def _face_operator(cfg: SimConfig, table: GrunwaldTable) -> np.ndarray:
+    """F with F @ u the fluxes at all n + 2 faces of u, to round-off, less
+    the boundary fluxes of :func:`_boundaries`.
 
     Face 0 is the left boundary, faces 1..n are the interior faces of
     :func:`~fracflux.flux.face_fluxes`, kappa (T(W) G + a e_0^T) u with G
     the gradient and a the apparent advection of a unit left value, and
-    face n + 1 is the right boundary.  A fixed-flux end's face carries its
-    prescribed flux in g; a Dirichlet end's face is zero.  F depends on
-    the boundary kinds, not their values.  Needs the dense memory matrix,
+    face n + 1 is the right boundary, whose rows are zero.  F does not
+    depend on the boundary conditions.  Needs the dense memory matrix,
     so n < FFT_MIN_N.
     """
     n = cfg.n
@@ -500,40 +501,33 @@ def _face_operator(cfg: SimConfig, table: GrunwaldTable) -> tuple[np.ndarray, np
     if law.advection:
         inner[:, 0] += apparent_advection(1.0, table)
     inner *= cfg.kappa
-    return f, _boundary_fluxes(cfg)
+    return f
 
 
-def _volume_rates(cfg: SimConfig) -> np.ndarray:
-    """dt over each node's control-volume width: r = dt / dx inside and 2r
-    at the half-size end volumes.  A node gains its rate times the flux
-    through its left face minus the flux through its right face."""
-    rates = np.full(cfg.n + 1, cfg.dt / cfg.dx)
-    rates[[0, -1]] *= 2.0
-    return rates
-
-
-def _step_operator(cfg: SimConfig, f: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(S, b) with step(u, face_fluxes(u, ...), cfg) = S @ u + b to round-off,
-    from the face operator (F, g) of :func:`_face_operator`."""
-    rates = _volume_rates(cfg)
+def _step_operator(
+    f: np.ndarray, faces: np.ndarray, rates: np.ndarray, pinned: list
+) -> tuple[np.ndarray, np.ndarray]:
+    """(S, b) with S @ u + b[i] the step of field i of a block from u, to
+    round-off, from the face operator F and the block's :func:`_boundaries`;
+    S is shared, b holds one row per field."""
     s = (f[:-1] - f[1:]) * rates[:, None]
     s[np.diag_indices_from(s)] += 1.0
-    b = (g[:-1] - g[1:]) * rates
-    for node, value in _pinned(cfg):
+    b = (faces[:, :-1] - faces[:, 1:]) * rates
+    for node, values in pinned:
         s[node] = 0.0
-        b[node] = value
+        b[:, node] = values
     return s, b
 
 
 def _leap_operators(
-    cfgs: list[SimConfig], table: GrunwaldTable, k: int, shifts: np.ndarray | None
+    f: np.ndarray, faces: np.ndarray, rates: np.ndarray, pinned: list, k: int, shifts: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(P, p) giving the face fluxes of the next k steps summed, for a
-    block of configs that differ only in their boundary values, each
-    field with its own shift, to which its law is blind: a column of any
-    values for caputo, parsimonious and fourier, None (no shift) for rl.
-    From the fields U, the fluxes through the n + 2 faces summed over the
-    next j steps are
+    """(P, p) giving the face fluxes of the next k steps summed, for the
+    face operator F and the :func:`_boundaries` of a block, each field
+    with its own shift, to which its law is blind: a column of any values
+    for caputo, parsimonious and fourier, None (no shift) for rl.  From
+    the fields U, the fluxes through the n + 2 faces summed over the next
+    j steps are
 
         ((U - shifts) @ P.T).reshape(-1, k, n + 2)[:, j - 1] + p[:, j - 1],
 
@@ -541,26 +535,22 @@ def _leap_operators(
     times their face differences, off the Dirichlet nodes.  P, shared by
     the block, stacks P_j = F + F S + ... + F S^(j-1), with S the step
     matrix, each new term one matrix product from the last; p[i, j - 1]
-    sums the face fluxes of the first j steps of the zero field under
-    config i, with the Dirichlet values lowered by field i's shift.  So P
-    starts with F and p with g.
+    sums the face fluxes of the first j steps of the zero field i, with
+    the Dirichlet values lowered by field i's shift.  So P starts with F
+    and p with the boundary fluxes.
     """
-    f, _ = _face_operator(cfgs[0], table)
-    gs = [_boundary_fluxes(cfg) for cfg in cfgs]
-    s, b = _step_operator(cfgs[0], f, gs[0])
-    # the other fields' b (S is shared)
-    bs = [b] + [_step_operator(cfg, f, g)[1] for cfg, g in zip(cfgs[1:], gs[1:])]
+    s, bs = _step_operator(f, faces, rates, pinned)
     fluxes = np.empty((k,) + f.shape)
     fluxes[0] = term = f
     for j in range(1, k):
         term = term @ s
         np.add(fluxes[j - 1], term, out=fluxes[j])
 
-    offsets = np.empty((len(cfgs), k, f.shape[0]))
-    lowered = np.zeros(len(cfgs)) if shifts is None else shifts[:, 0]
-    for cfg, g, b, shift, out in zip(cfgs, gs, bs, lowered, offsets):
-        for node, _ in _pinned(cfg):
-            b[node] -= shift
+    if shifts is not None:
+        for node, _ in pinned:
+            bs[:, node] -= shifts[:, 0]
+    offsets = np.empty((len(faces), k, f.shape[0]))
+    for g, b, out in zip(faces, bs, offsets):
         total = np.zeros(f.shape[0])
         w = np.zeros(f.shape[1])
         for j in range(k):
@@ -577,16 +567,8 @@ def _product_fluxes(
     """Flux source of the F route: (u - shifts) @ F.T + g for the fields u,
     one row each, with g a row of boundary fluxes per field, written into
     summed.  v and summed are per-run buffers of the shapes of u and g."""
-    if shifts is None:
-        v = u
-    else:
-        np.subtract(u, shifts, out=v)
-    # One GEMM of F for the block's fields; numpy calls a GEMV for a
-    # single field with less overhead than a one-row GEMM.
-    if len(v) > 1:
-        np.matmul(v, f.T, out=summed)
-    else:
-        np.matmul(f, v[0], out=summed[0])
+    v = u if shifts is None else np.subtract(u, shifts, out=v)
+    np.matmul(v, f.T, out=summed)
     summed += g
     return summed
 
@@ -772,7 +754,7 @@ def _march(cfgs: list[SimConfig], u0s: np.ndarray, stride: int) -> list[RunResul
     u_max = np.empty((width, n_steps + 1))
     step_change = np.empty((width, n_steps))
 
-    mass[:, 0] = [total_mass(u0) for u0 in u0s]
+    mass[:, 0] = total_mass(u0s)
     u_min[:, 0] = u0s.min(axis=-1)
     u_max[:, 0] = u0s.max(axis=-1)
 
@@ -792,24 +774,22 @@ def _march(cfgs: list[SimConfig], u0s: np.ndarray, stride: int) -> list[RunResul
     steps_taken = n_steps
     steady_time = None
 
-    # Each field's boundary fluxes, rates and Dirichlet values, and the
-    # route that fills a block, with its per-run buffers.  The partials are
-    # positional: keywords would cost some 0.3 us a step.
-    faces = np.array([_boundary_fluxes(c) for c in cfgs])
-    rates = _volume_rates(cfg)
-    values = np.array([[value for _, value in _pinned(c)] for c in cfgs])
-    pinned = [(node, values[:, j]) for j, (node, _) in enumerate(_pinned(cfg))]
+    # The route that fills a block, with its per-run buffers.  The partials
+    # are positional: keywords would cost some 0.3 us a step.
+    faces, rates, pinned = _boundaries(cfgs)
     shifts = None if LAWS[cfg.flux].advection else u0s[:, :1]
     if stride > 1:
         leaps = _block_rows(cfg.n, stride) // stride
         fill = partial(
-            _leap_fill, *_leap_operators(cfgs, table, stride, shifts), shifts, stride,
+            _leap_fill,
+            *_leap_operators(_face_operator(cfg, table), faces, rates, pinned, stride, shifts),
+            shifts, stride,
             np.empty((leaps + 1, cfg.n + 1)), np.empty((leaps, cfg.n + 1)),
             np.empty((leaps, (stride - 1) * (cfg.n + 2))),
         )
     elif stride:
         source = partial(
-            _product_fluxes, _face_operator(cfg, table)[0], faces, shifts,
+            _product_fluxes, _face_operator(cfg, table), faces, shifts,
             np.empty_like(u0s), np.empty_like(faces),
         )
         fill = partial(_step_fill, source)
@@ -820,7 +800,6 @@ def _march(cfgs: list[SimConfig], u0s: np.ndarray, stride: int) -> list[RunResul
     # A block of m steps is the first width * m rows, field by field.
     buffer = np.empty((width * most, cfg.n + 1))
     deltas = np.empty_like(buffer)
-    dx = cfg.dx
     k = 0
     # A field that overflows past a blow-up is reported below as an
     # InstabilityError; numpy's overflow warnings would only repeat it.
@@ -855,9 +834,7 @@ def _march(cfgs: list[SimConfig], u0s: np.ndarray, stride: int) -> list[RunResul
                     if np.isfinite(peak[j]) else "non-finite value produced"
                 )
                 raise InstabilityError(k + j + 1, (k + j + 1) * cfg.dt, detail)
-            mass[:, k + 1 : k + m + 1] = (dx * (
-                0.5 * rows[:, 0] + np.add.reduce(rows[:, 1:-1], axis=1) + 0.5 * rows[:, -1]
-            )).reshape(width, m)
+            mass[:, k + 1 : k + m + 1] = total_mass(rows).reshape(width, m)
             u_min[:, k + 1 : k + m + 1] = lo.reshape(width, m)
             u_max[:, k + 1 : k + m + 1] = hi.reshape(width, m)
             step_change[:, k : k + m] = change.reshape(width, m)

@@ -8,7 +8,7 @@ import numpy as np
 
 from fracflux.diagnostics import DiagnosticTrace, total_mass
 from fracflux.flux import FluxKind, face_fluxes
-from fracflux.solver import InstabilityError, RunResult, SimConfig, step
+from fracflux.solver import Dirichlet, InstabilityError, RunResult, SimConfig
 from fracflux.weights import GrunwaldTable, build_table
 
 
@@ -72,16 +72,43 @@ def face_fluxes_direct(u, kind: FluxKind, table: GrunwaldTable, kappa: float = 1
     return kappa * q
 
 
+def explicit_step(u: np.ndarray, q: np.ndarray, cfg: SimConfig, step_index: int = 0) -> np.ndarray:
+    """:func:`fracflux.solver.step` with the boundary treatment spelled
+    out end by end, where the package reads it from one place: a
+    fixed-flux end's half-size volume updates with a factor 2 and its
+    prescribed flux in place of the missing face, a Dirichlet end is
+    assigned its value."""
+    r = cfg.dt / cfg.dx
+
+    nxt = np.empty_like(u)
+    interior = nxt[1:-1]
+    np.subtract(q[:-1], q[1:], out=interior)
+    interior *= r
+    interior += u[1:-1]
+    left, right = cfg.bc.left, cfg.bc.right
+    if isinstance(left, Dirichlet):
+        nxt[0] = left.value
+    else:
+        nxt[0] = u.item(0) + 2.0 * r * (left.value - q.item(0))
+    if isinstance(right, Dirichlet):
+        nxt[-1] = right.value
+    else:
+        nxt[-1] = u.item(-1) + 2.0 * r * (q.item(-1) - right.value)
+
+    if not np.isfinite(nxt).all():
+        raise InstabilityError(step_index, step_index * cfg.dt, "non-finite value produced")
+    return nxt
+
+
 def run_stepwise(cfg: SimConfig, u0) -> RunResult:
     """:func:`fracflux.solver.run` one explicit step at a time, every n.
 
-    The package fills blocks of steps and moves every field on with one
-    face-difference update of its own; this is the plain loop: one
-    ``face_fluxes`` and one ``step`` per time level, ``step`` being the
-    single-field API with its own encoding of the boundary treatment,
-    with the same runaway guard, steady stop and snapshot rules.  No
-    Dirichlet consistency check, no stability warning and no rl flux
-    decomposition.
+    The package fills blocks of steps and reads its boundary treatment
+    from one place; this is the plain loop: one ``face_fluxes`` and one
+    :func:`explicit_step` per time level, an update that owns its encoding
+    of the boundary treatment, with the same runaway guard, steady stop
+    and snapshot rules.  No Dirichlet consistency check, no stability
+    warning and no rl flux decomposition.
     """
     u = np.asarray(u0, dtype=np.float64)
     table = build_table(cfg.alpha, cfg.dx, cfg.n)
@@ -90,7 +117,7 @@ def run_stepwise(cfg: SimConfig, u0) -> RunResult:
     fields, mass, u_min, u_max, change = [u], [total_mass(u)], [u.min()], [u.max()], []
     steady_time = None
     for k in range(1, cfg.n_steps + 1):
-        nxt = step(u, face_fluxes(u, cfg.flux, table, kappa=cfg.kappa), cfg, step_index=k)
+        nxt = explicit_step(u, face_fluxes(u, cfg.flux, table, kappa=cfg.kappa), cfg, step_index=k)
         peak = np.abs(nxt).max()
         if peak > limit:
             raise InstabilityError(k, k * cfg.dt, f"|u| reached {peak:.3g}, over 1e12 x initial scale")

@@ -181,10 +181,21 @@ def test_missing_scenario_and_config_is_an_error(tmp_path):
     assert main(["run", "--flux", "caputo", "--out-dir", str(tmp_path)]) == 2
 
 
-def test_unknown_scenario_in_config_file(tmp_path):
+@pytest.mark.parametrize(
+    "command", [["run"], ["compare", "--flux-a", "rl", "--flux-b", "caputo"]], ids=["run", "compare"]
+)
+@pytest.mark.parametrize(
+    "scenario", ["nope", ["x"], {"a": 1}, []], ids=["unknown", "list", "object", "empty-list"]
+)
+def test_unknown_scenario_in_config_file(tmp_path, capsys, command, scenario):
+    # a scenario name must be a string (or null); the initial data are
+    # complete, so an empty list would otherwise pass for no scenario
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"scenario": "nope"}))
-    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    cfg.write_text(json.dumps({"scenario": scenario, "initial": {"profile": "triangular-pulse"}}))
+    out = tmp_path / "out"
+    assert main([*command, "--config", str(cfg), "--out-dir", str(out)]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unstable_run_exits_nonzero(tmp_path):
@@ -261,6 +272,12 @@ def test_config_file_without_scenario(tmp_path):
         ["--config", {"n": 100.9}],
         ["--config", {"n": True}],
         ["--config", {"alpha": True}],
+        ["--config", {"initial": "fig7-bump"}],
+        ["--config", {"initial": 1.0}],
+        ["--config", {"initial": ["fig7-bump"]}],
+        ["--config", {"initial": None}],
+        ["--config", {"initial": {"profile": ["x"]}}],
+        ["--config", {"initial": {"profile": {"a": 1}}}],
         ["--config", {"initial": {"profile": "fig7-bump", "params": {"ofset": 1.0}}}],
         ["--config", {"initial": {"profile": "fig7-bump", "params": {"offset": "1"}}}],
         ["--config", {"initial": {"profile": "constant", "params": {"value": True}},
@@ -278,7 +295,9 @@ def test_config_file_without_scenario(tmp_path):
         ["--config", {"t_end": 0.02, "snapshot_times": [0.04]}],
     ],
     ids=["t-end-inf", "kappa-nan", "kappa-negative", "snapshot-nan", "bc-kind", "key-typo",
-         "bool-string", "bool-word", "n-fraction", "n-true", "alpha-true", "param-typo",
+         "bool-string", "bool-word", "n-fraction", "n-true", "alpha-true",
+         "initial-string", "initial-number", "initial-list", "initial-null",
+         "profile-list", "profile-object", "param-typo",
          "param-string", "param-true", "bc-value-true", "bc-value-string",
          "snapshot-string", "snapshot-true", "snapshots-not-a-list", "steady-eps-inf",
          "snapshot-flag-past-end", "snapshot-file-past-end"],
@@ -426,12 +445,16 @@ def test_output_bits_do_not_depend_on_blas_threads(tmp_path):
     # both of operators built from BLAS matrix products; their summation
     # order, and so every output bit, must not follow the thread count.
     # The run spans seven leaps in three chunks, with snapshots on and
-    # inside leap and chunk edges; the compare runs two laws.
+    # inside leap and chunk edges; the compare runs two laws.  At n = 200 a
+    # run takes one product with the face operator per step, past three
+    # block edges.
     src = str(Path(fracflux.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     commands = {
         "run": ["run", "--scenario", "pulse-reflective", "--flux", "rl", "--t-end", "0.05",
                 "--snapshots", "0,0.0075,0.02,0.05"],
+        "run-200": ["run", "--scenario", "pulse-reflective", "--flux", "rl", "--n", "200",
+                    "--dt", "0.0001", "--t-end", "0.01", "--snapshots", "0,0.005,0.01"],
         "compare": ["compare", "--scenario", "fig7-shifted", "--flux-a", "rl",
                     "--flux-b", "caputo"],
     }
@@ -448,6 +471,7 @@ def test_output_bits_do_not_depend_on_blas_threads(tmp_path):
             files.update({f"{name}/{f.name}": f.read_bytes() for f in out.iterdir()})
         outputs.append(files)
     assert set(outputs[0]) >= {"run/snapshots.csv", "run/summary.json", "compare/compare.csv"}
+    assert "run-200/snapshots.csv" in outputs[0]
     assert outputs[0] == outputs[1]
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fracflux import solver
+from fracflux.diagnostics import total_mass
 from fracflux.flux import LAWS, FluxKind, apparent_advection, face_fluxes
 from fracflux.solver import (
     LEAP_BYTES,
@@ -24,7 +25,7 @@ from fracflux.solver import (
     step,
 )
 from fracflux.weights import FFT_MIN_N, build_table
-from oracles import run_stepwise
+from oracles import explicit_step, run_stepwise
 
 
 def _config(**overrides):
@@ -430,7 +431,9 @@ def test_leap_operators_match_the_column_by_column_step_matrix(kind, kappa, bc):
     rho, k, n = 0.4, 12, 40
     cfg, s_cols = _step_matrix(kind, 0.5, kappa, rho, _LEAP_BCS[bc], n=n)
     table = build_table(cfg.alpha, cfg.dx, cfg.n)
-    s, b = solver._step_operator(cfg, *solver._face_operator(cfg, table))
+    f = solver._face_operator(cfg, table)
+    faces, rates, pinned = solver._boundaries([cfg])
+    s, (b,) = solver._step_operator(f, faces, rates, pinned)
     zero = np.zeros(n + 1)
     # entries are O(1); the two builds round each entry in their own order
     np.testing.assert_allclose(s, s_cols, rtol=0.0, atol=8 * _EPS * np.abs(s_cols).max())
@@ -441,9 +444,8 @@ def test_leap_operators_match_the_column_by_column_step_matrix(kind, kappa, bc):
     # E_j = rates (P_j[:-1] - P_j[1:]) is the j-step increment: E_j + I = S^j
     # off the Dirichlet rows, each of the j products off by at most
     # gamma_{n+1} of entries that stay O(1) at this stable ratio
-    fluxes, _ = solver._leap_operators([cfg], table, k, None)
-    rates = solver._volume_rates(cfg)
-    free = [i for i in range(n + 1) if i not in dict(solver._pinned(cfg))]
+    fluxes, _ = solver._leap_operators(f, faces, rates, pinned, k, None)
+    free = [i for i in range(n + 1) if i not in dict(pinned)]
     power = np.eye(n + 1)
     for j, summed in enumerate(fluxes.reshape(k, n + 2, n + 1), start=1):
         power = s_cols @ power
@@ -461,10 +463,26 @@ def _leap_case(kind, bc, **overrides):
         snapshot_times=(0.0, 7 * 0.0002, 15 * 0.0002, 45 * 0.0002, 0.01), **overrides,
     )
     u0 = _pulse(cfg) + 0.25  # u(0) != 0: the rl advection is live
-    pinned = solver._pinned(cfg)
-    for node, value in pinned:
+    for node, (value,) in solver._boundaries([cfg])[2]:
         u0[node] = value
     return cfg, u0
+
+
+@pytest.mark.parametrize("bc", list(_LEAP_BCS))
+@pytest.mark.parametrize("kind", list(FluxKind))
+def test_step_is_the_oracles_update_bit_for_bit(kind, bc):
+    # step reads the boundary treatment from solver._boundaries, the oracle
+    # spells it out end by end; a non-finite field raises the same error
+    cfg, u0 = _leap_case(kind, bc)
+    table = build_table(cfg.alpha, cfg.dx, cfg.n)
+    q = face_fluxes(u0, kind, table, kappa=cfg.kappa)
+    assert np.array_equal(step(u0, q, cfg), explicit_step(u0, q, cfg))
+    q[50] = np.inf
+    with pytest.raises(InstabilityError) as got:
+        step(u0, q, cfg, step_index=7)
+    with pytest.raises(InstabilityError) as want:
+        explicit_step(u0, q, cfg, step_index=7)
+    assert str(got.value) == str(want.value)
 
 
 def _assert_runs_agree(got, want, bound):
@@ -644,8 +662,7 @@ def test_leap_abort_inside_a_later_chunk_is_the_oracles(scale, abort):
 # operator F per step; from FFT_MIN_N up, one face_fluxes per step, and
 # so does the local fourier law wherever it does not leap (from n = 142
 # up, and short runs below).  Both feed the update
-# the stacked leap uses, which the stepwise oracle's solver.step encodes
-# on its own.
+# the stacked leap uses, which the stepwise oracle encodes on its own.
 # Both fill a block of fields before recording them, solver.BLOCK_ROWS of
 # them at the n below, so the cases run past two block edges and take
 # snapshots on and inside them.
@@ -660,7 +677,7 @@ def _route_case(kind, bc, n, steps):
     snaps = tuple(k * dt for k in (0, 7, rows, 2 * rows, 2 * rows + 5, steps) if k <= steps)
     cfg = _config(flux=kind, bc=_ROUTE_BCS[bc], n=n, dt=dt, t_end=steps * dt, snapshot_times=snaps)
     u0 = _pulse(cfg) + 0.25  # u(0) != 0: the rl advection is live
-    for node, value in solver._pinned(cfg):
+    for node, (value,) in solver._boundaries([cfg])[2]:
         u0[node] = value
     return cfg, u0
 
@@ -707,6 +724,26 @@ def test_fft_route_equals_the_stepwise_oracle_bit_for_bit(kind, bc):
     _assert_runs_agree(got, want, 0.0)
     for name in ("mass", "u_min", "u_max", "step_change"):
         assert np.array_equal(getattr(got.trace, name), getattr(want.trace, name))
+
+
+@pytest.mark.parametrize("bc", list(_ROUTE_BCS))
+@pytest.mark.parametrize("kind", list(FluxKind))
+@pytest.mark.parametrize("n", [100, 200, FFT_MIN_N])
+def test_traced_mass_is_the_total_mass_of_each_snapshot(n, kind, bc):
+    # the recorder takes its mass with diagnostics.total_mass on every
+    # route: the stacked leap (n = 100), the F product (n = 200, where
+    # fourier takes single steps) and the FFT route
+    if n == 100:
+        cfg, u0 = _leap_case(kind, bc)
+        if kind is FluxKind.FOURIER:
+            cfg = replace(cfg, dt=1e-5, t_end=5e-4, snapshot_times=(0.0, 7e-5, 15e-5, 45e-5, 5e-4))
+        assert leap_steps(cfg.n, cfg.n_steps, LAWS[kind].local) == 15
+    else:
+        cfg, u0 = _route_case(kind, bc, n, 2 * solver.BLOCK_ROWS + 16)
+    result = run(cfg, u0)
+    assert len(result.snapshots) >= 5
+    for t, snapshot in zip(result.snapshot_times, result.snapshots):
+        assert result.trace.mass[cfg.steps_to(t)] == total_mass(snapshot)
 
 
 def _runaway_config(kind, n):
@@ -797,7 +834,7 @@ def _block_case(kind, bc, n, steps=2 * solver.BLOCK_ROWS + 16):
     for spec, (a, b) in zip(_BLOCK_BCS[bc], [(1.0, 0.25), (-2.0, 1.0)]):
         cfg = replace(base, bc=spec)
         u0 = a * _pulse(cfg) + b  # u(0) != 0: the rl advection is live
-        for node, value in solver._pinned(cfg):
+        for node, (value,) in solver._boundaries([cfg])[2]:
             u0[node] = value
         cfgs.append(cfg)
         u0s.append(u0)
