@@ -21,17 +21,19 @@ differences telescope away.
 Every route of :func:`run` makes each new field by one update: the field
 before it plus the volume rates times the face differences of fluxes at
 all n + 2 faces, with the Dirichlet nodes assigned.  Every law is linear
-and every boundary condition affine, so below the FFT crossover (see
-:func:`leap_steps`) one matrix-vector product gives, for j = 1..K, the
-face fluxes summed over the next j steps, F (I + S + ... + S^(j-1)) u
-plus a boundary offset, with F the face-flux operator and S the one-step
-matrix.  The stacked leap carries each field from leap end to leap end,
-one small product with the rows for j = K each, and then fills the K - 1
-fields between the ends of many leaps with one matrix-matrix product of
-the rows for j < K.  Where K would be small, one loop takes a step at a
-time from one of two flux sources: the product F u + g, or, from the FFT
-crossover up and for the local law wherever it does not leap, each
-field's :func:`~fracflux.flux.face_fluxes` inside its boundary fluxes g.
+and every boundary condition affine, so a field's state x, its n + 1
+nodal values followed by its two boundary values, steps by one matrix T,
+and below the FFT crossover (see :func:`leap_steps`) one matrix-vector
+product gives, for j = 1..K, the face fluxes summed over the next j
+steps, G (I + T + ... + T^(j-1)) x, with G the face-flux operator F
+extended to the state.  The stacked leap carries each field from leap
+end to leap end, one small product with the rows for j = K each, and
+then fills the K - 1 fields between the ends of many leaps with one
+matrix-matrix product of the rows for j < K.  Where K would be small,
+one loop takes a step at a time from one of two flux sources: the
+product F u + g, or, from the FFT crossover up and for the local law
+wherever it does not leap, each field's
+:func:`~fracflux.flux.face_fluxes` inside its boundary fluxes g.
 The interior differences telescope, so the mass moves only through the
 ends, to round-off.  The boundary treatment, g, the volume rates and the
 Dirichlet nodes, comes from one place, :func:`_boundaries`, for every
@@ -75,8 +77,8 @@ _BLOWUP_FACTOR = 1e12
 _STABILITY_WARN_RATIO = 0.5
 
 # Below the FFT crossover run() leaps K steps per matrix-vector product
-# with the last n + 2 rows of the leap operator, whose K (n+1)^2 stacked
-# doubles are held within LEAP_BYTES, where that allows K >= LEAP_MIN_STEPS:
+# with the last n + 2 rows of the leap operator, K steps of (n+1)^2
+# doubles each held within LEAP_BYTES, where that allows K >= LEAP_MIN_STEPS:
 # up to n = 141.  Its other rows fill the fields inside the leaps of a
 # chunk with one matrix-matrix product.  Every other dense grid takes
 # K = 1, one product with the face-flux operator F per step.  Fixed
@@ -415,6 +417,8 @@ def stability_ratio(cfg: SimConfig) -> float:
 def step(u: np.ndarray, q: np.ndarray, cfg: SimConfig, step_index: int = 0) -> np.ndarray:
     """Advance the nodal values u one explicit step, given the interior
     face fluxes q; step_index dates an :class:`InstabilityError`."""
+    if u.shape != (cfg.n + 1,):
+        raise ValueError(f"field must have {cfg.n + 1} nodes, got shape {u.shape}")
     if q.size != u.size - 1:
         raise ValueError(f"expected {u.size - 1} face fluxes, got {q.size}")
     faces, rates, pinned = _boundaries([cfg])
@@ -504,60 +508,43 @@ def _face_operator(cfg: SimConfig, table: GrunwaldTable) -> np.ndarray:
     return f
 
 
-def _step_operator(
-    f: np.ndarray, faces: np.ndarray, rates: np.ndarray, pinned: list
-) -> tuple[np.ndarray, np.ndarray]:
-    """(S, b) with S @ u + b[i] the step of field i of a block from u, to
-    round-off, from the face operator F and the block's :func:`_boundaries`;
-    S is shared, b holds one row per field."""
-    s = (f[:-1] - f[1:]) * rates[:, None]
-    s[np.diag_indices_from(s)] += 1.0
-    b = (faces[:, :-1] - faces[:, 1:]) * rates
-    for node, values in pinned:
-        s[node] = 0.0
-        b[:, node] = values
-    return s, b
+def _leap_operator(f: np.ndarray, rates: np.ndarray, nodes: list, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(T, P), the stacked leap of K = k steps on a field's state, from the
+    face operator F and the volume rates and Dirichlet nodes of
+    :func:`_boundaries`.
 
-
-def _leap_operators(
-    f: np.ndarray, faces: np.ndarray, rates: np.ndarray, pinned: list, k: int, shifts: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(P, p) giving the face fluxes of the next k steps summed, for the
-    face operator F and the :func:`_boundaries` of a block, each field
-    with its own shift, to which its law is blind: a column of any values
-    for caputo, parsimonious and fourier, None (no shift) for rl.  From
-    the fields U, the fluxes through the n + 2 faces summed over the next
-    j steps are
-
-        ((U - shifts) @ P.T).reshape(-1, k, n + 2)[:, j - 1] + p[:, j - 1],
-
-    and each field j steps on is its field now plus the volume rates
-    times their face differences, off the Dirichlet nodes.  P, shared by
-    the block, stacks P_j = F + F S + ... + F S^(j-1), with S the step
-    matrix, each new term one matrix product from the last; p[i, j - 1]
-    sums the face fluxes of the first j steps of the zero field i, with
-    the Dirichlet values lowered by field i's shift.  So P starts with F
-    and p with the boundary fluxes.
+    The state x = (u - s, left value, right value) of a field u has n + 3
+    entries: u less a shift s to which its law is blind (0 for rl), then
+    its two boundary values, a Dirichlet value lowered by s.  G, F with the
+    unit boundary-face column of each fixed-flux end appended, gives the
+    fluxes at the n + 2 faces from x; T steps x, each Dirichlet row copying
+    its tail entry and the two tail rows the identity.  P stacks
+    P_j = G (I + T + ... + T^(j-1)), j = 1..k, each new term one matrix
+    product from the last: (x @ P.T).reshape(k, n + 2)[j - 1] sums the face
+    fluxes of the next j steps, and the field j steps on is u plus the
+    volume rates times their face differences, off the Dirichlet nodes.
+    So P starts with G, and it depends on the physics alone: n, alpha, dt,
+    kappa, the law, the boundary kinds and k.
     """
-    s, bs = _step_operator(f, faces, rates, pinned)
-    fluxes = np.empty((k,) + f.shape)
-    fluxes[0] = term = f
+    n = rates.size - 1
+    ends = ((0, 0, n + 1), (n, n + 1, n + 2))  # (node, face, tail entry)
+    g = np.zeros((n + 2, n + 3))
+    g[:, : n + 1] = f
+    for node, face, tail in ends:
+        if node not in nodes:
+            g[face, tail] = 1.0
+    t = np.eye(n + 3)
+    t[: n + 1] += (g[:-1] - g[1:]) * rates[:, None]
+    for node, _, tail in ends:
+        if node in nodes:
+            t[node] = 0.0
+            t[node, tail] = 1.0
+    fluxes = np.empty((k, n + 2, n + 3))
+    fluxes[0] = term = g
     for j in range(1, k):
-        term = term @ s
+        term = term @ t
         np.add(fluxes[j - 1], term, out=fluxes[j])
-
-    if shifts is not None:
-        for node, _ in pinned:
-            bs[:, node] -= shifts[:, 0]
-    offsets = np.empty((len(faces), k, f.shape[0]))
-    for g, b, out in zip(faces, bs, offsets):
-        total = np.zeros(f.shape[0])
-        w = np.zeros(f.shape[1])
-        for j in range(k):
-            total = total + (f @ w + g)
-            out[j] = total
-            w = s @ w + b
-    return fluxes.reshape(-1, f.shape[1]), offsets
+    return t, fluxes.reshape(-1, n + 3)
 
 
 def _product_fluxes(
@@ -607,20 +594,20 @@ def _step_fill(source, u: np.ndarray, rows: np.ndarray, rates: np.ndarray, pinne
 
 
 def _leap_fill(
-    stacked: np.ndarray, offsets: np.ndarray, shifts: np.ndarray | None, k: int,
-    bases: np.ndarray, starts: np.ndarray, inner: np.ndarray,
-    u: np.ndarray, rows: np.ndarray, rates: np.ndarray, pinned: list,
+    stacked: np.ndarray, shifts: np.ndarray, k: int, bases: np.ndarray, states: np.ndarray,
+    inner: np.ndarray, u: np.ndarray, rows: np.ndarray, rates: np.ndarray, pinned: list,
 ) -> None:
-    """:func:`_step_fill` on the stacked leap (P, p, shifts) of
-    :func:`_leap_operators` with K = k, in leaps of k steps, the last of
-    which may be shorter.  Field by field, the leap ends come one after
-    the other, each the leap's start moved on by one GEMV with the n + 2
-    rows of P that sum its steps: the carried state.  Then one GEMM of
-    the leap starts with the rows of P for 1..k - 1 steps gives the fields
-    between the ends.  One GEMM per field, so a field of a block equals
-    its solo run bit for bit.  bases, starts and inner are per-run
-    buffers of leaps + 1, leaps and leaps rows, inner's of (k - 1)(n + 2)
-    doubles."""
+    """:func:`_step_fill` on the stacked leap P of :func:`_leap_operator`
+    with K = k, in leaps of k steps, the last of which may be shorter.
+    Field by field, the leap ends come one after the other, each the
+    leap's start moved on by one GEMV of its state (the field less its
+    shift, then its boundary values) with the n + 2 rows of P that sum the
+    leap's steps: the carried state.  Then one GEMM of the leap starts'
+    states with the rows of P for 1..k - 1 steps gives the fields between
+    the ends.  One GEMM per field, so a field of a block equals its solo
+    run bit for bit.  bases and inner are per-run buffers of leaps + 1
+    and leaps rows, inner's of (k - 1)(n + 2) doubles, and states holds
+    leaps states per field, their tails written once per run."""
     width = len(u)
     m = len(rows) // width
     size = rates.size + 1  # faces
@@ -631,19 +618,16 @@ def _leap_fill(
     for i in range(width):
         field = rows[i * m : (i + 1) * m]
         pins = [(node, values[i]) for node, values in pinned]
-        v = bases[:leaps] if shifts is None else starts[:leaps]
+        state = states[i, :leaps]
         bases[0] = u[i]
         for j in range(leaps):
             steps = k if j < full else last
-            if shifts is not None:
-                np.subtract(bases[j], shifts[i], out=v[j])
-            end = stacked[(steps - 1) * size : steps * size] @ v[j]
-            end += offsets[i, steps - 1]
+            np.subtract(bases[j], shifts[i], out=state[j, :-2])
+            end = stacked[(steps - 1) * size : steps * size] @ state[j]
             _advance(end, bases[j], rates, pins, bases[j + 1])
         # The face differences come after the product, so the interior
         # fluxes still telescope.
-        np.matmul(v, between, out=inner[:leaps])
-        summed += offsets[i, : k - 1]
+        np.matmul(state, between, out=inner[:leaps])
         inside = field[: full * k].reshape(full, k, size - 1)
         _advance(summed[:full], bases[:full, None], rates, pins, inside[:, :-1])
         inside[:, -1] = bases[1 : full + 1]
@@ -774,36 +758,43 @@ def _march(cfgs: list[SimConfig], u0s: np.ndarray, stride: int) -> list[RunResul
     steps_taken = n_steps
     steady_time = None
 
-    # The route that fills a block, with its per-run buffers.  The partials
-    # are positional: keywords would cost some 0.3 us a step.
     faces, rates, pinned = _boundaries(cfgs)
-    shifts = None if LAWS[cfg.flux].advection else u0s[:, :1]
-    if stride > 1:
-        leaps = _block_rows(cfg.n, stride) // stride
-        fill = partial(
-            _leap_fill,
-            *_leap_operators(_face_operator(cfg, table), faces, rates, pinned, stride, shifts),
-            shifts, stride,
-            np.empty((leaps + 1, cfg.n + 1)), np.empty((leaps, cfg.n + 1)),
-            np.empty((leaps, (stride - 1) * (cfg.n + 2))),
-        )
-    elif stride:
-        source = partial(
-            _product_fluxes, _face_operator(cfg, table), faces, shifts,
-            np.empty_like(u0s), np.empty_like(faces),
-        )
-        fill = partial(_step_fill, source)
-    else:
-        fill = partial(_step_fill, partial(_kernel_fluxes, cfg, table, faces))
     most = _block_rows(cfg.n, stride)
     block = stride if stride > 1 else most  # the first block: one leap
     # A block of m steps is the first width * m rows, field by field.
     buffer = np.empty((width * most, cfg.n + 1))
     deltas = np.empty_like(buffer)
     k = 0
-    # A field that overflows past a blow-up is reported below as an
-    # InstabilityError; numpy's overflow warnings would only repeat it.
+    # A field that overflows past a blow-up, or an operator built from an
+    # overflowing kappa or dt, is reported below as an InstabilityError;
+    # numpy's overflow warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
+        # The route that fills a block, with its per-run buffers.  The
+        # partials are positional: keywords would cost some 0.3 us a step.
+        # Each field is shifted by its left value at t = 0, to which its
+        # law is blind, except under rl, which is not.
+        blind = not LAWS[cfg.flux].advection
+        shifts = u0s[:, :1] if blind else np.zeros((width, 1))
+        if stride > 1:
+            _, stacked = _leap_operator(_face_operator(cfg, table), rates, [node for node, _ in pinned], stride)
+            tails = faces[:, [0, -1]]  # the fixed-flux values, and the Dirichlet ones less the shift
+            for node, values in pinned:
+                tails[:, -1 if node else 0] = values - shifts[:, 0]
+            leaps = most // stride
+            states = np.empty((width, leaps, cfg.n + 3))
+            states[..., -2:] = tails[:, None]
+            fill = partial(
+                _leap_fill, stacked, shifts, stride, np.empty((leaps + 1, cfg.n + 1)), states,
+                np.empty((leaps, (stride - 1) * (cfg.n + 2))),
+            )
+        elif stride:
+            source = partial(
+                _product_fluxes, _face_operator(cfg, table), faces, shifts if blind else None,
+                np.empty_like(u0s), np.empty_like(faces),
+            )
+            fill = partial(_step_fill, source)
+        else:
+            fill = partial(_step_fill, partial(_kernel_fluxes, cfg, table, faces))
         while k < n_steps:
             m = min(block, n_steps - k)
             rows = buffer[: width * m]

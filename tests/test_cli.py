@@ -204,6 +204,27 @@ def test_unstable_run_exits_nonzero(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["--kappa", "1e308", "--n", "5"], ["--kappa", "1e308", "--n", "200"],
+     ["--dt", "1e300", "--t-end", "1e301", "--n", "50"]],
+    ids=["leap", "f-route", "dt"],
+)
+def test_overflowing_operator_exits_3_with_numpy_warnings_as_errors(tmp_path, argv):
+    # an overflowing kappa or dt overflows the dense route's operators as
+    # they are built; numpy warnings must not leak past the abort
+    src = str(Path(fracflux.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "fracflux", "run",
+         "--scenario", "fig7-zero", *argv, "--out-dir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "run aborted: unstable at step 1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
     "command", [["run"], ["compare", "--flux-a", "rl", "--flux-b", "caputo"]], ids=["run", "compare"]
 )
 def test_input_too_large_for_memory_is_an_error(tmp_path, capsys, command):

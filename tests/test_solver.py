@@ -25,7 +25,7 @@ from fracflux.solver import (
     step,
 )
 from fracflux.weights import FFT_MIN_N, build_table
-from oracles import explicit_step, run_stepwise
+from oracles import explicit_step, face_fluxes_direct, run_stepwise
 
 
 def _config(**overrides):
@@ -432,24 +432,29 @@ def test_leap_operators_match_the_column_by_column_step_matrix(kind, kappa, bc):
     cfg, s_cols = _step_matrix(kind, 0.5, kappa, rho, _LEAP_BCS[bc], n=n)
     table = build_table(cfg.alpha, cfg.dx, cfg.n)
     f = solver._face_operator(cfg, table)
-    faces, rates, pinned = solver._boundaries([cfg])
-    s, (b,) = solver._step_operator(f, faces, rates, pinned)
+    _, rates, pinned = solver._boundaries([cfg])
+    t, fluxes = solver._leap_operator(f, rates, [node for node, _ in pinned], k)
+    # the state is (u, left value, right value): S is T's top-left block,
+    # the step of the zero field is T's tail columns times the tail, and
+    # the tail rows keep the tail
+    s, tail = t[:-2, :-2], np.array([cfg.bc.left.value, cfg.bc.right.value])
     zero = np.zeros(n + 1)
     # entries are O(1); the two builds round each entry in their own order
     np.testing.assert_allclose(s, s_cols, rtol=0.0, atol=8 * _EPS * np.abs(s_cols).max())
     np.testing.assert_allclose(
-        b, step(zero, face_fluxes(zero, kind, table, kappa=kappa), cfg), rtol=0.0, atol=8 * _EPS
+        t[:-2, -2:] @ tail, step(zero, face_fluxes(zero, kind, table, kappa=kappa), cfg),
+        rtol=0.0, atol=8 * _EPS,
     )
+    assert np.array_equal(t[-2:], np.eye(n + 3)[-2:])
 
     # E_j = rates (P_j[:-1] - P_j[1:]) is the j-step increment: E_j + I = S^j
     # off the Dirichlet rows, each of the j products off by at most
     # gamma_{n+1} of entries that stay O(1) at this stable ratio
-    fluxes, _ = solver._leap_operators(f, faces, rates, pinned, k, None)
     free = [i for i in range(n + 1) if i not in dict(pinned)]
     power = np.eye(n + 1)
-    for j, summed in enumerate(fluxes.reshape(k, n + 2, n + 1), start=1):
+    for j, summed in enumerate(fluxes.reshape(k, n + 2, n + 3), start=1):
         power = s_cols @ power
-        e_j = rates[:, None] * (summed[:-1] - summed[1:]) + np.eye(n + 1)
+        e_j = rates[:, None] * (summed[:-1, :-2] - summed[1:, :-2]) + np.eye(n + 1)
         bound = j * (n + 1) * _EPS * max(1.0, np.abs(power).max())
         assert np.abs(e_j - power)[free].max() <= bound
 
@@ -472,11 +477,14 @@ def _leap_case(kind, bc, **overrides):
 @pytest.mark.parametrize("kind", list(FluxKind))
 def test_step_is_the_oracles_update_bit_for_bit(kind, bc):
     # step reads the boundary treatment from solver._boundaries, the oracle
-    # spells it out end by end; a non-finite field raises the same error
+    # spells it out end by end; a non-finite field raises the same error,
+    # and a field of the wrong node count a ValueError
     cfg, u0 = _leap_case(kind, bc)
     table = build_table(cfg.alpha, cfg.dx, cfg.n)
     q = face_fluxes(u0, kind, table, kappa=cfg.kappa)
     assert np.array_equal(step(u0, q, cfg), explicit_step(u0, q, cfg))
+    with pytest.raises(ValueError, match=f"must have {cfg.n + 1} nodes"):
+        step(np.zeros(51), np.zeros(50), cfg)
     q[50] = np.inf
     with pytest.raises(InstabilityError) as got:
         step(u0, q, cfg, step_index=7)
@@ -508,6 +516,50 @@ def test_leap_run_matches_the_stepwise_oracle(kind, bc):
     # 50 steps of sums over ~n terms, each in its own order: a few ulps of
     # the field's scale per step
     _assert_runs_agree(got, want, 50 * 8 * _EPS * np.abs(u0).max())
+
+
+def _replay_matrix(cfg):
+    """T of the state (u, left value, right value), built column by column
+    from the oracle's update: column j <= n is one step of the unit field
+    e_j with zero boundary values, the two tail columns one step of the
+    zero field with a unit value at that end; the tail rows keep the tail."""
+    table = build_table(cfg.alpha, cfg.dx, cfg.n)
+    left, right = type(cfg.bc.left), type(cfg.bc.right)
+
+    def one_step(u, left_value, right_value):
+        bc = BoundarySpec(left(left_value), right(right_value))
+        return explicit_step(u, face_fluxes_direct(u, cfg.flux, table, kappa=cfg.kappa), replace(cfg, bc=bc))
+
+    columns = [np.r_[one_step(e, 0.0, 0.0), 0.0, 0.0] for e in np.eye(cfg.n + 1)]
+    columns += [np.r_[one_step(np.zeros(cfg.n + 1), *e), e] for e in np.eye(2)]
+    return np.column_stack(columns)
+
+
+@pytest.mark.parametrize("n,k", [(100, 15), (141, LEAP_MIN_STEPS)])
+@pytest.mark.parametrize("bc", list(_LEAP_BCS))
+@pytest.mark.parametrize("kind", list(FluxKind))
+def test_leap_and_stepwise_runs_match_the_k_step_replay(kind, bc, n, k):
+    # every law is linear and every boundary condition affine, so k steps
+    # of the state x = (u, left value, right value) are x_k = T^k x_0,
+    # replayed here by repeated squaring
+    cfg, u0 = _leap_case(kind, bc, n=n, kappa=1.5 if kind is FluxKind.FOURIER else 1.0)
+    if kind is FluxKind.FOURIER:
+        cfg = replace(cfg, dt=1e-5, t_end=5e-4, snapshot_times=(0.0, 7e-5, 15e-5, 45e-5, 5e-4))
+    assert leap_steps(cfg.n, cfg.n_steps) == k and cfg.n_steps % k  # ends in a short leap
+    t = _replay_matrix(cfg)
+    x0 = np.r_[u0, cfg.bc.left.value, cfg.bc.right.value]
+    got, want = run(cfg, u0), run_stepwise(cfg, u0)
+    for time, a, b in zip(got.snapshot_times, got.snapshots, want.snapshots):
+        steps = cfg.steps_to(time)
+        power = np.linalg.matrix_power(t, steps)
+        # k steps of sums over at most n + 1 terms, each off by gamma_{n+1}
+        # times entries that stay O(1) at these stable ratios (row sums of
+        # |T^k| below 5), and as many for the log2 k squarings of the replay
+        assert np.abs(power).sum(axis=1).max() < 5.0
+        replay = (power @ x0)[:-2]
+        bound = steps * (cfg.n + 1) * _EPS * np.abs(x0).max()
+        assert np.abs(a - replay).max() <= bound
+        assert np.abs(b - replay).max() <= bound
 
 
 @pytest.mark.parametrize("kind,steps", [(FluxKind.RIEMANN_LIOUVILLE, 6833), (FluxKind.CAPUTO, 3376)])
@@ -654,6 +706,24 @@ def test_leap_abort_inside_a_later_chunk_is_the_oracles(scale, abort):
     assert got.value.step_index == abort
     assert str(got.value) == str(want.value)
     assert ("non-finite" if scale == 1e300 else "over 1e12") in str(got.value)
+
+
+@pytest.mark.parametrize("n,stride", [(100, 15), (200, 1)])
+def test_overflowing_operator_aborts_like_single_steps(n, stride):
+    # kappa = 1e308 overflows the face operator as it is built, for the
+    # stacked leap (n = 100) and the F route (n = 200); the build runs
+    # under the march's error state, so the StabilityWarning is the only
+    # warning and the abort is the single-step loop's
+    cfg = _config(kappa=1e308, n=n, snapshot_times=())
+    u0 = _pulse(cfg)
+    assert leap_steps(cfg.n, cfg.n_steps) == stride
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InstabilityError) as want:
+        run_stepwise(cfg, u0)
+    with pytest.warns(StabilityWarning) as caught, pytest.raises(InstabilityError) as got:
+        run(cfg, u0)
+    assert [w.category for w in caught] == [StabilityWarning]
+    assert got.value.step_index == want.value.step_index == 1
+    assert str(got.value) == str(want.value)
 
 
 # ------------------------------------------------- F route and FFT route
