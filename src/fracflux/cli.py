@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import max_principle_check, steady_state_time
-from .flux import FluxKind
+from .flux import LAWS, FluxKind, apparent_advection, face_fluxes
 from .scenarios import SCENARIO_NAMES, build_initial, make_scenario
 from .solver import (
     BoundaryCondition,
@@ -32,6 +32,7 @@ from .solver import (
     boundary_condition,
     run,
 )
+from .weights import build_table
 
 _FLUX_CHOICES = tuple(kind.value for kind in FluxKind)
 _TRACE_POINT_LIMIT = 10_000
@@ -151,19 +152,21 @@ def _summary(manifest: dict, result: RunResult, initial_u: np.ndarray) -> dict:
             "max": trace.u_max[idx].tolist(),
         },
     }
-    if result.decomposition is not None:
-        diffusive, advective = result.decomposition
+    cfg, final = result.cfg, result.final
+    if LAWS[cfg.flux].advection:  # its flux is the caputo flux plus an advection
+        table = build_table(cfg.alpha, cfg.dx, cfg.n)
         summary["flux_decomposition"] = {
             "t": float(trace.t[-1]),
-            "diffusive": diffusive.tolist(),
-            "advective": advective.tolist(),
+            "diffusive": face_fluxes(final, FluxKind.CAPUTO, table, kappa=cfg.kappa).tolist(),
+            "advective": (cfg.kappa * apparent_advection(final[0], table)).tolist(),
         }
     return summary
 
 
 # The float lists of summary.json as (section, key), in document order;
-# only an rl run has the flux_decomposition section.  json.dumps(indent=2)
-# puts their items six spaces deep and their closing brackets four.
+# only a law with an advection term (rl) has the flux_decomposition
+# section.  json.dumps(indent=2) puts their items six spaces deep and their
+# closing brackets four.
 _FLOAT_LISTS = (
     ("mass_trace", "t"), ("mass_trace", "mass"),
     ("extrema_trace", "min"), ("extrema_trace", "max"),

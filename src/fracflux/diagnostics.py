@@ -123,6 +123,8 @@ def equivariance_test(
     eff_t_end = cfg.t_end if t_end is None else float(t_end)
     if snapshot_times is not None:
         snaps = tuple(snapshot_times)
+        if not snaps:
+            raise ValueError("snapshot_times must name at least one time to compare")
     elif t_end is None and cfg.snapshot_times:
         snaps = cfg.snapshot_times
     else:

@@ -391,7 +391,8 @@ class RunResult:
     """Snapshots plus per-step diagnostics of a completed run.
 
     Every time is a step count times dt: the final field sits at
-    ``trace.t[-1]``.
+    ``trace.t[-1]``.  A result holds the march only; what is a function
+    of a field, such as the rl law's flux split, is derived from it.
     """
 
     cfg: SimConfig
@@ -401,8 +402,6 @@ class RunResult:
     final: np.ndarray
     steps_taken: int
     steady_stop_time: float | None = None
-    # rl law only: the final field's flux as (caputo part, apparent advection)
-    decomposition: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def stability_ratio(cfg: SimConfig) -> float:
@@ -852,12 +851,6 @@ def _march(cfgs: list[SimConfig], u0s: np.ndarray, stride: int) -> list[RunResul
             t=np.arange(end) * cfg.dt, mass=mass[i, :end],
             u_min=u_min[i, :end], u_max=u_max[i, :end], step_change=step_change[i, :steps_taken],
         )
-        decomposition = None
-        if cfg.flux is FluxKind.RIEMANN_LIOUVILLE:
-            decomposition = (
-                face_fluxes(u[i], FluxKind.CAPUTO, table, kappa=cfg.kappa),
-                cfg.kappa * apparent_advection(u[i, 0], table),
-            )
         results.append(RunResult(
             cfg=cfg,
             snapshot_times=tuple(t for _, t in ordered),
@@ -866,6 +859,5 @@ def _march(cfgs: list[SimConfig], u0s: np.ndarray, stride: int) -> list[RunResul
             final=u[i],
             steps_taken=steps_taken,
             steady_stop_time=steady_time,
-            decomposition=decomposition,
         ))
     return results

@@ -107,8 +107,8 @@ def run_stepwise(cfg: SimConfig, u0) -> RunResult:
     from one place; this is the plain loop: one ``face_fluxes`` and one
     :func:`explicit_step` per time level, an update that owns its encoding
     of the boundary treatment, with the same runaway guard, steady stop
-    and snapshot rules.  No Dirichlet consistency check, no stability
-    warning and no rl flux decomposition.
+    and snapshot rules.  No Dirichlet consistency check and no stability
+    warning.
     """
     u = np.asarray(u0, dtype=np.float64)
     table = build_table(cfg.alpha, cfg.dx, cfg.n)

@@ -13,9 +13,10 @@ import fracflux
 from fracflux import cli
 from fracflux.cli import main
 from fracflux.diagnostics import DiagnosticTrace
-from fracflux.flux import FluxKind
-from fracflux.scenarios import build_initial, make_scenario
-from fracflux.solver import StabilityWarning, run
+from fracflux.flux import LAWS, FluxKind, apparent_advection, face_fluxes
+from fracflux.scenarios import build_initial, make_scenario, triangular_pulse
+from fracflux.solver import BoundarySpec, InitialSpec, SimConfig, StabilityWarning, run
+from fracflux.weights import build_table
 
 
 def _read_csv(path):
@@ -512,6 +513,47 @@ def test_a_flag_of_one_call_does_not_carry_into_the_next(tmp_path):
     assert cli._parser() is cli._parser()
 
 
+def _rl_split(result):
+    """The final field's rl flux as (caputo flux, apparent advection), by
+    the two public calls."""
+    cfg, u = result.cfg, result.final
+    table = build_table(cfg.alpha, cfg.dx, cfg.n)
+    return (
+        face_fluxes(u, FluxKind.CAPUTO, table, kappa=cfg.kappa),
+        cfg.kappa * apparent_advection(u[0], table),
+    )
+
+
+@pytest.mark.parametrize("kind", list(FluxKind))
+def test_flux_decomposition_written_for_rl_only(tmp_path, kind):
+    # kappa = 1.5 and u(0) = 1: the advection is live; the local law takes
+    # a step short enough for its second-order ratio
+    cfg = SimConfig(
+        alpha=0.5, n=100, dt=0.00002 if LAWS[kind].local else 0.0002, t_end=0.01,
+        snapshot_times=(0.01,), flux=kind, bc=BoundarySpec.reflective(), kappa=1.5,
+        initial=InitialSpec("constant", {"value": 0.0}),
+    )
+    u0 = triangular_pulse(cfg.x) + 1.0
+    result = run(cfg, u0)
+    path = tmp_path / "summary.json"
+    cli.write_summary_json(path, cfg.manifest(), result, u0)
+    summary = json.loads(path.read_text(encoding="utf-8"))
+    if kind is not FluxKind.RIEMANN_LIOUVILLE:
+        assert "flux_decomposition" not in summary
+        return
+    # the final field's rl flux, split into the caputo flux and the advection
+    diffusive = np.array(summary["flux_decomposition"]["diffusive"])
+    advective = np.array(summary["flux_decomposition"]["advective"])
+    table = build_table(cfg.alpha, cfg.dx, cfg.n)
+    u = result.final
+    assert np.array_equal(diffusive, face_fluxes(u, FluxKind.CAPUTO, table, kappa=1.5))
+    assert np.array_equal(advective, 1.5 * apparent_advection(u[0], table))
+    assert np.all(advective < 0.0)
+    np.testing.assert_allclose(
+        diffusive + advective, face_fluxes(u, cfg.flux, table, kappa=1.5), rtol=1e-13
+    )
+
+
 def _summary_case(case):
     # rl, stopped when steady: a flux decomposition follows the traces
     cfg = replace(
@@ -557,8 +599,9 @@ def test_summary_writer_matches_json_dumps(tmp_path, case):
     else:
         # every digit of the decomposition survives the round trip
         written = json.loads(path.read_text(encoding="utf-8"))["flux_decomposition"]
-        assert written["diffusive"] == result.decomposition[0].tolist()
-        assert written["advective"] == result.decomposition[1].tolist()
+        diffusive, advective = _rl_split(result)
+        assert written["diffusive"] == diffusive.tolist()
+        assert written["advective"] == advective.tolist()
         assert len(written["advective"]) == cfg.n
     if case == "steady-stop":
         assert result.steady_stop_time is not None

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import fracflux
+from fracflux import solver
 from fracflux.diagnostics import (
     DiagnosticTrace,
     equivariance_test,
@@ -188,6 +189,19 @@ def test_affine_equivariance_of_gradient_built_laws():
             snapshot_times=(0.02, 0.04),
         )
         assert report.max_deviation <= 1e-12
+
+
+def test_equivariance_test_rejects_empty_snapshot_times(monkeypatch):
+    # with no time to compare there is no deviation: refuse before any run
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_block called")
+
+    monkeypatch.setattr(solver, "run_block", no_run)
+    with pytest.raises(ValueError, match="snapshot_times must name at least one time"):
+        equivariance_test(
+            make_scenario("fig7-shifted"), FluxKind.CAPUTO, 2.0, 1.0, t_end=0.01,
+            snapshot_times=(),
+        )
 
 
 # The base and the mapped run march as one block: at n = 200 one GEMM of

@@ -217,24 +217,6 @@ def test_steady_stop_freezes_later_snapshots():
         assert np.all(u == 2.0)
 
 
-def test_decomposition_reported_for_rl_only():
-    cfg_rl = _config(flux=FluxKind.RIEMANN_LIOUVILLE, kappa=1.5, dt=0.0002)
-    cfg_c = _config(flux=FluxKind.CAPUTO)
-    res_rl = run(cfg_rl, _pulse(cfg_rl) + 1.0)  # u(0) = 1: the advection is live
-    res_c = run(cfg_c, _pulse(cfg_c))
-    assert res_c.decomposition is None
-    # the final field's rl flux, split into the caputo flux and the advection
-    diffusive, advective = res_rl.decomposition
-    table = build_table(cfg_rl.alpha, cfg_rl.dx, cfg_rl.n)
-    u = res_rl.final
-    assert np.array_equal(diffusive, face_fluxes(u, FluxKind.CAPUTO, table, kappa=1.5))
-    assert np.array_equal(advective, 1.5 * apparent_advection(u[0], table))
-    assert np.all(advective < 0.0)
-    np.testing.assert_allclose(
-        diffusive + advective, face_fluxes(u, cfg_rl.flux, table, kappa=1.5), rtol=1e-13
-    )
-
-
 def test_rl_advective_part_zero_at_every_step_with_pinned_zero_boundary():
     from fracflux.scenarios import fig7_bump
 
@@ -929,9 +911,6 @@ def test_block_fields_match_their_solo_runs(n, kind, bc):
             want = run(cfg, u0)
             # a few ulps of the field's scale per step after a GEMM, else none
             _assert_runs_agree(got, want, steps * 8 * _EPS * np.abs(u0).max() if gemm else 0.0)
-            if cfg.flux is FluxKind.RIEMANN_LIOUVILLE:
-                for a, b in zip(got.decomposition, want.decomposition):
-                    assert np.abs(a - b).max() <= steps * 8 * _EPS * np.abs(b).max()
         # the fields differ, so a mix-up of rows or offsets shows
         assert np.abs(block[0].final - block[1].final).max() > 0.1
 
