@@ -73,7 +73,10 @@ def resolve_config(args: argparse.Namespace) -> SimConfig:
     """
     file_data: dict = {}
     if args.config:
-        file_data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            file_data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except RecursionError:
+            raise ConfigurationError(f"{args.config} nests JSON too deeply") from None
         if not isinstance(file_data, dict):
             raise ConfigurationError(f"{args.config} does not hold a JSON object")
     scenario_name = args.scenario or SimConfig.decode("scenario", file_data.get("scenario"))
@@ -131,13 +134,14 @@ def write_snapshots_csv(path: Path, result: RunResult) -> None:
     _write_long_csv(path, "t,x,u", result.cfg.x, rows)
 
 
-def _summary(manifest: dict, result: RunResult, initial_u: np.ndarray) -> dict:
-    """The summary.json document of a run."""
+def _summary(result: RunResult) -> dict:
+    """The summary.json document of a run, a function of its result alone."""
     trace = result.trace
     idx = _downsample_indices(trace.t.size)
-    principle = max_principle_check(trace, initial_u)
+    # The trace's first entry holds the initial field's min and max.
+    principle = max_principle_check(trace, (trace.u_min[0], trace.u_max[0]))
     summary = {
-        "manifest": manifest,
+        "manifest": result.cfg.manifest(),
         "steps_taken": result.steps_taken,
         "steady_stop_time": result.steady_stop_time,
         "steady_state_time": steady_state_time(trace, result.cfg.steady_eps),
@@ -211,10 +215,8 @@ def _write_summary(path: Path, summary: dict) -> None:
         fh.write("\n")
 
 
-def write_summary_json(
-    path: Path, manifest: dict, result: RunResult, initial_u: np.ndarray
-) -> None:
-    _write_summary(path, _summary(manifest, result, initial_u))
+def write_summary_json(path: Path, result: RunResult) -> None:
+    _write_summary(path, _summary(result))
 
 
 def run_command(args: argparse.Namespace) -> int:
@@ -224,12 +226,11 @@ def run_command(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = cfg.manifest()
     (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
+        json.dumps(cfg.manifest(), indent=2) + "\n", encoding="utf-8"
     )
     write_snapshots_csv(out_dir / "snapshots.csv", result)
-    write_summary_json(out_dir / "summary.json", manifest, result, u0)
+    write_summary_json(out_dir / "summary.json", result)
 
     final_mass = result.trace.mass[-1]
     print(

@@ -1,42 +1,18 @@
-"""Quantitative checks behind the qualitative claims: mass accounting,
-bound monitoring, steady-state detection and affine-rescaling tests."""
+"""Quantitative checks behind the qualitative claims: bound monitoring and
+steady-state detection on a run's trace, and affine-rescaling tests.  The
+trace type and the discrete mass, :func:`~fracflux.solver.total_mass`, live
+in :mod:`fracflux.solver`, whose recorder fills them; both may be imported
+from here too."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .flux import FluxKind
-
-if TYPE_CHECKING:
-    from .scenarios import Scenario
-
-
-@dataclass
-class DiagnosticTrace:
-    """Per-step record of a run: times, discrete mass and field extrema.
-
-    All arrays cover the initial state plus one entry per completed step;
-    step_change is the max-norm change of each step, aligned with t[1:].
-    """
-
-    t: np.ndarray
-    mass: np.ndarray
-    u_min: np.ndarray
-    u_max: np.ndarray
-    step_change: np.ndarray
-
-
-def total_mass(u) -> float | np.ndarray:
-    """Discrete integral over [0, 1] of the nodal values u along the last
-    axis, one per field: half-weight end nodes (half-size end volumes),
-    full weight in the interior.  The nodes are equispaced, so
-    dx = 1 / (number of nodes - 1)."""
-    arr = np.asarray(u, dtype=np.float64)
-    dx = 1.0 / (arr.shape[-1] - 1)
-    return dx * (0.5 * arr[..., 0] + np.add.reduce(arr[..., 1:-1], axis=-1) + 0.5 * arr[..., -1])
+from .scenarios import Scenario, build_initial
+from .solver import BoundarySpec, DiagnosticTrace, Dirichlet, FixedFlux, run_block, total_mass
 
 
 @dataclass
@@ -98,7 +74,7 @@ class EquivarianceReport:
 
 
 def equivariance_test(
-    scenario: "Scenario",
+    scenario: Scenario,
     law: FluxKind,
     a: float,
     b: float,
@@ -115,10 +91,6 @@ def equivariance_test(
     share their step operator and march as one block
     (:func:`fracflux.solver.run_block`).
     """
-    # Imported here: solver imports this module for its trace type.
-    from .scenarios import build_initial
-    from .solver import BoundarySpec, Dirichlet, FixedFlux, run_block
-
     cfg = scenario.cfg
     eff_t_end = cfg.t_end if t_end is None else float(t_end)
     if snapshot_times is not None:

@@ -37,9 +37,10 @@ wherever it does not leap, each field's
 The interior differences telescope, so the mass moves only through the
 ends, to round-off.  The boundary treatment, g, the volume rates and the
 Dirichlet nodes, comes from one place, :func:`_boundaries`, for every
-route and for :func:`step`, the same update for one field given its
-interior fluxes.  Every route fills a block of fields, and the run
-records each block in one vectorised pass.
+route, for :func:`step`, the same update for one field given its
+interior fluxes, and for the initial field's Dirichlet check.  Every
+route fills a block of fields, and the run records each block in one
+vectorised pass into each field's :class:`DiagnosticTrace`.
 
 A run keeps one route to its end; one that fails the runaway guard on a
 dense route is marched again from t = 0 on single steps, so every abort
@@ -65,7 +66,6 @@ from typing import ClassVar
 import numpy as np
 
 from . import __version__
-from .diagnostics import DiagnosticTrace, total_mass
 from .flux import LAWS, FluxKind, apparent_advection, face_fluxes
 from .weights import FFT_MIN_N, GrunwaldTable, build_table
 
@@ -372,7 +372,7 @@ class SimConfig:
             return _decode_scalar(getattr(cls, name), value)
         except KeyError as exc:
             raise ConfigurationError(f"{name!r} is missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int past float range
             raise ConfigurationError(f"bad value for {name!r}: {exc}") from None
 
     def manifest(self) -> dict:
@@ -384,6 +384,31 @@ class SimConfig:
             "dx": self.dx,
             "stability_ratio": stability_ratio(self),
         }
+
+
+@dataclass
+class DiagnosticTrace:
+    """Per-step record of a run: times, discrete mass and field extrema.
+
+    All arrays cover the initial state plus one entry per completed step;
+    step_change is the max-norm change of each step, aligned with t[1:].
+    """
+
+    t: np.ndarray
+    mass: np.ndarray
+    u_min: np.ndarray
+    u_max: np.ndarray
+    step_change: np.ndarray
+
+
+def total_mass(u) -> float | np.ndarray:
+    """Discrete integral over [0, 1] of the nodal values u along the last
+    axis, one per field: half-weight end nodes (half-size end volumes),
+    full weight in the interior.  The nodes are equispaced, so
+    dx = 1 / (number of nodes - 1)."""
+    arr = np.asarray(u, dtype=np.float64)
+    dx = 1.0 / (arr.shape[-1] - 1)
+    return dx * (0.5 * arr[..., 0] + np.add.reduce(arr[..., 1:-1], axis=-1) + 0.5 * arr[..., -1])
 
 
 @dataclass
@@ -427,17 +452,6 @@ def step(u: np.ndarray, q: np.ndarray, cfg: SimConfig, step_index: int = 0) -> n
     if not np.isfinite(nxt).all():
         raise InstabilityError(step_index, step_index * cfg.dt, "non-finite value produced")
     return nxt
-
-
-def _check_dirichlet_consistency(cfg: SimConfig, u0: np.ndarray) -> None:
-    for side, bc, val in (("left", cfg.bc.left, u0[0]), ("right", cfg.bc.right, u0[-1])):
-        if isinstance(bc, Dirichlet):
-            if abs(val - bc.value) > 1e-12 * max(1.0, abs(bc.value)):
-                raise ConfigurationError(
-                    f"initial value {val!r} at the {side} end does not match the "
-                    f"Dirichlet value {bc.value!r}; pass force_inconsistent_bc=True "
-                    "to run anyway"
-                )
 
 
 def leap_steps(n: int, n_steps: int, local: bool = False) -> int:
@@ -691,8 +705,9 @@ def _run_block(cfgs, u0s) -> list[RunResult]:
         )
     if len(cfgs) > 1 and any(cfg.stop_when_steady for cfg in cfgs):
         raise ValueError("stop_when_steady needs a block of one field")
+    _, _, pinned = _boundaries(cfgs)
     starts = []
-    for cfg, u0 in zip(cfgs, u0s):
+    for i, (cfg, u0) in enumerate(zip(cfgs, u0s)):
         u0 = np.asarray(u0, dtype=np.float64)
         if u0.shape != (cfg.n + 1,):
             raise ConfigurationError(
@@ -700,8 +715,14 @@ def _run_block(cfgs, u0s) -> list[RunResult]:
             )
         if not np.all(np.isfinite(u0)):
             raise ConfigurationError("initial field contains non-finite values")
-        if not cfg.force_inconsistent_bc:
-            _check_dirichlet_consistency(cfg, u0)
+        for node, values in pinned:
+            val, value = u0[node], values[i].item()
+            if not cfg.force_inconsistent_bc and abs(val - value) > 1e-12 * max(1.0, abs(value)):
+                raise ConfigurationError(
+                    f"initial value {val!r} at the {'right' if node else 'left'} end does not "
+                    f"match the Dirichlet value {value!r}; pass force_inconsistent_bc=True "
+                    "to run anyway"
+                )
         starts.append(u0)
 
     cfg = cfgs[0]
@@ -729,7 +750,7 @@ def _march(cfgs: list[SimConfig], u0s: np.ndarray, stride: int) -> list[RunResul
     width = len(cfgs)
     table = build_table(cfg.alpha, cfg.dx, cfg.n)
     n_steps = cfg.n_steps
-    snap_steps = {cfg.steps_to(t): t for t in cfg.snapshot_times}
+    snap_steps = [cfg.steps_to(t) for t in cfg.snapshot_times]  # sorted, distinct: see SimConfig
 
     # One row per field.
     mass = np.empty((width, n_steps + 1))
@@ -844,7 +865,6 @@ def _march(cfgs: list[SimConfig], u0s: np.ndarray, stride: int) -> list[RunResul
         if k > steps_taken:
             snapshots[k] = u.copy()
     end = steps_taken + 1
-    ordered = sorted(snap_steps.items())
     results = []
     for i, cfg in enumerate(cfgs):
         trace = DiagnosticTrace(
@@ -853,8 +873,8 @@ def _march(cfgs: list[SimConfig], u0s: np.ndarray, stride: int) -> list[RunResul
         )
         results.append(RunResult(
             cfg=cfg,
-            snapshot_times=tuple(t for _, t in ordered),
-            snapshots=[snapshots[k][i] for k, _ in ordered],
+            snapshot_times=cfg.snapshot_times,
+            snapshots=[snapshots[k][i] for k in snap_steps],
             trace=trace,
             final=u[i],
             steps_taken=steps_taken,

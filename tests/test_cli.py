@@ -3,7 +3,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +12,7 @@ import pytest
 import fracflux
 from fracflux import cli
 from fracflux.cli import main
-from fracflux.diagnostics import DiagnosticTrace
+from fracflux.diagnostics import DiagnosticTrace, max_principle_check
 from fracflux.flux import LAWS, FluxKind, apparent_advection, face_fluxes
 from fracflux.scenarios import build_initial, make_scenario, triangular_pulse
 from fracflux.solver import BoundarySpec, InitialSpec, SimConfig, StabilityWarning, run
@@ -312,6 +312,13 @@ def test_config_file_without_scenario(tmp_path):
         ["--config", {"snapshot_times": [True], "t_end": 1.0}],
         ["--config", {"snapshot_times": "0"}],
         ["--config", {"steady_eps": float("inf")}, "--stop-when-steady"],
+        # integer literals past float range
+        ["--config", {"n": 10**400}],
+        ["--config", {"alpha": 10**400}],
+        ["--config", {"snapshot_times": [10**400]}],
+        ["--config", {"bc": {"left": {"kind": "dirichlet", "value": 10**400},
+                             "right": {"kind": "dirichlet", "value": 0.0}}}],
+        ["--config", {"initial": {"profile": "fig7-bump", "params": {"offset": 10**400}}}],
         # times the user gave must lie within the run, unlike inherited ones
         ["--t-end", "0.02", "--snapshots", "0.04"],
         ["--config", {"t_end": 0.02, "snapshot_times": [0.04]}],
@@ -322,6 +329,8 @@ def test_config_file_without_scenario(tmp_path):
          "profile-list", "profile-object", "param-typo",
          "param-string", "param-true", "bc-value-true", "bc-value-string",
          "snapshot-string", "snapshot-true", "snapshots-not-a-list", "steady-eps-inf",
+         "n-huge-int", "alpha-huge-int", "snapshot-huge-int", "bc-value-huge-int",
+         "param-huge-int",
          "snapshot-flag-past-end", "snapshot-file-past-end"],
 )
 def test_bad_input_is_a_configuration_error(tmp_path, capsys, flags):
@@ -334,6 +343,21 @@ def test_bad_input_is_a_configuration_error(tmp_path, capsys, flags):
             flag = str(path)
         args.append(flag)
     assert main(args) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["compare", "--flux-a", "rl", "--flux-b", "caputo"]])
+@pytest.mark.parametrize("text", [
+    "[" * 200_000 + "]" * 200_000,
+    '{"scenario": "fig7-zero", "initial": ' + '{"a": ' * 200_000 + "1" + "}" * 200_001,
+], ids=["array", "initial-object"])
+def test_deeply_nested_config_is_a_configuration_error(tmp_path, capsys, command, text):
+    # json.loads gives up with a RecursionError
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main([*command, "--config", str(path), "--out-dir", str(out)]) == 2
     assert "configuration error:" in capsys.readouterr().err
     assert not out.exists()
 
@@ -536,7 +560,7 @@ def test_flux_decomposition_written_for_rl_only(tmp_path, kind):
     u0 = triangular_pulse(cfg.x) + 1.0
     result = run(cfg, u0)
     path = tmp_path / "summary.json"
-    cli.write_summary_json(path, cfg.manifest(), result, u0)
+    cli.write_summary_json(path, result)
     summary = json.loads(path.read_text(encoding="utf-8"))
     if kind is not FluxKind.RIEMANN_LIOUVILLE:
         assert "flux_decomposition" not in summary
@@ -552,6 +576,19 @@ def test_flux_decomposition_written_for_rl_only(tmp_path, kind):
     np.testing.assert_allclose(
         diffusive + advective, face_fluxes(u, cfg.flux, table, kappa=1.5), rtol=1e-13
     )
+
+
+@pytest.mark.parametrize("law,violated", [("rl", True), ("caputo", False)])
+def test_summary_bound_check_is_that_of_the_initial_field(tmp_path, law, violated):
+    # the writer reads the bounds from the trace; they are u0's min and max
+    out = tmp_path / law
+    assert main(["run", "--scenario", "fig7-shifted", "--flux", law, "--out-dir", str(out)]) == 0
+    cfg = SimConfig.from_mapping(json.loads((out / "manifest.json").read_text()))
+    u0 = build_initial(cfg.initial, cfg.x)
+    result = run(cfg, u0)
+    report = json.loads((out / "summary.json").read_text())["max_principle"]
+    assert report == asdict(max_principle_check(result.trace, u0))
+    assert report["violated"] is violated
 
 
 def _summary_case(case):
@@ -585,8 +622,8 @@ def _summary_case(case):
 def test_summary_writer_matches_json_dumps(tmp_path, case):
     cfg, result, u0 = _summary_case(case)
     path = tmp_path / "summary.json"
-    cli.write_summary_json(path, cfg.manifest(), result, u0)
-    summary = cli._summary(cfg.manifest(), result, u0)
+    cli.write_summary_json(path, result)
+    summary = cli._summary(result)
     assert path.read_text(encoding="utf-8") == json.dumps(summary, indent=2) + "\n"
     # 12 001 points exceed 10^4, so the decimated trace keeps every second one
     points = {
@@ -611,7 +648,7 @@ def test_summary_writer_matches_json_dumps(tmp_path, case):
 def test_summary_writer_refuses_a_non_finite_trace_value(tmp_path, section, key):
     # json.dumps would write it as NaN; a run that goes non-finite aborts first
     cfg, result, u0 = _summary_case("one-point")
-    summary = cli._summary(cfg.manifest(), result, u0)
+    summary = cli._summary(result)
     summary[section][key][0] = float("nan")
     with pytest.raises(ValueError, match=f"{section}.{key}"):
         cli._write_summary(tmp_path / "summary.json", summary)
