@@ -47,10 +47,14 @@ dense route is marched again from t = 0 on single steps, so every abort
 has the step and the message of the single-step loop, bit for bit.
 
 :func:`run_block` marches several fields whose configurations differ
-only in their boundary values, and so share the step operator: it is
-built once and one recorder pass serves the whole block, and where one
-product with F makes one step, a matrix-matrix product makes it for
-every field at once.  :func:`run` is a block of one.
+only in their boundary values, and so share the step operator: one
+recorder pass serves the whole block, and where one product with F makes
+one step, a matrix-matrix product makes it for every field at once.
+:func:`run` is a block of one.  The operator a dense route reads, F or
+the stacked leap's P, is cached per weight table (:func:`_dense_operator`):
+a block, and every later run that needs the same operator while it is
+among the :data:`OPERATOR_CACHE_SIZE` most recently used, reads it
+without building it again.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+import threading
 import warnings
 from dataclasses import MISSING, dataclass, field, fields
 from functools import partial
@@ -93,6 +98,17 @@ _STABILITY_WARN_RATIO = 0.5
 # `alpha-sweep` benchmark from 0.33 to 0.17 s (median of 10 pairs).
 LEAP_BYTES = 1_300_000
 LEAP_MIN_STEPS = 8
+
+# How many operators _dense_operator keeps, the most recently used: the
+# stacked P of a leap (at most LEAP_BYTES) or the F of the K = 1 route.
+# The bundled experiments make 19 stacked leaps from 6 distinct P; in the
+# seed-permuted order of benchmark `reproduce` (seeds 1-40) a cache of
+# 1 / 2 / 3 / 4 / 5 entries leaves a median of 15 / 11 / 8 / 6 / 6 builds
+# a pass, of 0.75 ms each at n = 100, K = 15 (2-vCPU x86 host, one
+# OpenBLAS thread).  With 3 entries `reproduce` took 0.202 -> 0.188 s a
+# pass and its peak RSS 43.9 -> 45.6 MB (medians of 20 pairs).  A fourth
+# entry would save two builds more, under 1% of a pass, for up to 1.3 MB.
+OPERATOR_CACHE_SIZE = 3
 
 # Fields per recorded block, per field.  On the K = 1 and FFT routes:
 # BLOCK_ROWS, or fewer where that many would hold more than BLOCK_BYTES
@@ -170,7 +186,10 @@ def boundary_condition(kind: str, value: float) -> BoundaryCondition:
         raise ConfigurationError(
             f"unknown boundary kind {kind!r}; valid kinds: {valid}"
         ) from None
-    value = _decode_scalar(0.0, value)
+    try:
+        value = _decode_scalar(0.0, value)
+    except (TypeError, OverflowError) as exc:  # OverflowError: an int past float range
+        raise ConfigurationError(f"bad {kind} boundary value: {exc}") from None
     if not math.isfinite(value):
         raise ConfigurationError(f"{kind} boundary value must be finite, got {value}")
     return cls(value)
@@ -537,7 +556,9 @@ def _leap_operator(f: np.ndarray, rates: np.ndarray, nodes: list, k: int) -> tup
     fluxes of the next j steps, and the field j steps on is u plus the
     volume rates times their face differences, off the Dirichlet nodes.
     So P starts with G, and it depends on the physics alone: n, alpha, dt,
-    kappa, the law, the boundary kinds and k.
+    kappa, the law, the boundary kinds and k.  A run does not call this
+    itself: it reads P from :func:`_dense_operator`, which builds it once
+    for every run that shares these while it stays cached.
     """
     n = rates.size - 1
     ends = ((0, 0, n + 1), (n, n + 1, n + 2))  # (node, face, tail entry)
@@ -558,6 +579,47 @@ def _leap_operator(f: np.ndarray, rates: np.ndarray, nodes: list, k: int) -> tup
         term = term @ t
         np.add(fluxes[j - 1], term, out=fluxes[j])
     return t, fluxes.reshape(-1, n + 3)
+
+
+# _dense_operator's entries, key -> (table, operator), least recently used first.
+_operators: dict[tuple, tuple[GrunwaldTable, np.ndarray]] = {}
+_operators_lock = threading.Lock()
+
+
+def _dense_operator(
+    cfg: SimConfig, table: GrunwaldTable, rates: np.ndarray, nodes: list, stride: int,
+) -> np.ndarray:
+    """The operator of the dense route of K = stride >= 1 steps a product,
+    read-only and shared by every run that needs it: the stacked P of
+    :func:`_leap_operator` for K > 1, given the volume rates and the
+    Dirichlet nodes of :func:`_boundaries`, and F of
+    :func:`_face_operator` for K = 1.
+
+    The key is what the operator depends on: the weight table, which fixes
+    alpha, dx and n, by identity; the law's row of LAWS, so parsimonious
+    shares caputo's; kappa and K; and for P also dt and the Dirichlet
+    nodes.  No boundary value or shift enters it.  An entry holds its
+    table, so no other table can take the table's id while the entry
+    lives, and the operators of a table built afresh (as after
+    ``build_table.cache_clear()``) are built afresh.  The
+    :data:`OPERATOR_CACHE_SIZE` most recently used entries are kept.
+    """
+    key = (id(table), LAWS[cfg.flux], cfg.kappa, stride)
+    if stride > 1:
+        key += (cfg.dt, tuple(nodes))
+    with _operators_lock:
+        entry = _operators.pop(key, None)
+        if entry is None:
+            # Room first, so that no more than the cache's size are ever held.
+            while len(_operators) >= OPERATOR_CACHE_SIZE:
+                del _operators[next(iter(_operators))]
+            operator = f = _face_operator(cfg, table)
+            if stride > 1:
+                _, operator = _leap_operator(f, rates, nodes, stride)
+            operator.flags.writeable = False
+            entry = (table, operator)
+        _operators[key] = entry  # now the most recently used
+    return entry[1]
 
 
 def _product_fluxes(
@@ -796,7 +858,7 @@ def _march(cfgs: list[SimConfig], u0s: np.ndarray, stride: int) -> list[RunResul
         blind = not LAWS[cfg.flux].advection
         shifts = u0s[:, :1] if blind else np.zeros((width, 1))
         if stride > 1:
-            _, stacked = _leap_operator(_face_operator(cfg, table), rates, [node for node, _ in pinned], stride)
+            stacked = _dense_operator(cfg, table, rates, [node for node, _ in pinned], stride)
             tails = faces[:, [0, -1]]  # the fixed-flux values, and the Dirichlet ones less the shift
             for node, values in pinned:
                 tails[:, -1 if node else 0] = values - shifts[:, 0]
@@ -809,7 +871,7 @@ def _march(cfgs: list[SimConfig], u0s: np.ndarray, stride: int) -> list[RunResul
             )
         elif stride:
             source = partial(
-                _product_fluxes, _face_operator(cfg, table), faces, shifts if blind else None,
+                _product_fluxes, _dense_operator(cfg, table, rates, [], 1), faces, shifts if blind else None,
                 np.empty_like(u0s), np.empty_like(faces),
             )
             fill = partial(_step_fill, source)

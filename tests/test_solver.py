@@ -1,5 +1,7 @@
+import sys
+import threading
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,12 +12,15 @@ from fracflux.flux import LAWS, FluxKind, apparent_advection, face_fluxes
 from fracflux.solver import (
     LEAP_BYTES,
     LEAP_MIN_STEPS,
+    OPERATOR_CACHE_SIZE,
     BoundarySpec,
     ConfigurationError,
+    DiagnosticTrace,
     Dirichlet,
     FixedFlux,
     InitialSpec,
     InstabilityError,
+    RunResult,
     SimConfig,
     StabilityWarning,
     leap_steps,
@@ -272,6 +277,14 @@ def test_bad_config_values_rejected():
     ):
         with pytest.raises(ConfigurationError, match="overflows the step count"):
             _config(**overrides)
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "fixed-flux"])
+@pytest.mark.parametrize("value", [10**400, True, "1.0"], ids=["huge-int", "bool", "string"])
+def test_boundary_condition_rejects_a_bad_value(kind, value):
+    # an int past float range, a boolean and a string, as for an unknown kind
+    with pytest.raises(ConfigurationError, match=f"bad {kind} boundary value"):
+        solver.boundary_condition(kind, value)
 
 
 # -------------------------------------------------------------- stability
@@ -979,3 +992,183 @@ def test_block_configs_must_share_the_operator():
     # each field is checked as run checks it
     with pytest.raises(ConfigurationError, match="left end"):
         run_block(cfgs, [u0s[0], u0s[0]])
+
+
+# --------------------------------------------------------- operator cache
+#
+# The dense routes read their operator, the stacked P on the leap and F
+# where K = 1, from solver._dense_operator, which keeps the
+# OPERATOR_CACHE_SIZE most recently used, keyed on the weight table and
+# what the operator depends on.  What the cache holds must not reach any
+# output bit.
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """An empty operator cache for the test, the suite's own left as it
+    was, and the builds made from it on: every build makes one F, and a
+    leap's one P from it."""
+    counts = {"face": 0, "leap": 0}
+
+    def counted(name, build):
+        def wrapper(*args):
+            counts[name] += 1
+            return build(*args)
+        return wrapper
+
+    monkeypatch.setattr(solver, "_operators", {})
+    monkeypatch.setattr(solver, "_face_operator", counted("face", solver._face_operator))
+    monkeypatch.setattr(solver, "_leap_operator", counted("leap", solver._leap_operator))
+    return counts
+
+
+def _cache_case(n, kind=FluxKind.RIEMANN_LIOUVILLE, bc="dirichlet"):
+    """A run on the stacked leap (n = 100, K = 15) or the F route (n = 200)."""
+    cfg, u0 = _route_case(kind, bc, n, 2 * solver.BLOCK_ROWS + 16)
+    assert leap_steps(cfg.n, cfg.n_steps) == {100: 15, 200: 1}[n]
+    return cfg, u0
+
+
+def _as_bytes(value):
+    """Every field of a RunResult, each array as its dtype, shape and bytes."""
+    if isinstance(value, (RunResult, DiagnosticTrace)):
+        return {f.name: _as_bytes(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, list):
+        return [_as_bytes(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    return value
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_operator_cache_state_reaches_no_output_bit(builds, n):
+    cfg, u0 = _cache_case(n)
+    cold = _as_bytes(run(cfg, u0))
+    assert builds["face"] == 1
+    assert _as_bytes(run(cfg, u0)) == cold  # warm
+    assert builds["face"] == 1
+    # as many other operators as the cache holds evict this one
+    for j in range(1, OPERATOR_CACHE_SIZE + 1):
+        run(replace(cfg, kappa=1.0 - j / 16), u0)
+    assert builds["face"] == 1 + OPERATOR_CACHE_SIZE
+    assert _as_bytes(run(cfg, u0)) == cold
+    assert builds["face"] == 2 + OPERATOR_CACHE_SIZE
+
+
+def test_operator_cache_entries_are_read_only(builds):
+    for n in (100, 200):
+        run(*_cache_case(n))
+    operators = [operator for _, operator in solver._operators.values()]
+    assert [operator.shape for operator in operators] == [(15 * 102, 103), (202, 201)]
+    for operator in operators:
+        with pytest.raises(ValueError, match="read-only"):
+            operator[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            np.add(operator, 1.0, out=operator)
+
+
+def test_operator_cache_builds_afresh_for_a_rebuilt_table(builds):
+    cfg, u0 = _cache_case(100)
+    run(cfg, u0)
+    run(cfg, u0)
+    assert builds["leap"] == 1
+    build_table.cache_clear()
+    run(cfg, u0)
+    assert builds["leap"] == 2
+    # the stale entry holds its table, so no new table can take its id
+    stale, fresh = (table for table, _ in solver._operators.values())
+    assert stale is not fresh
+    assert fresh is build_table(cfg.alpha, cfg.dx, cfg.n)
+
+
+def test_operator_cache_holds_at_most_its_size(builds):
+    cfg, u0 = _cache_case(100)
+    cfgs = [replace(cfg, kappa=1.0 - j / 16) for j in range(OPERATOR_CACHE_SIZE + 2)]
+    for j, other in enumerate(cfgs):
+        run(other, u0)
+        assert len(solver._operators) == min(j + 1, OPERATOR_CACHE_SIZE)
+    assert builds["leap"] == len(cfgs)
+    # the most recently used stay, the least recently used go first
+    run(cfgs[-OPERATOR_CACHE_SIZE], u0)
+    assert builds["leap"] == len(cfgs)
+    run(cfgs[0], u0)
+    assert builds["leap"] == len(cfgs) + 1
+    assert len(solver._operators) == OPERATOR_CACHE_SIZE
+    run(cfgs[-OPERATOR_CACHE_SIZE], u0)  # used since, so not evicted
+    assert builds["leap"] == len(cfgs) + 1
+
+
+def test_operator_cache_serves_concurrent_runs(builds):
+    # more threads than cores, switching often, each running more distinct
+    # operators than the cache holds: every run keeps its bits and the
+    # cache its bound
+    cfg, u0 = _cache_case(100)
+    cfg = replace(cfg, t_end=16 * cfg.dt, snapshot_times=(cfg.dt, 16 * cfg.dt))
+    cfgs = [replace(cfg, kappa=1.0 - j / 16) for j in range(OPERATOR_CACHE_SIZE + 2)]
+    want = [_as_bytes(run(other, u0)) for other in cfgs]
+    got, sizes, errors = {}, [], []
+
+    def worker(w):
+        try:
+            for j in range(len(cfgs)):
+                i = (j + w) % len(cfgs)
+                got[w, i] = _as_bytes(run(cfgs[i], u0))
+                sizes.append(len(solver._operators))
+        except Exception as exc:  # reported below, in the test's thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(w,)) for w in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(got) == len(threads) * len(cfgs)
+    assert all(result == want[i] for (_, i), result in got.items())
+    assert max(sizes) <= OPERATOR_CACHE_SIZE
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_operator_cache_serves_parsimonious_with_caputos_operator(builds, n):
+    cfg, u0 = _cache_case(n, FluxKind.CAPUTO)
+    caputo = _as_bytes(run(cfg, u0))
+    parsimonious = _as_bytes(run(replace(cfg, flux=FluxKind.PARSIMONIOUS), u0))
+    assert builds["face"] == 1
+    # the same law row, so the same operator and the same bits
+    assert {**parsimonious, "cfg": None} == {**caputo, "cfg": None}
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_operator_cache_key_is_what_the_operator_depends_on(builds, n):
+    cfg, u0 = _cache_case(n)
+    # boundary values and shifts are not in the key: rl takes no shift,
+    # caputo each field's left value at t = 0
+    moved = replace(cfg, bc=BoundarySpec(Dirichlet(0.25), Dirichlet(1.5)))
+    shifted = u0 + 1.0
+    shifted[[0, -1]] = 0.25, 1.5
+    for kind in (FluxKind.RIEMANN_LIOUVILLE, FluxKind.CAPUTO):
+        run(replace(cfg, flux=kind), u0)
+        run(replace(moved, flux=kind), shifted)
+    assert builds["face"] == 2
+    # P steps dt and pins the Dirichlet nodes; F does neither
+    halved = replace(cfg, dt=cfg.dt / 2, t_end=cfg.t_end / 2, snapshot_times=())
+    reflective = _cache_case(n, bc="reflective")
+    for other, u in ((halved, u0), reflective):
+        before = builds["face"]
+        run(other, u)
+        assert builds["face"] == before + (n == 100)
+    # kappa and the table, alpha's here, are in every key
+    for other in (
+        replace(cfg, kappa=0.75),
+        replace(cfg, alpha=0.75, dt=cfg.dt / 8, t_end=cfg.t_end / 8, snapshot_times=()),
+    ):
+        assert leap_steps(other.n, other.n_steps) == leap_steps(cfg.n, cfg.n_steps)
+        before = builds["face"]
+        run(other, u0)
+        assert builds["face"] == before + 1
