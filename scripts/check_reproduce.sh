@@ -1,0 +1,28 @@
+#!/usr/bin/env bash
+# Reproduce the experiments with one and with two BLAS threads, check that
+# both give the same files, and rerun every bundled run from its manifest.
+#
+#   bash -eo pipefail scripts/check_reproduce.sh OUT_ROOT
+#
+# Run it from the root of a checkout.  OUT_ROOT receives results-1,
+# results-2 and rerun.  Exits non-zero on the first check that fails.
+set -eo pipefail
+root=${1:?usage: scripts/check_reproduce.sh OUT_ROOT}
+
+# The leap route's matrix products must not let the thread count into any
+# output bit.  Numpy warnings are errors: fields computed past a blow-up
+# must not leak them.
+PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 -W error::RuntimeWarning scripts/reproduce_experiments.py --out-root "$root/results-1"
+PYTHONPATH=src OPENBLAS_NUM_THREADS=2 python3 -W error::RuntimeWarning scripts/reproduce_experiments.py --out-root "$root/results-2"
+diff -r "$root/results-1" "$root/results-2"
+
+# Every run that wrote a manifest, fed it back through --config, writes the
+# same snapshots and summary, and the summary carries that manifest.
+for manifest in "$root"/results-1/*/manifest.json; do
+  first=$(dirname "$manifest")
+  again="$root/rerun/$(basename "$first")"
+  PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 -W error::RuntimeWarning -m fracflux run --config "$manifest" --out-dir "$again"
+  cmp "$first/snapshots.csv" "$again/snapshots.csv"
+  cmp "$first/summary.json" "$again/summary.json"
+  python3 -c 'import json, sys; assert json.load(open(sys.argv[1]))["manifest"] == json.load(open(sys.argv[2])), sys.argv[2]' "$again/summary.json" "$manifest"
+done

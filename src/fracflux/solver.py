@@ -50,11 +50,11 @@ has the step and the message of the single-step loop, bit for bit.
 only in their boundary values, and so share the step operator: one
 recorder pass serves the whole block, and where one product with F makes
 one step, a matrix-matrix product makes it for every field at once.
-:func:`run` is a block of one.  The operator a dense route reads, F or
-the stacked leap's P, is cached per weight table (:func:`_dense_operator`):
-a block, and every later run that needs the same operator while it is
-among the :data:`OPERATOR_CACHE_SIZE` most recently used, reads it
-without building it again.
+:func:`run` is a block of one.  The stacked leap's P is cached per weight
+table (:func:`_stacked_operator`): a block, and every later run that
+leaps with the same P while it is among the :data:`OPERATOR_CACHE_SIZE`
+most recently used, reads it without building it again.  F costs a small
+part of a run, so the K = 1 route builds it for every run.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import __version__
-from .flux import LAWS, FluxKind, apparent_advection, face_fluxes
+from .flux import LAWS, FluxKind, FluxLaw, apparent_advection, face_fluxes
 from .weights import FFT_MIN_N, GrunwaldTable, build_table
 
 # Abort threshold for runaway explicit steps, relative to the initial
@@ -99,8 +99,8 @@ _STABILITY_WARN_RATIO = 0.5
 LEAP_BYTES = 1_300_000
 LEAP_MIN_STEPS = 8
 
-# How many operators _dense_operator keeps, the most recently used: the
-# stacked P of a leap (at most LEAP_BYTES) or the F of the K = 1 route.
+# How many stacked P _stacked_operator keeps, the most recently used, each
+# of at most LEAP_BYTES.
 # The bundled experiments make 19 stacked leaps from 6 distinct P; in the
 # seed-permuted order of benchmark `reproduce` (seeds 1-40) a cache of
 # 1 / 2 / 3 / 4 / 5 entries leaves a median of 15 / 11 / 8 / 6 / 6 builds
@@ -496,11 +496,10 @@ def _boundaries(cfgs: list[SimConfig]) -> tuple[np.ndarray, np.ndarray, list]:
     """(faces, rates, pinned), the discrete boundary treatment of a block
     of configs that differ only in their boundary values: each field's
     fluxes at the n + 2 faces of the zero field (a fixed-flux end's
-    prescribed flux at its boundary face, 0 elsewhere); dt over each
-    node's control-volume width (dt / dx inside, 2 dt / dx at the
-    half-size end volumes), by which a node gains the flux through its
-    left face less that through its right; and (node, one value per
-    field) for each Dirichlet end."""
+    prescribed flux at its boundary face, 0 elsewhere); the volume rates
+    of :func:`_rates`, by which a node gains the flux through its left
+    face less that through its right; and (node, one value per field)
+    for each Dirichlet end."""
     cfg = cfgs[0]
     faces = np.zeros((len(cfgs), cfg.n + 2))
     pinned = []
@@ -510,12 +509,19 @@ def _boundaries(cfgs: list[SimConfig]) -> tuple[np.ndarray, np.ndarray, list]:
             pinned.append((node, values))
         else:
             faces[:, face] = values
-    rates = np.full(cfg.n + 1, cfg.dt / cfg.dx)
+    return faces, _rates(cfg.dt, cfg.dx, cfg.n), pinned
+
+
+def _rates(dt: float, dx: float, n: int) -> np.ndarray:
+    """The volume rates of n intervals of width dx: dt over each node's
+    control-volume width, dt / dx inside and 2 dt / dx at the half-size
+    end volumes."""
+    rates = np.full(n + 1, dt / dx)
     rates[[0, -1]] *= 2.0
-    return faces, rates, pinned
+    return rates
 
 
-def _face_operator(cfg: SimConfig, table: GrunwaldTable) -> np.ndarray:
+def _face_operator(table: GrunwaldTable, law: FluxLaw, kappa: float) -> np.ndarray:
     """F with F @ u the fluxes at all n + 2 faces of u, to round-off, less
     the boundary fluxes of :func:`_boundaries`.
 
@@ -526,24 +532,23 @@ def _face_operator(cfg: SimConfig, table: GrunwaldTable) -> np.ndarray:
     depend on the boundary conditions.  Needs the dense memory matrix,
     so n < FFT_MIN_N.
     """
-    n = cfg.n
-    law = LAWS[cfg.flux]
+    n = table.n
     memory = np.eye(n) if law.local else table.toeplitz
     f = np.zeros((n + 2, n + 1))
     inner = f[1:-1]
     inner[:, :-1] = memory
     inner[:, 1:] -= memory
-    inner /= cfg.dx
+    inner /= table.dx
     if law.advection:
         inner[:, 0] += apparent_advection(1.0, table)
-    inner *= cfg.kappa
+    inner *= kappa
     return f
 
 
 def _leap_operator(f: np.ndarray, rates: np.ndarray, nodes: list, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(T, P), the stacked leap of K = k steps on a field's state, from the
-    face operator F and the volume rates and Dirichlet nodes of
-    :func:`_boundaries`.
+    face operator F, the volume rates of :func:`_rates` and the Dirichlet
+    nodes of :func:`_boundaries`.
 
     The state x = (u - s, left value, right value) of a field u has n + 3
     entries: u less a shift s to which its law is blind (0 for rl), then
@@ -557,7 +562,7 @@ def _leap_operator(f: np.ndarray, rates: np.ndarray, nodes: list, k: int) -> tup
     volume rates times their face differences, off the Dirichlet nodes.
     So P starts with G, and it depends on the physics alone: n, alpha, dt,
     kappa, the law, the boundary kinds and k.  A run does not call this
-    itself: it reads P from :func:`_dense_operator`, which builds it once
+    itself: it reads P from :func:`_stacked_operator`, which builds it once
     for every run that shares these while it stays cached.
     """
     n = rates.size - 1
@@ -581,45 +586,37 @@ def _leap_operator(f: np.ndarray, rates: np.ndarray, nodes: list, k: int) -> tup
     return t, fluxes.reshape(-1, n + 3)
 
 
-# _dense_operator's entries, key -> (table, operator), least recently used first.
-_operators: dict[tuple, tuple[GrunwaldTable, np.ndarray]] = {}
+# _stacked_operator's entries, its arguments -> P, least recently used first.
+_operators: dict[tuple, np.ndarray] = {}
 _operators_lock = threading.Lock()
 
 
-def _dense_operator(
-    cfg: SimConfig, table: GrunwaldTable, rates: np.ndarray, nodes: list, stride: int,
+def _stacked_operator(
+    table: GrunwaldTable, law: FluxLaw, kappa: float, dt: float, nodes: tuple, k: int,
 ) -> np.ndarray:
-    """The operator of the dense route of K = stride >= 1 steps a product,
-    read-only and shared by every run that needs it: the stacked P of
-    :func:`_leap_operator` for K > 1, given the volume rates and the
-    Dirichlet nodes of :func:`_boundaries`, and F of
-    :func:`_face_operator` for K = 1.
+    """P of :func:`_leap_operator`: K = k steps of dt under law, a row of
+    LAWS, and kappa on table's grid, with Dirichlet ends at nodes;
+    read-only and shared by every run that leaps with it.
 
-    The key is what the operator depends on: the weight table, which fixes
-    alpha, dx and n, by identity; the law's row of LAWS, so parsimonious
-    shares caputo's; kappa and K; and for P also dt and the Dirichlet
-    nodes.  No boundary value or shift enters it.  An entry holds its
-    table, so no other table can take the table's id while the entry
-    lives, and the operators of a table built afresh (as after
-    ``build_table.cache_clear()``) are built afresh.  The
-    :data:`OPERATOR_CACHE_SIZE` most recently used entries are kept.
+    The key is the arguments: the table, which fixes alpha, dx and n, by
+    identity, and the law's row, so parsimonious shares caputo's.  No
+    boundary value or shift enters it.  The key holds its table, so the P
+    of a table built afresh (as after ``build_table.cache_clear()``) is
+    built afresh.  The :data:`OPERATOR_CACHE_SIZE` most recently used are
+    kept.
     """
-    key = (id(table), LAWS[cfg.flux], cfg.kappa, stride)
-    if stride > 1:
-        key += (cfg.dt, tuple(nodes))
+    key = (table, law, kappa, dt, nodes, k)
     with _operators_lock:
-        entry = _operators.pop(key, None)
-        if entry is None:
+        stacked = _operators.pop(key, None)
+        if stacked is None:
             # Room first, so that no more than the cache's size are ever held.
             while len(_operators) >= OPERATOR_CACHE_SIZE:
                 del _operators[next(iter(_operators))]
-            operator = f = _face_operator(cfg, table)
-            if stride > 1:
-                _, operator = _leap_operator(f, rates, nodes, stride)
-            operator.flags.writeable = False
-            entry = (table, operator)
-        _operators[key] = entry  # now the most recently used
-    return entry[1]
+            f = _face_operator(table, law, kappa)
+            _, stacked = _leap_operator(f, _rates(dt, table.dx, table.n), nodes, k)
+            stacked.flags.writeable = False
+        _operators[key] = stacked  # now the most recently used
+    return stacked
 
 
 def _product_fluxes(
@@ -855,10 +852,12 @@ def _march(cfgs: list[SimConfig], u0s: np.ndarray, stride: int) -> list[RunResul
         # partials are positional: keywords would cost some 0.3 us a step.
         # Each field is shifted by its left value at t = 0, to which its
         # law is blind, except under rl, which is not.
-        blind = not LAWS[cfg.flux].advection
+        law = LAWS[cfg.flux]
+        blind = not law.advection
         shifts = u0s[:, :1] if blind else np.zeros((width, 1))
         if stride > 1:
-            stacked = _dense_operator(cfg, table, rates, [node for node, _ in pinned], stride)
+            nodes = tuple(node for node, _ in pinned)
+            stacked = _stacked_operator(table, law, cfg.kappa, cfg.dt, nodes, stride)
             tails = faces[:, [0, -1]]  # the fixed-flux values, and the Dirichlet ones less the shift
             for node, values in pinned:
                 tails[:, -1 if node else 0] = values - shifts[:, 0]
@@ -871,7 +870,7 @@ def _march(cfgs: list[SimConfig], u0s: np.ndarray, stride: int) -> list[RunResul
             )
         elif stride:
             source = partial(
-                _product_fluxes, _dense_operator(cfg, table, rates, [], 1), faces, shifts if blind else None,
+                _product_fluxes, _face_operator(table, law, cfg.kappa), faces, shifts if blind else None,
                 np.empty_like(u0s), np.empty_like(faces),
             )
             fill = partial(_step_fill, source)

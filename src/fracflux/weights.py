@@ -44,12 +44,13 @@ FFT_MIN_N = 400
 TABLE_CACHE_SIZE = 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GrunwaldTable:
     """Immutable weight table for one (alpha, dx, n) combination.
 
     The arrays are marked read-only so a cached table can be shared across
-    concurrent readers without copying.  Each table carries the memory
+    concurrent readers without copying.  A table hashes and compares by
+    identity, so it can key what is built from it.  Each table carries the memory
     operator T(W) in exactly one form.  Below :data:`FFT_MIN_N` faces it is
     ``toeplitz``, the C-contiguous n x n lower-triangular Toeplitz matrix
     with T[i, j] = W_{i-j} for j <= i and zeros above the diagonal.  From

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -154,3 +155,19 @@ def test_recomputed_sums_match_to_1e13(alpha):
 
 def test_tables_are_cached():
     assert build_table(0.5, 0.01, 50) is build_table(0.5, 0.01, 50)
+
+
+def test_a_table_hashes_and_compares_by_identity():
+    # by identity, so a table can key what is built from it, and a table
+    # rebuilt after the cache is cleared is another key
+    table = build_table(0.5, 0.01, 100)
+    assert hash(table) == hash(table)
+    assert table == table
+    build_table.cache_clear()
+    rebuilt = build_table(0.5, 0.01, 100)
+    assert rebuilt is not table
+    assert rebuilt != table
+    assert {table: "old", rebuilt: "new"}[table] == "old"
+    for name, value in (("alpha", 0.25), ("dx", 0.02), ("w", rebuilt.w), ("toeplitz", None)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(table, name, value)
