@@ -1039,19 +1039,23 @@ def _as_bytes(value):
     return value
 
 
-@pytest.mark.parametrize("n", [100])
+@pytest.mark.parametrize("n", [100, 200])
 def test_operator_cache_state_reaches_no_output_bit(builds, n):
+    # the leap builds F only for a P the cache lacks, the K = 1 route
+    # builds F for every run and leaves the cache empty
+    every_run = n == 200
     cfg, u0 = _cache_case(n)
     cold = _as_bytes(run(cfg, u0))
     assert builds["face"] == 1
     assert _as_bytes(run(cfg, u0)) == cold  # warm
-    assert builds["face"] == 1
+    assert builds["face"] == 1 + every_run
     # as many other operators as the cache holds evict this one
     for j in range(1, OPERATOR_CACHE_SIZE + 1):
         run(replace(cfg, kappa=1.0 - j / 16), u0)
-    assert builds["face"] == 1 + OPERATOR_CACHE_SIZE
+    assert builds["face"] == 1 + every_run + OPERATOR_CACHE_SIZE
     assert _as_bytes(run(cfg, u0)) == cold
-    assert builds["face"] == 2 + OPERATOR_CACHE_SIZE
+    assert builds["face"] == 2 + every_run + OPERATOR_CACHE_SIZE
+    assert len(solver._operators) == (0 if every_run else OPERATOR_CACHE_SIZE)
 
 
 def test_operator_cache_entries_are_read_only(builds):
@@ -1149,28 +1153,30 @@ def test_operator_cache_serves_concurrent_runs(builds):
     assert max(sizes) <= OPERATOR_CACHE_SIZE
 
 
-@pytest.mark.parametrize("n", [100])
+@pytest.mark.parametrize("n", [100, 200])
 def test_operator_cache_serves_parsimonious_with_caputos_operator(builds, n):
     cfg, u0 = _cache_case(n, FluxKind.CAPUTO)
     caputo = _as_bytes(run(cfg, u0))
     parsimonious = _as_bytes(run(replace(cfg, flux=FluxKind.PARSIMONIOUS), u0))
-    assert builds["face"] == 1
+    # one cached P on the leap, an F for each run on the K = 1 route
+    assert builds["face"] == {100: 1, 200: 2}[n]
     # the same law row, so the same operator and the same bits
     assert {**parsimonious, "cfg": None} == {**caputo, "cfg": None}
 
 
-@pytest.mark.parametrize("n", [100])
+@pytest.mark.parametrize("n", [100, 200])
 def test_operator_cache_key_is_what_the_operator_depends_on(builds, n):
     cfg, u0 = _cache_case(n)
     # boundary values and shifts are not in the key: rl takes no shift,
-    # caputo each field's left value at t = 0
+    # caputo each field's left value at t = 0; the K = 1 route has no key
+    # and builds F for each of the four runs
     moved = replace(cfg, bc=BoundarySpec(Dirichlet(0.25), Dirichlet(1.5)))
     shifted = u0 + 1.0
     shifted[[0, -1]] = 0.25, 1.5
     for kind in (FluxKind.RIEMANN_LIOUVILLE, FluxKind.CAPUTO):
         run(replace(cfg, flux=kind), u0)
         run(replace(moved, flux=kind), shifted)
-    assert builds["face"] == 2
+    assert builds["face"] == {100: 2, 200: 4}[n]
     # P steps dt and pins the Dirichlet nodes
     halved = replace(cfg, dt=cfg.dt / 2, t_end=cfg.t_end / 2, snapshot_times=())
     reflective = _cache_case(n, bc="reflective")
@@ -1187,3 +1193,5 @@ def test_operator_cache_key_is_what_the_operator_depends_on(builds, n):
         before = builds["face"]
         run(other, u0)
         assert builds["face"] == before + 1
+    # a P is built from each F on the leap, none on the K = 1 route
+    assert builds["leap"] == {100: builds["face"], 200: 0}[n]
