@@ -107,13 +107,14 @@ def resolve_config(args: argparse.Namespace) -> SimConfig:
     return replace(cfg, bc=bc, snapshot_times=cfg.snapshot_times or (cfg.t_end,))
 
 
-def _downsample_indices(length: int, limit: int = _TRACE_POINT_LIMIT) -> list[int]:
+def _downsample_indices(length: int, limit: int = _TRACE_POINT_LIMIT) -> np.ndarray:
+    """At most limit increasing indices into a trace of length entries: the
+    first, every stride-th after it, and the last."""
     if length <= limit:
-        return list(range(length))
-    stride = math.ceil(length / limit)
-    idx = list(range(0, length, stride))
-    if idx[-1] != length - 1:
-        idx.append(length - 1)
+        return np.arange(length)
+    stride = math.ceil((length - 1) / (limit - 1))  # so that the last fits too
+    idx = np.arange(0, length - 1 + stride, stride)
+    idx[-1] = length - 1
     return idx
 
 

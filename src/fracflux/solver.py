@@ -39,8 +39,10 @@ ends, to round-off.  The boundary treatment, g, the volume rates and the
 Dirichlet nodes, comes from one place, :func:`_boundaries`, for every
 route, for :func:`step`, the same update for one field given its
 interior fluxes, and for the initial field's Dirichlet check.  Every
-route fills a block of fields, and the run records each block in one
-vectorised pass into each field's :class:`DiagnosticTrace`.
+route writes the fields it makes into one block, (field, step, node),
+whose step 0 holds the fields it starts from, and the run records each
+block in one vectorised pass into each field's :class:`DiagnosticTrace`;
+the block's last step is the next one's step 0.
 
 A run keeps one route to its end; one that fails the runaway guard on a
 dense route is marched again from t = 0 on single steps, so every abort
@@ -177,15 +179,22 @@ def _decode_scalar(default, value):
     return type(default)(value)
 
 
+def _object(data, keys=None, ignored=()) -> dict:
+    """data, checked to be a JSON object with no keys but keys (any keys
+    where None) and the ignored ones."""
+    if not isinstance(data, dict):
+        raise TypeError(f"expected an object, got {data!r}")
+    unknown = sorted(set(data) - set(keys or data) - set(ignored))
+    if unknown:
+        raise ConfigurationError(f"unknown key(s) {', '.join(map(repr, unknown))}; valid keys: {', '.join(keys)}")
+    return data
+
+
 def boundary_condition(kind: str, value: float) -> BoundaryCondition:
     """Build a boundary condition from its kind name and value."""
-    try:
-        cls = BOUNDARY_KINDS[kind]
-    except KeyError:
-        valid = ", ".join(BOUNDARY_KINDS)
-        raise ConfigurationError(
-            f"unknown boundary kind {kind!r}; valid kinds: {valid}"
-        ) from None
+    cls = BOUNDARY_KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigurationError(f"unknown boundary kind {kind!r}: must be a string, one of {', '.join(BOUNDARY_KINDS)}")
     try:
         value = _decode_scalar(0.0, value)
     except (TypeError, OverflowError) as exc:  # OverflowError: an int past float range
@@ -212,9 +221,10 @@ class BoundarySpec:
 
     @classmethod
     def from_mapping(cls, data: dict) -> "BoundarySpec":
+        data = _object(data, ("left", "right"))
         left, right = (
-            boundary_condition(data[side]["kind"], data[side]["value"])
-            for side in ("left", "right")
+            boundary_condition(side["kind"], side["value"])
+            for side in (_object(data[name], ("kind", "value")) for name in ("left", "right"))
         )
         return cls(left, right)
 
@@ -231,9 +241,10 @@ class InitialSpec:
 
     @classmethod
     def from_mapping(cls, data: dict) -> "InitialSpec":
-        if not isinstance(data, dict) or not isinstance(data.get("profile", ""), str):
-            raise TypeError(f"expected an object with a profile name, got {data!r}")
-        params = dict(data.get("params", {}))
+        data = _object(data, ("profile", "params"))
+        if not isinstance(data.get("profile", ""), str):
+            raise TypeError(f"expected a profile name, got {data['profile']!r}")
+        params = _object(data.get("params", {}))  # the profile names its own
         return cls(data["profile"], {k: _decode_scalar(0.0, v) for k, v in params.items()})
 
 
@@ -360,13 +371,7 @@ class SimConfig:
         ``stability_warn_ratio``, which are ignored.
         """
         by_name = {f.name: f for f in fields(cls)}
-        unknown = sorted(set(data) - set(by_name) - set(_IGNORED_KEYS))
-        if unknown:
-            valid = ", ".join(by_name)
-            raise ConfigurationError(
-                f"unknown configuration key(s) {', '.join(map(repr, unknown))}; "
-                f"valid keys: {valid}"
-            )
+        _object(data, by_name, _IGNORED_KEYS)
         kwargs = {name: cls.decode(name, data[name]) for name in by_name if name in data}
         missing = [
             name for name, f in by_name.items()
@@ -652,60 +657,52 @@ def _advance(summed: np.ndarray, u: np.ndarray, rates: np.ndarray, pinned: list,
         out[..., node] = values
 
 
-def _step_fill(source, u: np.ndarray, rows: np.ndarray, rates: np.ndarray, pinned: list) -> None:
-    """Fill the block rows with the fields of the next m steps from the
-    fields u, m = len(rows) // len(u): field i's steps are rows i m to
-    i m + m - 1, each made by :func:`_advance` from the flux source, which
+def _step_fill(source, block: np.ndarray, rates: np.ndarray, pinned: list) -> None:
+    """Fill the block, (field, step, node), from its step 0 on: each step
+    j made from step j - 1 by :func:`_advance` with the flux source, which
     gives every field's fluxes at all n + 2 faces for one step.  pinned
     holds (node, one value per field)."""
-    m = len(rows) // len(u)
-    for j in range(m):
-        row = rows[j::m]  # step j of every field
-        _advance(source(u), u, rates, pinned, row)
-        u = row
+    by_step = block.swapaxes(0, 1)  # (step, field, node)
+    for u, out in zip(by_step, by_step[1:]):
+        _advance(source(u), u, rates, pinned, out)
 
 
 def _leap_fill(
-    stacked: np.ndarray, shifts: np.ndarray, k: int, bases: np.ndarray, states: np.ndarray,
-    inner: np.ndarray, u: np.ndarray, rows: np.ndarray, rates: np.ndarray, pinned: list,
+    stacked: np.ndarray, shifts: np.ndarray, k: int, states: np.ndarray, inner: np.ndarray,
+    block: np.ndarray, rates: np.ndarray, pinned: list,
 ) -> None:
     """:func:`_step_fill` on the stacked leap P of :func:`_leap_operator`
     with K = k, in leaps of k steps, the last of which may be shorter.
-    Field by field, the leap ends come one after the other, each the
-    leap's start moved on by one GEMV of its state (the field less its
-    shift, then its boundary values) with the n + 2 rows of P that sum the
-    leap's steps: the carried state.  Then one GEMM of the leap starts'
-    states with the rows of P for 1..k - 1 steps gives the fields between
-    the ends.  One GEMM per field, so a field of a block equals its solo
-    run bit for bit.  bases and inner are per-run buffers of leaps + 1
-    and leaps rows, inner's of (k - 1)(n + 2) doubles, and states holds
-    leaps states per field, their tails written once per run."""
-    width = len(u)
-    m = len(rows) // width
+    Field by field, the leap ends come one after the other, each written
+    at its step from the leap's start moved on by one GEMV of its state
+    (the field less its shift, then its boundary values) with the n + 2
+    rows of P that sum the leap's steps.  Then one GEMM of the leap
+    starts' states with the rows of P for 1..k - 1 steps gives the fields
+    between the ends.  One GEMM per field, so a field of a block equals
+    its solo run bit for bit.  inner is a per-run buffer of leaps rows of
+    (k - 1)(n + 2) doubles, and states holds leaps states per field, their
+    tails written once per run."""
+    m = block.shape[1] - 1
     size = rates.size + 1  # faces
     full, last = divmod(m, k)  # whole leaps, and the steps of a short one
     leaps = full + (last > 0)
     between = stacked[: (k - 1) * size].T
     summed = inner[:leaps].reshape(leaps, k - 1, size)
-    for i in range(width):
-        field = rows[i * m : (i + 1) * m]
+    for i, field in enumerate(block):
         pins = [(node, values[i]) for node, values in pinned]
         state = states[i, :leaps]
-        bases[0] = u[i]
         for j in range(leaps):
             steps = k if j < full else last
-            np.subtract(bases[j], shifts[i], out=state[j, :-2])
+            np.subtract(field[j * k], shifts[i], out=state[j, :-2])
             end = stacked[(steps - 1) * size : steps * size] @ state[j]
-            _advance(end, bases[j], rates, pins, bases[j + 1])
+            _advance(end, field[j * k], rates, pins, field[j * k + steps])
         # The face differences come after the product, so the interior
         # fluxes still telescope.
         np.matmul(state, between, out=inner[:leaps])
-        inside = field[: full * k].reshape(full, k, size - 1)
-        _advance(summed[:full], bases[:full, None], rates, pins, inside[:, :-1])
-        inside[:, -1] = bases[1 : full + 1]
+        inside = field[1 : full * k + 1].reshape(full, k, size - 1)
+        _advance(summed[:full], field[: full * k : k, None], rates, pins, inside[:, :-1])
         if last:
-            _advance(summed[full, : last - 1], bases[full], rates, pins, field[full * k : -1])
-            field[-1] = bases[leaps]
+            _advance(summed[full, : last - 1], field[full * k], rates, pins, field[full * k + 1 : -1])
 
 
 def _block_key(cfg: SimConfig) -> tuple:
@@ -833,16 +830,17 @@ def _march(cfgs: list[SimConfig], u0s: np.ndarray, stride: int) -> list[RunResul
     ]
     lowest = min(limits)
     limits = np.array(limits)[:, None]
-    u = u0s
     steps_taken = n_steps
     steady_time = None
 
     faces, rates, pinned = _boundaries(cfgs)
     most = _block_rows(cfg.n, stride)
     block = stride if stride > 1 else most  # the first block: one leap
-    # A block of m steps is the first width * m rows, field by field.
-    buffer = np.empty((width * most, cfg.n + 1))
-    deltas = np.empty_like(buffer)
+    # A block of m steps is (field, step, node) over steps 0..m of the
+    # buffer; its step 0 holds the fields it starts from.
+    buffer = np.empty((width, most + 1, cfg.n + 1))
+    buffer[:, 0] = u0s
+    deltas = np.empty_like(buffer)  # the change into step j at step j
     k = 0
     # A field that overflows past a blow-up, or an operator built from an
     # overflowing kappa or dt, is reported below as an InstabilityError;
@@ -865,8 +863,7 @@ def _march(cfgs: list[SimConfig], u0s: np.ndarray, stride: int) -> list[RunResul
             states = np.empty((width, leaps, cfg.n + 3))
             states[..., -2:] = tails[:, None]
             fill = partial(
-                _leap_fill, stacked, shifts, stride, np.empty((leaps + 1, cfg.n + 1)), states,
-                np.empty((leaps, (stride - 1) * (cfg.n + 2))),
+                _leap_fill, stacked, shifts, stride, states, np.empty((leaps, (stride - 1) * (cfg.n + 2))),
             )
         elif stride:
             source = partial(
@@ -878,42 +875,41 @@ def _march(cfgs: list[SimConfig], u0s: np.ndarray, stride: int) -> list[RunResul
             fill = partial(_step_fill, partial(_kernel_fluxes, cfg, table, faces))
         while k < n_steps:
             m = min(block, n_steps - k)
-            rows = buffer[: width * m]
-            fill(u, rows, rates, pinned)
+            rows = buffer[:, : m + 1]
+            fill(rows, rates, pinned)
 
-            # One pass over the block's rows: step change and steady stop,
-            # runaway guard, mass, extrema and snapshots.  The reductions
-            # call the ufuncs' own, without the wrappers of the ndarray
-            # methods: the same sums in fewer microseconds.
-            delta = deltas[: width * m]
-            np.subtract(rows[1:], rows[:-1], out=delta[1:])
-            np.subtract(rows[::m], u, out=delta[::m])  # each field's first step
-            change = np.maximum.reduce(np.abs(delta, out=delta), axis=1)
+            # One pass over the block: step change and steady stop, runaway
+            # guard, mass, extrema and snapshots, by (field, step).  The
+            # reductions call the ufuncs' own, without the wrappers of the
+            # ndarray methods: the same sums in fewer microseconds.
+            delta = np.subtract(rows[:, 1:], rows[:, :-1], out=deltas[:, 1 : m + 1])
+            change = np.maximum.reduce(np.abs(delta, out=delta), axis=-1)
             quiet = cfg.stop_when_steady and (change < cfg.steady_eps).any()
             if quiet:  # a block of one field
                 m = int((change < cfg.steady_eps).argmax()) + 1
-                rows, change = rows[:m], change[:m]
-            lo, hi = np.minimum.reduce(rows, axis=1), np.maximum.reduce(rows, axis=1)
+                rows, change = rows[:, : m + 1], change[:, :m]
+            made = rows[:, 1:]  # the m steps the fill made
+            lo, hi = np.minimum.reduce(made, axis=-1), np.maximum.reduce(made, axis=-1)
             peak = np.maximum(hi, -lo)
             # Under the lowest field limit the block passes at once; else
             # each field is held to its own limit.
-            if not np.maximum.reduce(peak) <= lowest and not (peak.reshape(width, m) <= limits).all():
+            if not np.maximum.reduce(peak, axis=None) <= lowest and not (peak <= limits).all():
                 if width > 1 or stride:
                     return None
-                j = int(np.argmin(peak <= lowest))
+                j = int(np.argmin(peak[0] <= lowest))
                 detail = (
-                    f"|u| reached {peak[j]:.3g}, over 1e12 x initial scale"
-                    if np.isfinite(peak[j]) else "non-finite value produced"
+                    f"|u| reached {peak[0, j]:.3g}, over 1e12 x initial scale"
+                    if np.isfinite(peak[0, j]) else "non-finite value produced"
                 )
                 raise InstabilityError(k + j + 1, (k + j + 1) * cfg.dt, detail)
-            mass[:, k + 1 : k + m + 1] = total_mass(rows).reshape(width, m)
-            u_min[:, k + 1 : k + m + 1] = lo.reshape(width, m)
-            u_max[:, k + 1 : k + m + 1] = hi.reshape(width, m)
-            step_change[:, k : k + m] = change.reshape(width, m)
+            mass[:, k + 1 : k + m + 1] = total_mass(made)
+            u_min[:, k + 1 : k + m + 1] = lo
+            u_max[:, k + 1 : k + m + 1] = hi
+            step_change[:, k : k + m] = change
             for ks in snap_steps:
                 if k < ks <= k + m:
-                    snapshots[ks] = rows[ks - k - 1 :: m].copy()
-            u = rows[m - 1 :: m].copy()
+                    snapshots[ks] = rows[:, ks - k].copy()
+            buffer[:, 0] = rows[:, m]  # the next block starts where this one ends
             k += m
             block = min(2 * block, most)
             if quiet:
@@ -921,6 +917,7 @@ def _march(cfgs: list[SimConfig], u0s: np.ndarray, stride: int) -> list[RunResul
                 steady_time = k * cfg.dt
                 break
 
+    u = buffer[:, 0].copy()
     # Later snapshot times inherit the frozen steady field.
     for k in snap_steps:
         if k > steps_taken:

@@ -64,7 +64,7 @@ def test_run_writes_expected_files(tmp_path):
 
     summary = json.loads((out / "summary.json").read_text())
     assert summary["manifest"] == manifest
-    assert len(summary["mass_trace"]["t"]) <= 10_001
+    assert len(summary["mass_trace"]["t"]) <= 10_000
     assert "max_principle" in summary
     assert "flux_decomposition" in summary  # rl law reports the split
 
@@ -200,8 +200,9 @@ def test_unknown_scenario_in_config_file(tmp_path, capsys, command, scenario):
 
 
 def test_unstable_run_exits_nonzero(tmp_path):
-    assert main(["run", "--scenario", "pulse-reflective", "--flux", "fourier",
-                 "--out-dir", str(tmp_path / "blow")]) == 3
+    with pytest.warns(StabilityWarning):  # dt/dx^2 = 5
+        assert main(["run", "--scenario", "pulse-reflective", "--flux", "fourier",
+                     "--out-dir", str(tmp_path / "blow")]) == 3
 
 
 @pytest.mark.parametrize(
@@ -304,6 +305,14 @@ def test_config_file_without_scenario(tmp_path):
         ["--config", {"initial": {"profile": "fig7-bump", "params": {"offset": "1"}}}],
         ["--config", {"initial": {"profile": "constant", "params": {"value": True}},
                       "force_inconsistent_bc": True}],
+        ["--config", {"initial": {"profile": "fig7-bump", "params": [["offset", 0.0]]}}],
+        ["--config", {"initial": {"profile": "fig7-bump", "offset": 0.0}}],
+        ["--config", {"bc": {"left": {"kind": "dirichlet", "value": 0.0},
+                             "right": {"kind": "dirichlet", "value": 0.0}, "middle": 3}}],
+        ["--config", {"bc": {"left": {"kind": "dirichlet", "value": 0.0, "junk": 1},
+                             "right": {"kind": "dirichlet", "value": 0.0}}}],
+        ["--config", {"bc": {"left": {"kind": ["dirichlet"], "value": 0.0},
+                             "right": {"kind": "dirichlet", "value": 0.0}}}],
         ["--config", {"bc": {"left": {"kind": "fixed-flux", "value": True},
                              "right": {"kind": "dirichlet", "value": 0.0}}}],
         ["--config", {"bc": {"left": {"kind": "dirichlet", "value": "0"},
@@ -327,7 +336,8 @@ def test_config_file_without_scenario(tmp_path):
          "bool-string", "bool-word", "n-fraction", "n-true", "alpha-true",
          "initial-string", "initial-number", "initial-list", "initial-null",
          "profile-list", "profile-object", "param-typo",
-         "param-string", "param-true", "bc-value-true", "bc-value-string",
+         "param-string", "param-true", "params-list", "initial-key-typo", "bc-key-typo",
+         "bc-side-key-typo", "bc-kind-list", "bc-value-true", "bc-value-string",
          "snapshot-string", "snapshot-true", "snapshots-not-a-list", "steady-eps-inf",
          "n-huge-int", "alpha-huge-int", "snapshot-huge-int", "bc-value-huge-int",
          "param-huge-int",
@@ -389,6 +399,31 @@ def test_summary_traces_share_one_time_axis(tmp_path):
     assert len(t) == summary["steps_taken"] + 1
     assert set(summary["extrema_trace"]) == {"min", "max"}
     assert len(summary["extrema_trace"]["min"]) == len(summary["extrema_trace"]["max"]) == len(t)
+
+
+@pytest.mark.parametrize(
+    "length", [1, 2, 9_999, 10_000, 10_001, 10_002, 19_998, 19_999, 20_000, 20_001, 20_002],
+)
+def test_trace_downsampling_keeps_both_ends_within_the_limit(length):
+    idx = cli._downsample_indices(length)
+    assert len(idx) <= 10_000
+    if length <= 10_000:
+        assert list(idx) == list(range(length))
+    assert idx[0] == 0 and idx[-1] == length - 1
+    assert (np.diff(idx) > 0).all()
+
+
+def test_long_run_summary_holds_at_most_ten_thousand_points(tmp_path):
+    # 19 999 steps: a stride of 2 and the last point would make 10 001
+    out = tmp_path / "long"
+    assert main(["run", "--scenario", "fig7-zero", "--n", "10", "--dt", "1e-5",
+                 "--t-end", "0.19999", "--out-dir", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["steps_taken"] == 19_999
+    t = summary["mass_trace"]["t"]
+    assert len(t) <= 10_000
+    assert t[0] == 0.0 and t[-1] == 19_999 * 1e-5
+    assert len(summary["extrema_trace"]["min"]) == len(summary["mass_trace"]["mass"]) == len(t)
 
 
 # A manifest with every key an earlier build wrote, derived keys included

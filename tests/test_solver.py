@@ -317,7 +317,7 @@ def test_gradient_law_diverges_at_fractional_ratio():
     # dt/dx^2 = 5 here: the explicit gradient step amplifies round-off and
     # must abort with a step index instead of returning garbage
     cfg = _config(flux=FluxKind.FOURIER, t_end=10.0, snapshot_times=(10.0,))
-    with pytest.raises(InstabilityError) as excinfo:
+    with pytest.warns(StabilityWarning), pytest.raises(InstabilityError) as excinfo:
         run(cfg, _pulse(cfg))
     assert excinfo.value.step_index <= 100
     assert "step" in str(excinfo.value)
@@ -881,22 +881,26 @@ def test_late_abort_equals_the_oracles_solo_and_in_a_block(case):
 # takes its own products with the shared operator, a GEMV per leap end
 # and a GEMM per chunk, and from FFT_MIN_N up its own face_fluxes.  Each
 # field must match its solo run: to round-off where one GEMM serves every
-# field and sums in its own order, else bit for bit.
+# field and sums in its own order, else bit for bit.  The blocks have three
+# fields, so the indexing is checked past a first and a last one.
 
 _BLOCK_BCS = {
     "dirichlet": (BoundarySpec(Dirichlet(0.75), Dirichlet(-0.5)),
-                  BoundarySpec(Dirichlet(-1.25), Dirichlet(2.0))),
+                  BoundarySpec(Dirichlet(-1.25), Dirichlet(2.0)),
+                  BoundarySpec(Dirichlet(3.5), Dirichlet(1.5))),
     "fixed-flux": (BoundarySpec(FixedFlux(0.375), FixedFlux(0.125)),
-                   BoundarySpec(FixedFlux(-0.5), FixedFlux(0.25))),
+                   BoundarySpec(FixedFlux(-0.5), FixedFlux(0.25)),
+                   BoundarySpec(FixedFlux(0.0), FixedFlux(-0.625))),
     "mixed": (BoundarySpec(Dirichlet(0.75), FixedFlux(0.125)),
-              BoundarySpec(Dirichlet(-1.0), FixedFlux(-0.375))),
+              BoundarySpec(Dirichlet(-1.0), FixedFlux(-0.375)),
+              BoundarySpec(Dirichlet(2.5), FixedFlux(0.5))),
 }
 
 
 def _block_case(kind, bc, n, steps=2 * solver.BLOCK_ROWS + 16):
     base, _ = _route_case(kind, "reflective", n, steps)
     cfgs, u0s = [], []
-    for spec, (a, b) in zip(_BLOCK_BCS[bc], [(1.0, 0.25), (-2.0, 1.0)]):
+    for spec, (a, b) in zip(_BLOCK_BCS[bc], [(1.0, 0.25), (-2.0, 1.0), (0.5, 3.0)]):
         cfg = replace(base, bc=spec)
         u0 = a * _pulse(cfg) + b  # u(0) != 0: the rl advection is live
         for node, (value,) in solver._boundaries([cfg])[2]:
@@ -925,7 +929,9 @@ def test_block_fields_match_their_solo_runs(n, kind, bc):
             # a few ulps of the field's scale per step after a GEMM, else none
             _assert_runs_agree(got, want, steps * 8 * _EPS * np.abs(u0).max() if gemm else 0.0)
         # the fields differ, so a mix-up of rows or offsets shows
-        assert np.abs(block[0].final - block[1].final).max() > 0.1
+        for i, a in enumerate(block):
+            for b in block[i + 1 :]:
+                assert np.abs(a.final - b.final).max() > 0.1
 
 
 @pytest.mark.parametrize("n", [100, 200, FFT_MIN_N])
@@ -940,6 +946,23 @@ def test_block_of_one_is_run_bit_for_bit(n):
     got, want = run_block([cfg], [u0])[0], run(cfg, u0)
     assert got.steady_stop_time is not None
     _assert_runs_agree(got, want, 0.0)
+
+
+@pytest.mark.parametrize("n", [100, 200, FFT_MIN_N])
+def test_block_holds_each_field_to_its_own_runaway_limit(n, monkeypatch):
+    # the second field runs past 1e12 times the first one's scale: held to
+    # the lowest limit, the block would fail the guard and march its fields
+    # again alone, to the same results
+    cfg, u0 = _route_case(FluxKind.CAPUTO, "dirichlet", n, 2 * solver.BLOCK_ROWS + 16)
+    big = replace(cfg, bc=BoundarySpec(*(Dirichlet(1e13 * bc.value + 3e13) for bc in (cfg.bc.left, cfg.bc.right))))
+    cfgs, u0s = [cfg, big], [u0, 1e13 * u0 + 3e13]
+    march, marches = solver._march, []
+    monkeypatch.setattr(solver, "_march", lambda *args: marches.append(args) or march(*args))
+    block = run_block(cfgs, u0s)
+    assert len(marches) == 1
+    gemm = leap_steps(n, cfg.n_steps) == 1
+    for got, cfg, u0 in zip(block, cfgs, u0s):
+        _assert_runs_agree(got, run(cfg, u0), cfg.n_steps * 8 * _EPS * np.abs(u0).max() if gemm else 0.0)
 
 
 @pytest.mark.parametrize("order", ["quiet-first", "runaway-first", "both-run-away"])
@@ -984,14 +1007,14 @@ def test_block_configs_must_share_the_operator():
         with pytest.raises(ValueError, match="must agree"):
             run_block([cfg, other], [u0s[0], u0s[0]])
     with pytest.raises(ValueError, match="stop_when_steady"):
-        run_block([cfg, replace(cfgs[1], stop_when_steady=True)], u0s)
+        run_block([cfg, replace(cfgs[1], stop_when_steady=True)], u0s[:2])
     with pytest.raises(ValueError, match="one initial field per config"):
         run_block(cfgs, u0s[:1])
     with pytest.raises(ValueError, match="one initial field per config"):
         run_block([], [])
     # each field is checked as run checks it
     with pytest.raises(ConfigurationError, match="left end"):
-        run_block(cfgs, [u0s[0], u0s[0]])
+        run_block(cfgs, [u0s[0]] * len(cfgs))
 
 
 # --------------------------------------------------------- operator cache
