@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, fields, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -125,9 +126,10 @@ def _write_long_csv(path: Path, header: str, x: np.ndarray, rows) -> None:
     with path.open("w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
         for t, arrays in rows:
-            t_str = _fmt(t)
-            for values in zip(x_strs, *([_fmt(v) for v in a] for a in arrays)):
-                fh.write(f"{t_str},{','.join(values)}\n")
+            # One % call per snapshot: t, then per node x and the values.
+            line = _fmt(t) + ",%s" + ",%.17g" * len(arrays) + "\n"
+            values = chain.from_iterable(zip(x_strs, *(a.tolist() for a in arrays)))
+            fh.write((line * len(x_strs)) % tuple(values))
 
 
 def write_snapshots_csv(path: Path, result: RunResult) -> None:

@@ -30,9 +30,10 @@ extended to the state.  The stacked leap carries each field from leap
 end to leap end, one small product with the rows for j = K each, and
 then fills the K - 1 fields between the ends of many leaps with one
 matrix-matrix product of the rows for j < K.  Where K would be small,
-one loop takes a step at a time from one of two flux sources: the
-product F u + g, or, from the FFT crossover up and for the local law
-wherever it does not leap, each field's
+one loop, :func:`_step_fill`, takes a step at a time with the fluxes and
+the update written inline: the product F u, plus g where a fixed-flux
+end prescribes a nonzero flux, or, from the FFT crossover up and for the
+local law wherever it does not leap, each field's
 :func:`~fracflux.flux.face_fluxes` inside its boundary fluxes g.
 The interior differences telescope, so the mass moves only through the
 ends, to round-off.  The boundary treatment, g, the volume rates and the
@@ -624,27 +625,6 @@ def _stacked_operator(
     return stacked
 
 
-def _product_fluxes(
-    f: np.ndarray, g: np.ndarray, shifts: np.ndarray | None, v: np.ndarray, summed: np.ndarray,
-    u: np.ndarray,
-) -> np.ndarray:
-    """Flux source of the F route: (u - shifts) @ F.T + g for the fields u,
-    one row each, with g a row of boundary fluxes per field, written into
-    summed.  v and summed are per-run buffers of the shapes of u and g."""
-    v = u if shifts is None else np.subtract(u, shifts, out=v)
-    np.matmul(v, f.T, out=summed)
-    summed += g
-    return summed
-
-
-def _kernel_fluxes(cfg: SimConfig, table: GrunwaldTable, faces: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Flux source of single steps: faces, with each field's face_fluxes
-    written inside its row, whose ends hold the field's boundary fluxes."""
-    for field, out in zip(u, faces):
-        out[1:-1] = face_fluxes(field, cfg.flux, table, kappa=cfg.kappa)
-    return faces
-
-
 def _advance(summed: np.ndarray, u: np.ndarray, rates: np.ndarray, pinned: list, out: np.ndarray) -> None:
     """out = u + rates (summed[..., :-1] - summed[..., 1:]) with the
     Dirichlet nodes assigned: the fields u moved on by the fluxes through
@@ -657,14 +637,35 @@ def _advance(summed: np.ndarray, u: np.ndarray, rates: np.ndarray, pinned: list,
         out[..., node] = values
 
 
-def _step_fill(source, block: np.ndarray, rates: np.ndarray, pinned: list) -> None:
-    """Fill the block, (field, step, node), from its step 0 on: each step
-    j made from step j - 1 by :func:`_advance` with the flux source, which
-    gives every field's fluxes at all n + 2 faces for one step.  pinned
-    holds (node, one value per field)."""
+def _step_fill(
+    cfg: SimConfig, table: GrunwaldTable, ft: np.ndarray | None, shifts: np.ndarray | None,
+    faces: np.ndarray, block: np.ndarray, rates: np.ndarray, pinned: list,
+) -> None:
+    """Fill the block, (field, step, node), from its step 0 on, a step at
+    a time: every field's fluxes at its n + 2 faces, then the update of
+    :func:`_advance`, op for op, so the interior fluxes still telescope.
+    The fluxes are (u - shifts) @ ft, u alone where shifts is None, plus
+    the boundary fluxes faces where a fixed-flux end prescribes a nonzero
+    one; or, where ft is None, each field's face_fluxes inside its row of
+    faces, whose ends hold them.  pinned holds (node, one value per
+    field)."""
     by_step = block.swapaxes(0, 1)  # (step, field, node)
+    summed = faces if ft is None else np.empty_like(faces)
+    left, right = summed[..., :-1], summed[..., 1:]
+    offset = faces.any()
     for u, out in zip(by_step, by_step[1:]):
-        _advance(source(u), u, rates, pinned, out)
+        if ft is None:
+            for field, fluxes in zip(u, summed):
+                fluxes[1:-1] = face_fluxes(field, cfg.flux, table, kappa=cfg.kappa)
+        else:  # out holds the shifted fields until the update overwrites it
+            np.matmul(u if shifts is None else np.subtract(u, shifts, out=out), ft, out=summed)
+            if offset:
+                summed += faces
+        np.subtract(left, right, out=out)
+        out *= rates
+        out += u
+        for node, values in pinned:
+            out[..., node] = values
 
 
 def _leap_fill(
@@ -865,14 +866,9 @@ def _march(cfgs: list[SimConfig], u0s: np.ndarray, stride: int) -> list[RunResul
             fill = partial(
                 _leap_fill, stacked, shifts, stride, states, np.empty((leaps, (stride - 1) * (cfg.n + 2))),
             )
-        elif stride:
-            source = partial(
-                _product_fluxes, _face_operator(table, law, cfg.kappa), faces, shifts if blind else None,
-                np.empty_like(u0s), np.empty_like(faces),
-            )
-            fill = partial(_step_fill, source)
-        else:
-            fill = partial(_step_fill, partial(_kernel_fluxes, cfg, table, faces))
+        else:  # single steps, with F's transpose taken once per run where they take its product
+            ft = _face_operator(table, law, cfg.kappa).T if stride else None
+            fill = partial(_step_fill, cfg, table, ft, shifts if blind else None, faces)
         while k < n_steps:
             m = min(block, n_steps - k)
             rows = buffer[:, : m + 1]

@@ -84,6 +84,58 @@ def test_run_values_render_with_17_significant_digits(tmp_path):
             assert format(float(token), ".17g") == token
 
 
+def _long_csv_text(header, x, rows):
+    """The text of a long-format CSV, built a value at a time: for each
+    (t, arrays) of rows, one line per node of t, x and the arrays there."""
+    lines = [header]
+    for t, arrays in rows:
+        lines += [",".join(f"{v:.17g}" for v in (t, xi, *values)) for xi, *values in zip(x, *arrays)]
+    return "\n".join(lines) + "\n"
+
+
+# Config files for the CSV checks: a scenario's, and one whose field holds
+# -0.0 at t = 0, which the files must write as "-0".
+_CSV_CONFIGS = {
+    "fig7-shifted": {"scenario": "fig7-shifted"},
+    "signed-zero": {
+        "n": 20, "dt": 0.001, "t_end": 0.01, "snapshot_times": [0.0, 0.005, 0.01],
+        "initial": {"profile": "constant", "params": {"value": -0.0}},
+    },
+}
+
+
+def _csv_config(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_CSV_CONFIGS[name]))
+    return str(path)
+
+
+@pytest.mark.parametrize("name", list(_CSV_CONFIGS))
+def test_snapshots_csv_holds_every_value_of_the_run(tmp_path, name):
+    out = tmp_path / "run"
+    assert main(["run", "--config", _csv_config(tmp_path, name), "--flux", "rl", "--out-dir", str(out)]) == 0
+    cfg = SimConfig.from_mapping(json.loads((out / "manifest.json").read_text()))
+    result = run(cfg, build_initial(cfg.initial, cfg.x))
+    rows = [(t, [u]) for t, u in zip(result.snapshot_times, result.snapshots)]
+    text = (out / "snapshots.csv").read_bytes().decode()
+    assert text == _long_csv_text("t,x,u", cfg.x, rows)
+    assert len(rows) == 3 and (name != "signed-zero" or "\n0,0,-0\n" in text)
+
+
+@pytest.mark.parametrize("name", list(_CSV_CONFIGS))
+def test_compare_csv_holds_every_value_of_both_runs(tmp_path, name):
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", _csv_config(tmp_path, name), "--flux-a", "rl",
+                 "--flux-b", "caputo", "--out-dir", str(out)]) == 0
+    cfg = SimConfig.from_mapping(json.loads((out / "verdict.json").read_text())["manifest"])
+    u0 = build_initial(cfg.initial, cfg.x)
+    a, b = run(cfg, u0), run(replace(cfg, flux=FluxKind.CAPUTO), u0)
+    rows = [(t, [ua, ub, ua - ub]) for t, ua, ub in zip(a.snapshot_times, a.snapshots, b.snapshots)]
+    text = (out / "compare.csv").read_bytes().decode()
+    assert text == _long_csv_text("t,x,u_a,u_b,diff", cfg.x, rows)
+    assert len(rows) == 3 and (name != "signed-zero" or "\n0,0,-0,-0,0\n" in text)
+
+
 def test_manifest_round_trip_reproduces_csv_bytes(tmp_path):
     first = tmp_path / "a"
     second = tmp_path / "b"

@@ -116,18 +116,23 @@ def test_step_rejects_wrong_face_count():
 
 
 @pytest.mark.parametrize("kind", list(FluxKind))
-def test_mass_changes_by_exactly_the_boundary_fluxes(kind):
-    # M_{k+1} - M_k = dt * (q_left - q_right), telescoping of the interior
+@pytest.mark.parametrize("n", [100, 200, FFT_MIN_N])
+def test_mass_changes_by_exactly_the_boundary_fluxes(n, kind):
+    # M_{k+1} - M_k = dt * (q_left - q_right), telescoping of the interior,
+    # on every route: the stacked leap (n = 100, 40 steps), the F product
+    # (n = 200, where fourier takes single steps) and the FFT route
     rng = np.random.default_rng(31)
     q_left, q_right = 0.375, 0.125
+    dt = 0.2 * (1.0 / n) ** LAWS[kind].order(0.5)  # inside each law's stability bound
     cfg = _config(
         flux=kind,
-        dt=2e-5,  # inside the gradient-law stability bound as well
-        t_end=8e-4,
-        snapshot_times=(8e-4,),
+        n=n,
+        dt=dt,
+        t_end=40 * dt,
+        snapshot_times=(),
         bc=BoundarySpec(FixedFlux(q_left), FixedFlux(q_right)),
     )
-    result = run(cfg, rng.normal(size=101))
+    result = run(cfg, rng.normal(size=n + 1))
     increments = np.diff(result.trace.mass)
     expected = cfg.dt * (q_left - q_right)
     scale = max(1.0, np.abs(result.trace.mass).max())
@@ -155,6 +160,19 @@ def test_mass_constant_to_1e10_over_1e5_steps(kind, dt, t_end):
     assert cfg.n_steps == 100_000
     result = run(cfg, _pulse(cfg))
     assert np.abs(result.trace.mass - 1.0).max() <= 1e-10
+
+
+@pytest.mark.parametrize("kind", [FluxKind.CAPUTO, FluxKind.RIEMANN_LIOUVILLE])
+def test_reflective_mass_drifts_by_round_off_alone_over_20000_f_route_steps(kind):
+    # One product with F per step and then the face differences: the interior
+    # fluxes telescope, so the mass moves by a few ulps, not by 20 000 steps'
+    # worth of rounding in a step matrix that folds the differences into F.
+    n = 200
+    dt = 0.4 * (1.0 / n) ** 1.5
+    cfg = _config(flux=kind, n=n, dt=dt, t_end=20_000 * dt, snapshot_times=())
+    assert cfg.n_steps == 20_000 and leap_steps(n, cfg.n_steps) == 1
+    mass = run(cfg, _pulse(cfg)).trace.mass
+    assert np.abs(mass - mass[0]).max() <= 2e-14 * mass[0]
 
 
 def test_parsimonious_holds_any_constant_fixed():
@@ -732,7 +750,8 @@ def test_overflowing_operator_aborts_like_single_steps(n, stride):
 # them at the n below, so the cases run past two block edges and take
 # snapshots on and inside them.
 
-_ROUTE_BCS = {name: _LEAP_BCS[name] for name in ("reflective", "dirichlet", "fixed-flux")}
+# "mixed" holds a nonzero boundary flux at one end only.
+_ROUTE_BCS = _LEAP_BCS
 
 
 def _route_case(kind, bc, n, steps):
