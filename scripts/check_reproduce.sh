@@ -25,4 +25,13 @@ for manifest in "$root"/results-1/*/manifest.json; do
   cmp "$first/snapshots.csv" "$again/snapshots.csv"
   cmp "$first/summary.json" "$again/summary.json"
   python3 -c 'import json, sys; assert json.load(open(sys.argv[1]))["manifest"] == json.load(open(sys.argv[2])), sys.argv[2]' "$again/summary.json" "$manifest"
+  # The traces: at most 10^3 windows on one time axis, the last at the run's end.
+  python3 -c '
+import json, sys
+s = json.load(open(sys.argv[1]))
+t = s["mass_trace"]["t"]
+lists = (t, s["mass_trace"]["mass"], s["extrema_trace"]["min"], s["extrema_trace"]["max"])
+assert len(t) <= 1000 and {len(v) for v in lists} == {len(t)}, sys.argv[1]
+assert t[-1] == s["steps_taken"] * s["manifest"]["dt"], sys.argv[1]
+' "$first/summary.json"
 done

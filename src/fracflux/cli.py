@@ -36,7 +36,7 @@ from .solver import (
 from .weights import build_table
 
 _FLUX_CHOICES = tuple(kind.value for kind in FluxKind)
-_TRACE_POINT_LIMIT = 10_000
+_TRACE_POINT_LIMIT = 1_000
 
 
 def _fmt(value: float) -> str:
@@ -78,6 +78,8 @@ def resolve_config(args: argparse.Namespace) -> SimConfig:
             file_data = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except RecursionError:
             raise ConfigurationError(f"{args.config} nests JSON too deeply") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigurationError(f"{args.config} does not hold valid JSON: {exc}") from None
         if not isinstance(file_data, dict):
             raise ConfigurationError(f"{args.config} does not hold a JSON object")
     scenario_name = args.scenario or SimConfig.decode("scenario", file_data.get("scenario"))
@@ -108,15 +110,16 @@ def resolve_config(args: argparse.Namespace) -> SimConfig:
     return replace(cfg, bc=bc, snapshot_times=cfg.snapshot_times or (cfg.t_end,))
 
 
-def _downsample_indices(length: int, limit: int = _TRACE_POINT_LIMIT) -> np.ndarray:
-    """At most limit increasing indices into a trace of length entries: the
-    first, every stride-th after it, and the last."""
-    if length <= limit:
-        return np.arange(length)
-    stride = math.ceil((length - 1) / (limit - 1))  # so that the last fits too
-    idx = np.arange(0, length - 1 + stride, stride)
-    idx[-1] = length - 1
-    return idx
+def _trace_windows(length: int, limit: int = _TRACE_POINT_LIMIT) -> np.ndarray:
+    """First indices of at most limit windows over a trace of length entries.
+
+    Entry 0, the initial state, is a window of its own.  Steps 1..N, with
+    N = length - 1, are cut into windows of ceil(N / (limit - 1)) steps, so
+    the last ends at step N; a trace of at most limit entries keeps one
+    window per entry.
+    """
+    width = max(1, math.ceil((length - 1) / (limit - 1)))
+    return np.concatenate(([0], np.arange(1, length, width)))
 
 
 def _write_long_csv(path: Path, header: str, x: np.ndarray, rows) -> None:
@@ -140,7 +143,8 @@ def write_snapshots_csv(path: Path, result: RunResult) -> None:
 def _summary(result: RunResult) -> dict:
     """The summary.json document of a run, a function of its result alone."""
     trace = result.trace
-    idx = _downsample_indices(trace.t.size)
+    starts = _trace_windows(trace.t.size)
+    ends = np.append(starts[1:] - 1, trace.t.size - 1)
     # The trace's first entry holds the initial field's min and max.
     principle = max_principle_check(trace, (trace.u_min[0], trace.u_max[0]))
     summary = {
@@ -149,14 +153,16 @@ def _summary(result: RunResult) -> dict:
         "steady_stop_time": result.steady_stop_time,
         "steady_state_time": steady_state_time(trace, result.cfg.steady_eps),
         "max_principle": asdict(principle),
+        "max_mass_change": float(np.abs(trace.mass - trace.mass[0]).max()),
+        # each window's last time and mass
         "mass_trace": {
-            "t": trace.t[idx].tolist(),
-            "mass": trace.mass[idx].tolist(),
+            "t": trace.t[ends].tolist(),
+            "mass": trace.mass[ends].tolist(),
         },
-        # min/max sampled at the same times as mass_trace.t
+        # each window's extremes, so no step's bound violation is hidden
         "extrema_trace": {
-            "min": trace.u_min[idx].tolist(),
-            "max": trace.u_max[idx].tolist(),
+            "min": np.minimum.reduceat(trace.u_min, starts).tolist(),
+            "max": np.maximum.reduceat(trace.u_max, starts).tolist(),
         },
     }
     cfg, final = result.cfg, result.final
@@ -361,7 +367,7 @@ def main(argv: list[str] | None = None) -> int:
     except InstabilityError as exc:
         print(f"run aborted: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, MemoryError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -402,13 +402,17 @@ def test_bad_input_is_a_configuration_error(tmp_path, capsys, flags):
 def _refused_run(tmp_path, capsys, flags):
     """stderr of a fig7-zero run with flags, which must exit 2 and write
     nothing.  A dict flag is a fig7-zero config file with these keys, a
-    list one a config file holding that JSON array."""
+    list one a config file holding that JSON array, a bytes one a config
+    file holding those bytes."""
     out = tmp_path / "out"
     args = ["run", "--scenario", "fig7-zero", "--out-dir", str(out)]
     for flag in flags:
-        if isinstance(flag, (dict, list)):
+        if isinstance(flag, (dict, list, bytes)):
             path = tmp_path / "config.json"
-            path.write_text(json.dumps({"scenario": "fig7-zero", **flag} if isinstance(flag, dict) else flag))
+            if isinstance(flag, bytes):
+                path.write_bytes(flag)
+            else:
+                path.write_text(json.dumps({"scenario": "fig7-zero", **flag} if isinstance(flag, dict) else flag))
             flag = str(path)
         args.append(flag)
     assert main(args) == 2
@@ -431,9 +435,11 @@ _DIRICHLET_0 = {"kind": "dirichlet", "value": 0.0}
          "'bc' is missing key 'value'"),
         (["--config", {"bc": {"right": _DIRICHLET_0}}], "'bc' is missing key 'left'"),
         (["--config", ["fig7-zero"]], "does not hold a JSON object"),
+        (["--config", b""], "config.json does not hold valid JSON: Expecting value: line 1 column 1"),
+        (["--config", b"\xff{}"], "config.json does not hold valid JSON: 'utf-8' codec can't decode"),
     ],
     ids=["bc-nan-flag", "bc-nan-file", "bc-flag-no-value", "t-end-below-dt", "bc-side-no-value",
-         "bc-no-left", "config-array"],
+         "bc-no-left", "config-array", "config-not-json", "config-not-utf8"],
 )
 def test_bad_input_names_its_fault(tmp_path, capsys, flags, fault):
     err = _refused_run(tmp_path, capsys, flags)
@@ -485,28 +491,57 @@ def test_summary_traces_share_one_time_axis(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "length", [1, 2, 9_999, 10_000, 10_001, 10_002, 19_998, 19_999, 20_000, 20_001, 20_002],
+    "length", [1, 2, 999, 1_000, 1_001, 1_002, 1_999, 2_000, 9_999, 10_001, 20_002],
 )
-def test_trace_downsampling_keeps_both_ends_within_the_limit(length):
-    idx = cli._downsample_indices(length)
-    assert len(idx) <= 10_000
-    if length <= 10_000:
-        assert list(idx) == list(range(length))
-    assert idx[0] == 0 and idx[-1] == length - 1
-    assert (np.diff(idx) > 0).all()
+def test_trace_windows_partition_the_steps_within_the_limit(length):
+    starts = cli._trace_windows(length)
+    assert len(starts) <= 1_000
+    # entry 0 alone, then windows that cover steps 1..N in order, each once
+    ends = np.append(starts[1:] - 1, length - 1)
+    assert starts[0] == 0 and ends[0] == 0
+    assert list(starts[1:]) == list(ends[:-1] + 1)
+    assert (ends >= starts).all()
+    assert ends[-1] == length - 1
+    if length <= 1_000:
+        assert list(starts) == list(range(length))
 
 
-def test_long_run_summary_holds_at_most_ten_thousand_points(tmp_path):
-    # 19 999 steps: a stride of 2 and the last point would make 10 001
+def test_long_run_summary_holds_at_most_a_thousand_points(tmp_path):
+    # 19 999 steps: windows of 21 steps, the last one of 7
     out = tmp_path / "long"
     assert main(["run", "--scenario", "fig7-zero", "--n", "10", "--dt", "1e-5",
                  "--t-end", "0.19999", "--out-dir", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["steps_taken"] == 19_999
     t = summary["mass_trace"]["t"]
-    assert len(t) <= 10_000
+    assert len(t) <= 1_000
     assert t[0] == 0.0 and t[-1] == 19_999 * 1e-5
     assert len(summary["extrema_trace"]["min"]) == len(summary["mass_trace"]["mass"]) == len(t)
+
+
+def test_trace_windows_never_hide_a_bound_violation(tmp_path):
+    # 6833 steps in windows of 7; the first violation, at step 277, ends none
+    out = tmp_path / "pulse"
+    assert main(["run", "--scenario", "pulse-reflective", "--flux", "rl", "--stop-when-steady",
+                 "--out-dir", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    cfg = SimConfig.from_mapping(summary["manifest"])
+    trace = run(cfg, build_initial(cfg.initial, cfg.x)).trace
+    assert summary["steps_taken"] == trace.t.size - 1 == 6833
+    lo, hi = summary["extrema_trace"]["min"], summary["extrema_trace"]["max"]
+    assert min(lo) == trace.u_min.min() and max(hi) == trace.u_max.max()
+    # step k lies in the window j with t[j - 1] < t_k <= t[j]
+    t = summary["mass_trace"]["t"]
+    window = np.searchsorted(t, trace.t)
+    for j in range(len(t)):
+        assert lo[j] == trace.u_min[window == j].min() and hi[j] == trace.u_max[window == j].max()
+
+    report = summary["max_principle"]
+    assert report["violated"] and report["first_step"] == 277
+    outside = (np.array(lo) < report["lower"] - report["tol"]) | (np.array(hi) > report["upper"] + report["tol"])
+    first = int(np.nonzero(outside)[0][0])
+    assert t[first - 1] < report["first_time"] < t[first]
+    assert summary["max_mass_change"] == np.abs(trace.mass - trace.mass[0]).max()
 
 
 # A manifest with every key an earlier build wrote, derived keys included
@@ -743,9 +778,10 @@ def test_summary_writer_matches_json_dumps(tmp_path, case):
     cli.write_summary_json(path, result)
     summary = cli._summary(result)
     assert path.read_text(encoding="utf-8") == json.dumps(summary, indent=2) + "\n"
-    # 12 001 points exceed 10^4, so the decimated trace keeps every second one
+    # steady-stop: 6833 steps in windows of 7 make 977 windows; decimated:
+    # 12 000 steps in windows of 13 make 924; the initial entry adds one
     points = {
-        "steady-stop": result.steps_taken + 1, "one-point": 1, "decimated": 6001,
+        "steady-stop": 978, "one-point": 1, "decimated": 925,
         "fine-grid": 21, "caputo": 101,
     }[case]
     assert len(summary["mass_trace"]["t"]) == points
