@@ -35,3 +35,15 @@ assert len(t) <= 1000 and {len(v) for v in lists} == {len(t)}, sys.argv[1]
 assert t[-1] == s["steps_taken"] * s["manifest"]["dt"], sys.argv[1]
 ' "$first/summary.json"
 done
+
+# Every JSON file written, reruns included, is strict JSON (RFC 8259): the
+# parser refuses NaN, Infinity and -Infinity.
+find "$root" -name '*.json' -print0 | xargs -0 python3 -c '
+import json, sys
+def refuse(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
+for path in sys.argv[1:]:
+    with open(path, encoding="utf-8") as fh:
+        json.load(fh, parse_constant=refuse)
+print(f"{len(sys.argv) - 1} JSON files parse as strict JSON")
+'

@@ -176,56 +176,54 @@ def _summary(result: RunResult) -> dict:
     return summary
 
 
-# The float lists of summary.json as (section, key), in document order;
-# only a law with an advection term (rl) has the flux_decomposition
-# section.  json.dumps(indent=2) puts their items six spaces deep and their
-# closing brackets four.
-_FLOAT_LISTS = (
-    ("mass_trace", "t"), ("mass_trace", "mass"),
-    ("extrema_trace", "min"), ("extrema_trace", "max"),
-    ("flux_decomposition", "diffusive"), ("flux_decomposition", "advective"),
-)
+def _json_chunks(value, key_path: str, indent: str):
+    """The text of json.dumps(value, indent=2), for a value whose line
+    starts at indent, in pieces; NaN and +-Infinity raise a ValueError
+    that names their key path.
 
-
-def _write_summary(path: Path, summary: dict) -> None:
-    """Write json.dumps(summary, indent=2) + "\n" to path, byte for byte.
-
-    With an indent, json.dumps takes its pure-Python encoder, one call per
-    list item.  Here each float list (the traces, and an rl run's flux
-    decomposition) is one join of float.__repr__ strings, which is what
-    that encoder writes for a finite float, spliced in where json.dumps
-    put a placeholder string, and written chunk by chunk.
+    A list of floats, as the traces are, is one join of float.__repr__
+    strings, which is what json.dumps writes for each finite float with
+    its pure-Python encoder, one call per item.  Keys must be strings.
     """
-    skeleton = dict(summary)
-    slots = []
-    for section, key in _FLOAT_LISTS:
-        if section not in summary:
-            continue
-        values = summary[section][key]
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"summary {section}.{key} holds a non-finite value")
-        skeleton[section] = {**skeleton[section], key: f"{section}.{key}"}
-        slots.append((json.dumps(f"{section}.{key}"), values))
-    head = json.dumps(skeleton, indent=2)
-    # Only the manifest, which precedes the float lists, holds free text, so
-    # searching back from the end finds each placeholder and no look-alike.
-    tails = []
-    for slot, values in reversed(slots):
-        head, _, tail = head.rpartition(slot)
-        tails.append((values, tail))
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        prefix = key_path + "." if key_path else ""
+        for i, (key, item) in enumerate(value.items()):
+            yield ("," if i else "{") + "\n" + inner + json.dumps(key) + ": "
+            yield from _json_chunks(item, prefix + key, inner)
+        yield "\n" + indent + "}"
+    elif isinstance(value, (list, tuple)) and value:
+        if {*map(type, value)} == {float} and all(map(math.isfinite, value)):
+            yield "[\n" + inner
+            yield (",\n" + inner).join(map(float.__repr__, value))
+        else:
+            for i, item in enumerate(value):
+                yield ("," if i else "[") + "\n" + inner
+                yield from _json_chunks(item, f"{key_path}[{i}]", inner)
+        yield "\n" + indent + "]"
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{key_path or 'the document'} holds the non-finite value {value!r}")
+    else:
+        yield json.dumps(value)
+
+
+def _write_json(path: Path, doc) -> None:
+    """Write json.dumps(doc, indent=2) + "\n" to path, byte for byte, as
+    strict JSON: a NaN or an Infinity anywhere raises ValueError, and then
+    nothing is written.
+
+    The pieces are written one by one: joined into one string first, an
+    n = 4000 rl summary takes several allocations of some 200 kB, and
+    that took the benchmark's grid-scaling wall time up by a fifth.
+    """
+    chunks = list(_json_chunks(doc, "", ""))
     with path.open("w", encoding="utf-8") as fh:
-        fh.write(head)
-        # never empty: t[0] is always there, and n >= 1 faces
-        for values, tail in reversed(tails):
-            fh.write("[\n      ")
-            fh.write(",\n      ".join(map(float.__repr__, values)))
-            fh.write("\n    ]")
-            fh.write(tail)
+        fh.writelines(chunks)
         fh.write("\n")
 
 
 def write_summary_json(path: Path, result: RunResult) -> None:
-    _write_summary(path, _summary(result))
+    _write_json(path, _summary(result))
 
 
 def run_command(args: argparse.Namespace) -> int:
@@ -235,9 +233,7 @@ def run_command(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "manifest.json").write_text(
-        json.dumps(cfg.manifest(), indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(out_dir / "manifest.json", cfg.manifest())
     write_snapshots_csv(out_dir / "snapshots.csv", result)
     write_summary_json(out_dir / "summary.json", result)
 
@@ -275,9 +271,7 @@ def compare_command(args: argparse.Namespace) -> int:
         "per_snapshot": per_snapshot,
         "max_abs_diff": max(entry["max_abs_diff"] for entry in per_snapshot),
     }
-    (out_dir / "verdict.json").write_text(
-        json.dumps(verdict, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(out_dir / "verdict.json", verdict)
     print(
         f"compare finished: {cfg_a.flux.value} vs {cfg_b.flux.value}, "
         f"max|diff|={verdict['max_abs_diff']:.6g}, outputs in {out_dir}"

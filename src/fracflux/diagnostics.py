@@ -6,6 +6,7 @@ from here too."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,6 +35,8 @@ def max_principle_check(trace: DiagnosticTrace, g, tol: float = 1e-6) -> MaxPrin
     Report-only: some flux laws are expected to violate it, and recording
     where that happens is the point.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     g_arr = np.asarray(g, dtype=np.float64)
     lower = float(g_arr.min())
     upper = float(g_arr.max())
@@ -48,8 +51,8 @@ def max_principle_check(trace: DiagnosticTrace, g, tol: float = 1e-6) -> MaxPrin
 
 def steady_state_time(trace: DiagnosticTrace, eps: float = SimConfig.steady_eps) -> float | None:
     """First time at which the per-step max-norm change drops below eps."""
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     idx = np.nonzero(trace.step_change < eps)[0]
     if idx.size == 0:
         return None

@@ -312,6 +312,12 @@ class SimConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ConfigurationError(f"{name} must be finite and positive, got {value}")
+        try:
+            ratio = stability_ratio(self)
+        except ZeroDivisionError:  # dx ** order underflows to 0
+            ratio = math.inf
+        if not math.isfinite(ratio):
+            raise ConfigurationError(f"kappa*dt/dx^order = {ratio:g} is not finite")
         if self.n_steps < 1:
             raise ConfigurationError("t_end shorter than one time step")
         snapped = []

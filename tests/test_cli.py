@@ -1,5 +1,7 @@
+import copy
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fracflux
 from fracflux import cli
@@ -64,7 +68,10 @@ def test_run_writes_expected_files(tmp_path):
 
     summary = json.loads((out / "summary.json").read_text())
     assert summary["manifest"] == manifest
-    assert len(summary["mass_trace"]["t"]) <= 10_000
+    # 400 steps: every step is kept, the initial state included
+    traces = (summary["mass_trace"]["t"], summary["mass_trace"]["mass"],
+              summary["extrema_trace"]["min"], summary["extrema_trace"]["max"])
+    assert [len(v) for v in traces] == [401] * 4
     assert "max_principle" in summary
     assert "flux_decomposition" in summary  # rl law reports the split
 
@@ -437,9 +444,16 @@ _DIRICHLET_0 = {"kind": "dirichlet", "value": 0.0}
         (["--config", ["fig7-zero"]], "does not hold a JSON object"),
         (["--config", b""], "config.json does not hold valid JSON: Expecting value: line 1 column 1"),
         (["--config", b"\xff{}"], "config.json does not hold valid JSON: 'utf-8' codec can't decode"),
+        # a stability ratio that overflows would be written as Infinity, which is not JSON
+        (["--config", {"n": 1, "dt": 10.0, "t_end": 10.0, "kappa": 1e308, "flux": "fourier",
+                       "initial": {"profile": "constant", "params": {"value": 0.0}}}],
+         "kappa*dt/dx^order = inf is not finite"),
+        (["--config", {"n": 10**200, "dt": 1.0, "t_end": 1.0, "flux": "fourier"}],
+         "kappa*dt/dx^order = inf is not finite"),
     ],
     ids=["bc-nan-flag", "bc-nan-file", "bc-flag-no-value", "t-end-below-dt", "bc-side-no-value",
-         "bc-no-left", "config-array", "config-not-json", "config-not-utf8"],
+         "bc-no-left", "config-array", "config-not-json", "config-not-utf8", "ratio-kappa-dt",
+         "ratio-dx-underflow"],
 )
 def test_bad_input_names_its_fault(tmp_path, capsys, flags, fault):
     err = _refused_run(tmp_path, capsys, flags)
@@ -805,4 +819,54 @@ def test_summary_writer_refuses_a_non_finite_trace_value(tmp_path, section, key)
     summary = cli._summary(result)
     summary[section][key][0] = float("nan")
     with pytest.raises(ValueError, match=f"{section}.{key}"):
-        cli._write_summary(tmp_path / "summary.json", summary)
+        cli._write_json(tmp_path / "summary.json", summary)
+
+
+# -0.0 and subnormal numbers included; st.text() draws non-ASCII and
+# control characters too
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_DOCUMENTS = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**200), 2**200) | _FINITE | st.text()
+    | st.lists(_FINITE, max_size=8),
+    lambda inner: st.lists(inner, max_size=5) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300)
+@given(doc=_DOCUMENTS)
+@example(doc={
+    "floats": [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1],
+    "mixed": [1, 1.5, True, None, "a", [], {}, [2.5], {"k": -0.0}],
+    "ints": [2**100, -(2**100), 0],
+    "\x00\x1f\u00e9\u2603\U0001f600": "\x7f\n\t\"\\\u00e9\U0001f600",
+    "": {"": [[], [{}]]},
+})
+@example(doc=[])
+@example(doc=-0.0)
+def test_json_writer_matches_json_dumps(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "doc.json"
+    cli._write_json(path, doc)
+    assert path.read_text(encoding="utf-8") == json.dumps(doc, indent=2) + "\n"
+
+
+@given(doc=_DOCUMENTS, bad=st.sampled_from([math.nan, math.inf, -math.inf]), data=st.data())
+def test_json_writer_refuses_a_non_finite_value_at_any_depth(tmp_path_factory, doc, bad, data):
+    # walk down from {"doc": doc} and put bad in place of the value reached
+    root = holder = {"doc": copy.deepcopy(doc)}
+    key = key_path = "doc"
+    while isinstance(holder[key], (dict, list)) and holder[key] and data.draw(st.booleans()):
+        holder = holder[key]
+        if isinstance(holder, dict):
+            key = data.draw(st.sampled_from(sorted(holder)))
+            key_path += "." + key
+        else:
+            key = data.draw(st.integers(0, len(holder) - 1))
+            key_path += f"[{key}]"
+    holder[key] = bad
+    path = tmp_path_factory.getbasetemp() / "refused.json"
+    with pytest.raises(ValueError) as refused:
+        cli._write_json(path, root)
+    assert str(refused.value) == f"{key_path} holds the non-finite value {bad!r}"
+    assert not path.exists()

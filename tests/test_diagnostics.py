@@ -77,10 +77,12 @@ def test_steady_state_time_none_when_never_quiet():
     assert steady_state_time(trace, eps=1e-10) is None
 
 
-def test_steady_state_time_rejects_bad_eps():
-    trace = _trace([0] * 3, [1] * 3)
-    with pytest.raises(ValueError):
-        steady_state_time(trace, eps=0.0)
+@pytest.mark.parametrize("eps", [0.0, -1e-10, float("nan"), float("inf")])
+def test_steady_state_time_rejects_bad_eps(eps):
+    # a NaN eps compares false with every change and would answer None
+    trace = _trace([0] * 3, [1] * 3, changes=[1.0, 0.0])
+    with pytest.raises(ValueError, match="eps must be finite and positive"):
+        steady_state_time(trace, eps=eps)
 
 
 def test_constant_field_is_steady_after_one_step():
@@ -132,6 +134,15 @@ def test_max_principle_respects_shifted_lower_bound():
     g[1] = 9.0
     report = max_principle_check(_trace([5.0, 4.9], [9.0, 8.0], dt=1.0), g, tol=1e-6)
     assert report.violated
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-6])
+def test_max_principle_rejects_a_tol_not_finite_and_non_negative(tol):
+    # a NaN tol compares false with every value and would report no violation
+    trace = _trace([0, -1.0], [1, 1], dt=1.0)
+    with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+        max_principle_check(trace, np.array([0.0, 1.0]), tol)
+    assert max_principle_check(trace, np.array([0.0, 1.0])).violated
 
 
 def test_max_principle_on_real_runs():
