@@ -110,15 +110,16 @@ def resolve_config(args: argparse.Namespace) -> SimConfig:
     return replace(cfg, bc=bc, snapshot_times=cfg.snapshot_times or (cfg.t_end,))
 
 
-def _trace_windows(length: int, limit: int = _TRACE_POINT_LIMIT) -> np.ndarray:
-    """First indices of at most limit windows over a trace of length entries.
+def _trace_windows(length: int) -> np.ndarray:
+    """First indices of at most _TRACE_POINT_LIMIT windows over a trace of
+    length entries.
 
     Entry 0, the initial state, is a window of its own.  Steps 1..N, with
-    N = length - 1, are cut into windows of ceil(N / (limit - 1)) steps, so
-    the last ends at step N; a trace of at most limit entries keeps one
-    window per entry.
+    N = length - 1, are cut into windows of ceil(N / (_TRACE_POINT_LIMIT - 1))
+    steps, so the last ends at step N; a trace of at most _TRACE_POINT_LIMIT
+    entries keeps one window per entry.
     """
-    width = max(1, math.ceil((length - 1) / (limit - 1)))
+    width = max(1, math.ceil((length - 1) / (_TRACE_POINT_LIMIT - 1)))
     return np.concatenate(([0], np.arange(1, length, width)))
 
 

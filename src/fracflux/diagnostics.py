@@ -38,6 +38,8 @@ def max_principle_check(trace: DiagnosticTrace, g, tol: float = 1e-6) -> MaxPrin
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and non-negative, got {tol}")
     g_arr = np.asarray(g, dtype=np.float64)
+    if g_arr.size == 0 or not np.isfinite(g_arr).all():
+        raise ValueError(f"g must be non-empty and finite, got {g!r}")
     lower = float(g_arr.min())
     upper = float(g_arr.max())
     below = trace.u_min < lower - tol

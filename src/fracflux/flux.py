@@ -87,7 +87,11 @@ def face_fluxes(u, kind: FluxKind, table: GrunwaldTable, kappa: float = 1.0) -> 
     kappa is a scalar diffusivity multiplier applied uniformly; the
     default of 1 matches the nondimensional form used everywhere else.
     """
-    law = LAWS[kind]
+    try:
+        law = LAWS[kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
+        valid = ", ".join(map(str, FluxKind))
+        raise ValueError(f"unknown flux law {kind!r}: not a FluxKind; valid laws: {valid}") from None
     arr = np.asarray(u, dtype=np.float64)
     if arr.shape != (table.n + 1,):
         raise ValueError(f"field has shape {arr.shape}, table expects {table.n + 1} nodes")

@@ -18,9 +18,10 @@ With fixed-flux conditions at both ends the discrete mass
 changes by exactly dt * (q_left - q_right) per step; the interior flux
 differences telescope away.
 
-Every route of :func:`run` makes each new field by one update: the field
-before it plus the volume rates times the face differences of fluxes at
-all n + 2 faces, with the Dirichlet nodes assigned.  Every law is linear
+Every route of :func:`run` makes each new field by one update,
+:func:`_advance`, the only code that moves a field: the field before it
+plus the volume rates times the face differences of fluxes at all n + 2
+faces, with the Dirichlet nodes assigned.  Every law is linear
 and every boundary condition affine, so a field's state x, its n + 1
 nodal values followed by its two boundary values, steps by one matrix T,
 and below the FFT crossover (see :func:`leap_steps`) one matrix-vector
@@ -30,8 +31,8 @@ extended to the state.  The stacked leap carries each field from leap
 end to leap end, one small product with the rows for j = K each, and
 then fills the K - 1 fields between the ends of many leaps with one
 matrix-matrix product of the rows for j < K.  Where K would be small,
-one loop, :func:`_step_fill`, takes a step at a time with the fluxes and
-the update written inline: the product F u, plus g where a fixed-flux
+one loop, :func:`_step_fill`, takes a step at a time with the fluxes
+written inline: the product F u, plus g where a fixed-flux
 end prescribes a nonzero flux, or, from the FFT crossover up and for the
 local law wherever it does not leap, each field's
 :func:`~fracflux.flux.face_fluxes` inside its boundary fluxes g.
@@ -43,9 +44,11 @@ interior fluxes, and for the initial field's Dirichlet check.  Every
 route writes the fields it makes into one block, (field, step, node),
 whose step 0 holds the fields it starts from: u0, or the last block's
 last step.  One vectorised pass over each block's steps 0..m is the only
-writer of the run's record, each field's :class:`DiagnosticTrace` and
-its snapshots, which share one (time, field, node) array; a step that
-ends one block and starts the next is recorded twice, with the same bits.
+writer of the run's record, one (field, step, quantity) array of mass,
+min, max and step change that it reduces into and of which each field's
+:class:`DiagnosticTrace` holds views, and of the snapshots, which
+share one (time, field, node) array; a step that ends one block and
+starts the next is recorded twice, with the same bits.
 
 A run keeps one route to its end; one that fails the runaway guard on a
 dense route is marched again from t = 0 on single steps, so every abort
@@ -472,7 +475,7 @@ def step(u: np.ndarray, q: np.ndarray, cfg: SimConfig, step_index: int = 0) -> n
     faces, rates, pinned = _boundaries([cfg])
     faces[0, 1:-1] = q
     nxt = np.empty_like(u)
-    _advance(faces, u, rates, pinned, nxt[None])  # a block of one field
+    _advance(faces[:, :-1], faces[:, 1:], u, rates, pinned, nxt[None])  # a block of one field
     if not np.isfinite(nxt).all():
         raise InstabilityError(step_index, step_index * cfg.dt, "non-finite value produced")
     return nxt
@@ -624,12 +627,16 @@ def _stacked_operator(
     return stacked
 
 
-def _advance(summed: np.ndarray, u: np.ndarray, rates: np.ndarray, pinned: list, out: np.ndarray) -> None:
-    """out = u + rates (summed[..., :-1] - summed[..., 1:]) with the
-    Dirichlet nodes assigned: the fields u moved on by the fluxes through
-    their n + 2 faces, along the last axis, with u broadcast against out.
-    pinned holds (node, a value per field of out, or one for all)."""
-    np.subtract(summed[..., :-1], summed[..., 1:], out=out)
+def _advance(
+    left: np.ndarray, right: np.ndarray, u: np.ndarray, rates: np.ndarray, pinned: list, out: np.ndarray,
+) -> None:
+    """out = u + rates (left - right) with the Dirichlet nodes assigned:
+    the fields u moved on by the fluxes through their n + 2 faces, left
+    and right the views of those fluxes without the last face and without
+    the first, along the last axis, with u broadcast against out.  pinned
+    holds (node, a value per field of out, or one for all).  The one code
+    that moves a field, on every route and in :func:`step`."""
+    np.subtract(left, right, out=out)
     out *= rates
     out += u
     for node, values in pinned:
@@ -642,7 +649,7 @@ def _step_fill(
 ) -> None:
     """Fill the block, (field, step, node), from its step 0 on, a step at
     a time: every field's fluxes at its n + 2 faces, then the update of
-    :func:`_advance`, op for op, so the interior fluxes still telescope.
+    :func:`_advance`, so the interior fluxes still telescope.
     The fluxes are (u - shifts) @ ft, u alone where shifts is None, plus
     the boundary fluxes faces where a fixed-flux end prescribes a nonzero
     one; or, where ft is None, each field's face_fluxes inside its row of
@@ -660,11 +667,7 @@ def _step_fill(
             np.matmul(u if shifts is None else np.subtract(u, shifts, out=out), ft, out=summed)
             if offset:
                 summed += faces
-        np.subtract(left, right, out=out)
-        out *= rates
-        out += u
-        for node, values in pinned:
-            out[..., node] = values
+        _advance(left, right, u, rates, pinned, out)
 
 
 def _leap_fill(
@@ -679,15 +682,15 @@ def _leap_fill(
     rows of P that sum the leap's steps.  Then one GEMM of the leap
     starts' states with the rows of P for 1..k - 1 steps gives the fields
     between the ends.  One GEMM per field, so a field of a block equals
-    its solo run bit for bit.  inner is a per-run buffer of leaps rows of
-    (k - 1)(n + 2) doubles, and states holds leaps states per field, their
-    tails written once per run."""
+    its solo run bit for bit.  inner is a per-run buffer, (leap, j, face),
+    of the face fluxes summed over j = 1..k - 1 steps of each leap, and
+    states holds leaps states per field, their tails written once per run."""
     m = block.shape[1] - 1
     size = rates.size + 1  # faces
     full, last = divmod(m, k)  # whole leaps, and the steps of a short one
     leaps = full + (last > 0)
     between = stacked[: (k - 1) * size].T
-    summed = inner[:leaps].reshape(leaps, k - 1, size)
+    left, right = inner[..., :-1], inner[..., 1:]
     for i, field in enumerate(block):
         pins = [(node, values[i]) for node, values in pinned]
         state = states[i, :leaps]
@@ -695,14 +698,15 @@ def _leap_fill(
             steps = k if j < full else last
             np.subtract(field[j * k], shifts[i], out=state[j, :-2])
             end = stacked[(steps - 1) * size : steps * size] @ state[j]
-            _advance(end, field[j * k], rates, pins, field[j * k + steps])
+            _advance(end[:-1], end[1:], field[j * k], rates, pins, field[j * k + steps])
         # The face differences come after the product, so the interior
         # fluxes still telescope.
-        np.matmul(state, between, out=inner[:leaps])
+        np.matmul(state, between, out=inner[:leaps].reshape(leaps, -1))
         inside = field[1 : full * k + 1].reshape(full, k, size - 1)
-        _advance(summed[:full], field[: full * k : k, None], rates, pins, inside[:, :-1])
+        _advance(left[:full], right[:full], field[: full * k : k, None], rates, pins, inside[:, :-1])
         if last:
-            _advance(summed[full, : last - 1], field[full * k], rates, pins, field[full * k + 1 : -1])
+            short = np.s_[full, : last - 1]  # the short leap's sums
+            _advance(left[short], right[short], field[full * k], rates, pins, field[full * k + 1 : -1])
 
 
 def _block_key(cfg: SimConfig) -> tuple:
@@ -813,11 +817,12 @@ def _march(cfgs: list[SimConfig], u0s: np.ndarray, stride: int) -> list[RunResul
     n_steps = cfg.n_steps
     snap_steps = [cfg.steps_to(t) for t in cfg.snapshot_times]  # sorted, distinct: see SimConfig
 
-    # One row per field.
-    mass = np.empty((width, n_steps + 1))
-    u_min = np.empty((width, n_steps + 1))
-    u_max = np.empty((width, n_steps + 1))
-    step_change = np.empty((width, n_steps))
+    # The run's record, (field, step, quantity): mass, min, max and the
+    # change into the step, step 0's unused.  Quantity last, so a run that
+    # stops early has written one prefix of it: numpy advises huge pages
+    # for arrays of 4 MiB or more, and the four sparse prefixes of a
+    # (quantity, field, step) record made some 4 MB more resident.
+    record = np.empty((width, n_steps + 1, 4))
     snapshots = np.empty((len(snap_steps), width, cfg.n + 1))
 
     # In Python floats, which overflow without a warning, and capped at the
@@ -858,14 +863,14 @@ def _march(cfgs: list[SimConfig], u0s: np.ndarray, stride: int) -> list[RunResul
             states = np.empty((width, leaps, cfg.n + 3))
             states[..., -2:] = tails[:, None]
             fill = partial(
-                _leap_fill, stacked, shifts, stride, states, np.empty((leaps, (stride - 1) * (cfg.n + 2))),
+                _leap_fill, stacked, shifts, stride, states, np.empty((leaps, stride - 1, cfg.n + 2)),
             )
         else:  # single steps, with F's transpose taken once per run where they take its product
             ft = _face_operator(table, law, cfg.kappa).T if stride else None
             fill = partial(_step_fill, cfg, table, ft, shifts if blind else None, faces)
         while k < n_steps:
             m = min(block, n_steps - k)
-            rows = buffer[:, : m + 1]
+            rows, span = buffer[:, : m + 1], record[:, k : k + m + 1]
             fill(rows, rates, pinned)
 
             # One pass over the block, steps 0..m, by (field, step): step
@@ -875,12 +880,13 @@ def _march(cfgs: list[SimConfig], u0s: np.ndarray, stride: int) -> list[RunResul
             # The reductions call the ufuncs' own, without the wrappers of
             # the ndarray methods: the same sums in fewer microseconds.
             delta = np.subtract(rows[:, 1:], rows[:, :-1], out=deltas[:, 1 : m + 1])
-            change = np.maximum.reduce(np.abs(delta, out=delta), axis=-1)
+            change = np.maximum.reduce(np.abs(delta, out=delta), axis=-1, out=span[:, 1:, 3])
             quiet = cfg.stop_when_steady and (change < cfg.steady_eps).any()
             if quiet:  # a block of one field
                 m = int((change < cfg.steady_eps).argmax()) + 1
-                rows, change = rows[:, : m + 1], change[:, :m]
-            lo, hi = np.minimum.reduce(rows, axis=-1), np.maximum.reduce(rows, axis=-1)
+                rows, span = rows[:, : m + 1], span[:, : m + 1]
+            lo = np.minimum.reduce(rows, axis=-1, out=span[..., 1])
+            hi = np.maximum.reduce(rows, axis=-1, out=span[..., 2])
             peak = np.maximum(hi, -lo)
             # Under the lowest field limit the block passes at once; else
             # each field is held to its own limit.
@@ -893,10 +899,7 @@ def _march(cfgs: list[SimConfig], u0s: np.ndarray, stride: int) -> list[RunResul
                     if np.isfinite(peak[0, j]) else "non-finite value produced"
                 )
                 raise InstabilityError(k + j, (k + j) * cfg.dt, detail)
-            mass[:, k : k + m + 1] = total_mass(rows)
-            u_min[:, k : k + m + 1] = lo
-            u_max[:, k : k + m + 1] = hi
-            step_change[:, k : k + m] = change
+            span[..., 0] = total_mass(rows)
             for s, ks in enumerate(snap_steps):
                 if k <= ks <= k + m:
                     snapshots[s] = rows[:, ks - k]
@@ -912,15 +915,12 @@ def _march(cfgs: list[SimConfig], u0s: np.ndarray, stride: int) -> list[RunResul
     end = steps_taken + 1
     results = []
     for i, cfg in enumerate(cfgs):
-        trace = DiagnosticTrace(
-            t=np.arange(end) * cfg.dt, mass=mass[i, :end],
-            u_min=u_min[i, :end], u_max=u_max[i, :end], step_change=step_change[i, :steps_taken],
-        )
         results.append(RunResult(
             cfg=cfg,
             snapshot_times=cfg.snapshot_times,
             snapshots=list(snapshots[:, i]),
-            trace=trace,
+            # t, then views of the field's record: mass, min, max and change
+            trace=DiagnosticTrace(np.arange(end) * cfg.dt, *record[i, :end, :3].T, record[i, 1:end, 3]),
             final=u[i],
             steps_taken=steps_taken,
             steady_stop_time=steady_time,

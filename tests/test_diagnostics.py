@@ -145,6 +145,16 @@ def test_max_principle_rejects_a_tol_not_finite_and_non_negative(tol):
     assert max_principle_check(trace, np.array([0.0, 1.0])).violated
 
 
+@pytest.mark.parametrize("g", [[], [0.0, float("nan"), 1.0], [0.0, float("inf")], [-float("inf"), 1.0]])
+def test_max_principle_rejects_bounds_empty_or_not_finite(g):
+    # NaN bounds compare false with every value and would report no
+    # violation; an empty g has no bounds at all
+    trace = _trace([0, -5.0], [1, 1], dt=1.0)
+    with pytest.raises(ValueError, match="g must be non-empty and finite"):
+        max_principle_check(trace, g)
+    assert max_principle_check(trace, [0.0, 1.0]).violated
+
+
 def test_max_principle_on_real_runs():
     zero = make_scenario("fig7-zero").cfg
     u0 = build_initial(zero.initial, zero.x)

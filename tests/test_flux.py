@@ -287,6 +287,13 @@ def test_flux_kind_from_name():
         FluxKind.from_name("heat")
 
 
+@pytest.mark.parametrize("kind", ["rl", ["rl"]])
+def test_face_fluxes_rejects_a_law_that_is_not_a_flux_kind(kind):
+    table = build_table(0.5, 0.1, 10)
+    with pytest.raises(ValueError, match=r"unknown flux law \[?'rl'.*FluxKind\.RIEMANN_LIOUVILLE"):
+        face_fluxes(np.zeros(11), kind, table)
+
+
 # ------------------------------------------------- dense and FFT routes
 
 

@@ -508,6 +508,12 @@ def test_step_is_the_oracles_update_bit_for_bit(kind, bc):
 
 def _assert_runs_agree(got, want, bound):
     assert got.steps_taken == want.steps_taken
+    # the trace shows the steps taken and no record entry past them
+    assert got.trace.step_change.shape == (got.steps_taken,)
+    for name in ("t", "mass", "u_min", "u_max"):
+        assert getattr(got.trace, name).shape == (got.steps_taken + 1,)
+    if got.steady_stop_time is not None:
+        assert got.trace.step_change[-1] < got.cfg.steady_eps
     assert got.steady_stop_time == want.steady_stop_time
     assert got.snapshot_times == want.snapshot_times
     for a, b in zip(got.snapshots, want.snapshots):
@@ -764,6 +770,45 @@ def _route_case(kind, bc, n, steps):
     for node, (value,) in solver._boundaries([cfg])[2]:
         u0[node] = value
     return cfg, u0
+
+
+def _count_advance(monkeypatch) -> list:
+    """The calls of solver._advance from now on, one entry each."""
+    calls, advance = [], solver._advance
+    monkeypatch.setattr(solver, "_advance", lambda *args: calls.append(args) or advance(*args))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "kind,n,stride",
+    [
+        (FluxKind.CAPUTO, 100, 15),  # the stacked leap
+        (FluxKind.RIEMANN_LIOUVILLE, 200, 1),  # the F route
+        (FluxKind.CAPUTO, FFT_MIN_N, 0),  # face_fluxes
+        (FluxKind.FOURIER, 200, 0),  # face_fluxes of the local law
+    ],
+)
+def test_every_route_moves_its_fields_through_advance(kind, n, stride, monkeypatch):
+    cfg, u0 = _route_case(kind, "mixed", n, 2 * solver.BLOCK_ROWS + 16)
+    assert leap_steps(cfg.n, cfg.n_steps, LAWS[kind].local) == stride
+    want = run(cfg, u0)
+    calls = _count_advance(monkeypatch)
+    got = run(cfg, u0)
+    _assert_runs_agree(got, want, 0.0)
+    if stride > 1:  # one update per leap end, and one per chunk for the fields inside its leaps
+        assert 0 < len(calls) < cfg.n_steps
+    else:  # one update a step
+        assert len(calls) == cfg.n_steps
+
+
+def test_step_moves_the_field_through_advance(monkeypatch):
+    cfg = _config(bc=_ROUTE_BCS["mixed"])
+    u = _pulse(cfg)
+    q = face_fluxes(u, cfg.flux, build_table(cfg.alpha, cfg.dx, cfg.n))
+    want = step(u, q, cfg)
+    calls = _count_advance(monkeypatch)
+    assert np.array_equal(step(u, q, cfg), want)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("bc", list(_ROUTE_BCS))
