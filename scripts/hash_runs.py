@@ -16,8 +16,10 @@ result, and the message of every abort, of:
 - solo runs and blocks of two and three fields (``run_block``);
 - all-negative, all-zero and signed-zero fields, which show a sign of zero
   that an update lets slip;
-- one steady stop and one abort per law and grid, solo, and one abort in
-  a block.
+- one steady stop and one abort per law and grid, solo, and two aborts in
+  a block, one of them with a second field that fails before the first;
+- the README's late ``caputo`` abort at n = 100 and 200, hundreds of
+  steps into the stacked leap and the F route.
 
 Two source trees that print the same line give the same bits on all of
 these; run it under several OPENBLAS_NUM_THREADS to check that the thread
@@ -113,6 +115,11 @@ def cases():
                 yield f"{n} {kind.value} abort", [cfg], [pulse]
                 if kind is FluxKind.CAPUTO:
                     yield f"{n} {kind.value} abort x2", [cfg] * 2, [pulse, 1e290 * pulse]
+                    yield f"{n} {kind.value} abort order x2", [cfg] * 2, [1e-6 * pulse, pulse]
+                    if n in (100, 200):
+                        zero = BoundarySpec(Dirichlet(0.0), Dirichlet(0.0))
+                        late = config(kind, n, zero, steps=1200, ratio=0.75)
+                        yield f"{n} {kind.value} late abort", [late], [pulse]
 
 
 def main():

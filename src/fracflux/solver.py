@@ -50,9 +50,11 @@ min, max and step change that it reduces into and of which each field's
 share one (time, field, node) array; a step that ends one block and
 starts the next is recorded twice, with the same bits.
 
-A run keeps one route to its end; one that fails the runaway guard on a
-dense route is marched again from t = 0 on single steps, so every abort
-has the step and the message of the single-step loop, bit for bit.
+A run keeps one route to its end and is marched once: a field that fails
+the runaway guard raises from the route that ran, at the earliest failing
+step.  Only where a product's sums overflow, a step before single steps'
+fields would, is the block filled again from its own step 0 on single
+steps, which the run then keeps.
 
 :func:`run_block` marches several fields whose configurations differ
 only in their boundary values, and so share the step operator: one
@@ -729,7 +731,7 @@ def run(cfg: SimConfig, u0) -> RunResult:
     initial profile (unless ``force_inconsistent_bc`` is set).  The same
     as ``run_block([cfg], [u0])[0]``.
     """
-    return _run_block([cfg], [u0])[0]
+    return _march([cfg], [u0])[0]
 
 
 def run_block(cfgs, u0s) -> list[RunResult]:
@@ -742,19 +744,29 @@ def run_block(cfgs, u0s) -> list[RunResult]:
     :func:`run` bit for bit, except where one product with F makes a
     step (K = 1 in :func:`leap_steps`): there one matrix-matrix product
     serves every field and sums in its own order, so they agree to
-    round-off.  If a field fails the runaway guard the fields are run
-    again from t = 0, alone and on single steps, in order, so the first
-    failing one raises the error of the single-step loop; if none fails
-    alone, the block returns those single-step results.
+    round-off.  Each field is held to its own runaway limit.  If any
+    field fails it, the block raises one :class:`InstabilityError`, for
+    the earliest failing step and, of the fields that fail there, the
+    lowest index, with the message the guard writes for that field.
     ``stop_when_steady`` needs a block of one.  Raises
     ValueError for configs that do not share an operator.
     """
-    return _run_block(cfgs, u0s)
+    return _march(cfgs, u0s)
 
 
-def _run_block(cfgs, u0s) -> list[RunResult]:
-    """:func:`run_block`, called straight from :func:`run` or :func:`run_block`,
-    so that a StabilityWarning two frames up names their caller."""
+def _march(cfgs, u0s) -> list[RunResult]:
+    """:func:`run_block`, called straight from :func:`run` or
+    :func:`run_block`, so that a StabilityWarning two frames up names
+    their caller.
+
+    The route takes stride = :func:`leap_steps` steps per product (0:
+    single steps).  Where the guard's earliest failure is a non-finite
+    value on a product route, the block is filled again from its step 0
+    with each field's face_fluxes, and the run keeps single steps from
+    there.  The record is written by the block pass alone, step 0 of the
+    run included: no step has code of its own.  A steady stop ends the
+    run at the block's quiet step k, and the snapshot times past k take
+    the field there."""
     cfgs = list(cfgs)
     if not cfgs or len(cfgs) != len(u0s):
         raise ValueError(f"need one initial field per config, got {len(cfgs)} configs and {len(u0s)} fields")
@@ -765,7 +777,7 @@ def _run_block(cfgs, u0s) -> list[RunResult]:
         )
     if len(cfgs) > 1 and any(cfg.stop_when_steady for cfg in cfgs):
         raise ValueError("stop_when_steady needs a block of one field")
-    _, _, pinned = _boundaries(cfgs)
+    faces, rates, pinned = _boundaries(cfgs)
     starts = []
     for i, (cfg, u0) in enumerate(zip(cfgs, u0s)):
         u0 = np.asarray(u0, dtype=np.float64)
@@ -784,6 +796,7 @@ def _run_block(cfgs, u0s) -> list[RunResult]:
                     "to run anyway"
                 )
         starts.append(u0)
+    u0s = np.array(starts)
 
     cfg = cfgs[0]
     ratio = stability_ratio(cfg)
@@ -795,24 +808,8 @@ def _run_block(cfgs, u0s) -> list[RunResult]:
             stacklevel=3,
         )
 
-    results = _march(cfgs, np.array(starts), leap_steps(cfg.n, cfg.n_steps, LAWS[cfg.flux].local))
-    if results is None:  # each field alone on single steps, from t = 0
-        results = [_march([cfg], u0[None], 0)[0] for cfg, u0 in zip(cfgs, starts)]
-    return results
-
-
-def _march(cfgs: list[SimConfig], u0s: np.ndarray, stride: int) -> list[RunResult] | None:
-    """The results of the checked fields u0s (one row each) under the
-    block's configs, marched stride steps per product (0: single steps,
-    see :func:`leap_steps`), or None if the runaway guard fails in a block
-    of more than one field or on a dense route.
-
-    The record is written by the block pass alone, step 0 of the run
-    included: no step has code of its own.  A steady stop ends the run at
-    the block's quiet step k, and the snapshot times past k take the field
-    there."""
-    cfg = cfgs[0]
     width = len(cfgs)
+    stride = leap_steps(cfg.n, cfg.n_steps, LAWS[cfg.flux].local)
     table = build_table(cfg.alpha, cfg.dx, cfg.n)
     n_steps = cfg.n_steps
     snap_steps = [cfg.steps_to(t) for t in cfg.snapshot_times]  # sorted, distinct: see SimConfig
@@ -834,7 +831,6 @@ def _march(cfgs: list[SimConfig], u0s: np.ndarray, stride: int) -> list[RunResul
     lowest = min(limits)
     limits = np.array(limits)[:, None]
 
-    faces, rates, pinned = _boundaries(cfgs)
     most = _block_rows(cfg.n, stride)
     block = stride if stride > 1 else most  # the first block: one leap
     # A block of m steps is (field, step, node) over steps 0..m of the
@@ -889,14 +885,18 @@ def _march(cfgs: list[SimConfig], u0s: np.ndarray, stride: int) -> list[RunResul
             hi = np.maximum.reduce(rows, axis=-1, out=span[..., 2])
             peak = np.maximum(hi, -lo)
             # Under the lowest field limit the block passes at once; else
-            # each field is held to its own limit.
+            # each field is held to its own limit, and the earliest failing
+            # step, at the lowest field index there, raises.
             if not np.maximum.reduce(peak, axis=None) <= lowest and not (peak <= limits).all():
-                if width > 1 or stride:
-                    return None
-                j = int(np.argmin(peak[0] <= lowest))
+                over = ~(peak <= limits)  # a NaN fails too
+                j = int(over.any(axis=0).argmax())
+                i = int(over[:, j].argmax())
+                if stride and not np.isfinite(peak[i, j]):  # fill the block again on single steps
+                    stride, fill = 0, partial(_step_fill, cfg, table, None, None, faces)
+                    continue
                 detail = (
-                    f"|u| reached {peak[0, j]:.3g}, over 1e12 x initial scale"
-                    if np.isfinite(peak[0, j]) else "non-finite value produced"
+                    f"|u| reached {peak[i, j]:.3g}, over 1e12 x initial scale"
+                    if np.isfinite(peak[i, j]) else "non-finite value produced"
                 )
                 raise InstabilityError(k + j, (k + j) * cfg.dt, detail)
             span[..., 0] = total_mass(rows)

@@ -324,6 +324,16 @@ def test_warning_fires_above_advisory_ratio():
         run(cfg, np.zeros(101))
 
 
+def test_stability_warning_names_the_caller_of_run_and_run_block():
+    # the warning points at the line that called run or run_block, not
+    # into the solver
+    cfg = _config(alpha=1.0, t_end=0.001, snapshot_times=(0.001,))
+    for march in (lambda: run(cfg, np.zeros(101)), lambda: run_block([cfg, cfg], [np.zeros(101)] * 2)):
+        with pytest.warns(StabilityWarning) as caught:
+            march()
+        assert [w.filename for w in caught] == [__file__]
+
+
 def test_no_warning_at_the_advisory_ratio():
     cfg = _config(t_end=0.001, snapshot_times=(0.001,))  # ratio exactly 0.5
     with warnings.catch_warnings():
@@ -597,12 +607,15 @@ def test_leap_run_stops_at_the_oracles_steady_step(kind, steps):
     assert np.abs(got.trace.mass - 1.0).max() <= 5e-15
 
 
-def test_leap_run_aborts_at_the_oracles_step():
+def test_leap_run_aborts_at_the_oracles_step(monkeypatch):
     # pulse-reflective under the gradient law at dt/dx^2 = 5 passes the
-    # 1e12 guard at step 12, inside the first block
+    # 1e12 guard at step 12, inside the first block, and the leap raises
+    # without a single step
     cfg = _config(flux=FluxKind.FOURIER, t_end=10.0, snapshot_times=())
+    calls = _count_face_fluxes(monkeypatch)
     with pytest.warns(StabilityWarning), pytest.raises(InstabilityError) as got:
         run(cfg, _pulse(cfg))
+    assert calls == []
     with pytest.raises(InstabilityError) as want:
         run_stepwise(cfg, _pulse(cfg))
     assert got.value.step_index == want.value.step_index == 12
@@ -612,8 +625,8 @@ def test_leap_run_aborts_at_the_oracles_step():
 def test_non_finite_leap_block_is_redone_one_step_at_a_time():
     # At a scale of 1e300 the guard limit overflows to inf, so the first
     # sign of the blow-up is a non-finite value: the leap's block turns
-    # non-finite, and the run redone on single steps must find the exact
-    # step.
+    # non-finite, and that block, filled again on single steps from its
+    # own step 0, must find the exact step.
     cfg = _config(flux=FluxKind.FOURIER, t_end=10.0, snapshot_times=())
     u0 = 1e300 * _pulse(cfg)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -704,17 +717,22 @@ def test_leap_steady_stop_inside_a_later_chunk_is_the_oracles():
     assert np.array_equal(got.snapshots[-1], got.final)
 
 
-@pytest.mark.parametrize("scale,abort", [(1.0, 285), (1e300, 147)])
-def test_leap_abort_inside_a_later_chunk_is_the_oracles(scale, abort):
-    # rl just over its stable ratio: round-off grows until the field passes
-    # the 1e12 guard at a leap end of the fifth chunk, or, from a field of
-    # scale 1e300, overflows inside a leap of the fourth; the chain of leap
-    # ends carries the non-finite values on to the chunk's end
+def _chunk_abort_config():
+    # rl just over its stable ratio, on the stacked leap
     dt = 0.86 * 0.01 ** 1.3
-    cfg = _config(
+    return _config(
         flux=FluxKind.RIEMANN_LIOUVILLE, alpha=0.3, dt=dt, t_end=400 * dt, snapshot_times=(),
         bc=BoundarySpec(FixedFlux(0.0), FixedFlux(0.0)),
     )
+
+
+@pytest.mark.parametrize("scale,abort", [(1.0, 285), (1e300, 147)])
+def test_leap_abort_inside_a_later_chunk_is_the_oracles(scale, abort):
+    # round-off grows until the field passes the 1e12 guard at a leap end
+    # of the fifth chunk, or, from a field of scale 1e300, overflows inside
+    # a leap of the fourth; the chain of leap ends carries the non-finite
+    # values on to the chunk's end
+    cfg = _chunk_abort_config()
     u0 = scale * _pulse(cfg)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InstabilityError) as want:
         run_stepwise(cfg, u0)
@@ -770,6 +788,14 @@ def _route_case(kind, bc, n, steps):
     for node, (value,) in solver._boundaries([cfg])[2]:
         u0[node] = value
     return cfg, u0
+
+
+def _count_face_fluxes(monkeypatch) -> list:
+    """The calls of solver.face_fluxes from now on, one entry each: the
+    single-step source, which no product route calls."""
+    calls, fluxes = [], solver.face_fluxes
+    monkeypatch.setattr(solver, "face_fluxes", lambda *args, **kw: calls.append(args) or fluxes(*args, **kw))
+    return calls
 
 
 def _count_advance(monkeypatch) -> list:
@@ -907,8 +933,9 @@ def test_abort_step_and_message_equal_the_oracles_on_every_route(kind, n, scale)
 
 # Just over the stable ratio, round-off takes hundreds of steps to pass
 # the guard: many leaps on the stacked route (caputo and rl at n = 100)
-# and on the F route (caputo at n = 200).  The run, and a block with a
-# quiet field first, then start again on single steps from t = 0.
+# and blocks on the F route (caputo at n = 200).  The run, and a block
+# with a quiet field first, raise from the route that ran, with the
+# single-step loop's step and message.
 _LATE_ABORTS = {
     "caputo-100": (FluxKind.CAPUTO, 0.5, 0.75, 100, Dirichlet(0.0), 552),
     "caputo-200": (FluxKind.CAPUTO, 0.5, 0.75, 200, Dirichlet(0.0), 323),
@@ -917,7 +944,7 @@ _LATE_ABORTS = {
 
 
 @pytest.mark.parametrize("case", list(_LATE_ABORTS))
-def test_late_abort_equals_the_oracles_solo_and_in_a_block(case):
+def test_late_abort_equals_the_oracles_solo_and_in_a_block(case, monkeypatch):
     kind, alpha, ratio, n, end, abort = _LATE_ABORTS[case]
     dt = ratio * (1.0 / n) ** (1.0 + alpha)
     cfg = _config(
@@ -930,11 +957,13 @@ def test_late_abort_equals_the_oracles_solo_and_in_a_block(case):
     assert want.value.step_index == abort
     stride = leap_steps(n, cfg.n_steps)
     assert abort > 10 * (stride if stride > 1 else solver.BLOCK_ROWS)  # ten leaps or blocks in
+    calls = _count_face_fluxes(monkeypatch)
     for march in (lambda: run(cfg, wild), lambda: run_block([cfg, cfg], [np.zeros(n + 1), wild])):
         with pytest.warns(StabilityWarning), pytest.raises(InstabilityError) as got:
             march()
         assert got.value.step_index == abort
         assert str(got.value) == str(want.value)
+    assert calls == []  # no field marched again on single steps
 
 
 # ------------------------------------------------------------ field blocks
@@ -1015,8 +1044,8 @@ def test_block_of_one_is_run_bit_for_bit(n):
 @pytest.mark.parametrize("n", [100, 200, FFT_MIN_N])
 def test_block_holds_each_field_to_its_own_runaway_limit(n, monkeypatch):
     # the second field runs past 1e12 times the first one's scale: held to
-    # the lowest limit, the block would fail the guard and march its fields
-    # again alone, to the same results
+    # the lowest limit, the block would fail the guard; held to its own,
+    # each field passes in the block's one march, with its solo results
     cfg, u0 = _route_case(FluxKind.CAPUTO, "dirichlet", n, 2 * solver.BLOCK_ROWS + 16)
     big = replace(cfg, bc=BoundarySpec(*(Dirichlet(1e13 * bc.value + 3e13) for bc in (cfg.bc.left, cfg.bc.right))))
     cfgs, u0s = [cfg, big], [u0, 1e13 * u0 + 3e13]
@@ -1052,6 +1081,54 @@ def test_block_with_a_runaway_field_raises_the_solo_error(kind, n, scale, order)
     assert [w.category for w in caught] == [StabilityWarning]
     assert got.value.step_index == want.value.step_index
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("n", [100, 200, FFT_MIN_N])
+def test_block_abort_raises_the_earliest_failing_step(n):
+    # a millionth of the pulse is held to the floor limit, 1e12, and passes
+    # it at step 18; the pulse passes its own limit at step 13, and so does
+    # twice the pulse, whose fields and limit are twice the pulse's, bit for
+    # bit.  A block raises the solo error of its earliest failing step, and
+    # on a tie that of its lowest field index.
+    cfg = _runaway_config(FluxKind.CAPUTO, n)
+    pulse = _pulse(cfg)
+
+    def error(*u0s):
+        with pytest.warns(StabilityWarning), pytest.raises(InstabilityError) as got:
+            run_block([cfg] * len(u0s), u0s)
+        return got.value.step_index, str(got.value)
+
+    small, one, two = error(1e-6 * pulse), error(pulse), error(2.0 * pulse)
+    assert (small[0], one[0], two[0]) == (18, 13, 13) and one[1] != two[1]
+    assert error(1e-6 * pulse, pulse) == one
+    assert error(pulse, 2.0 * pulse) == one
+    assert error(2.0 * pulse, pulse) == two
+
+
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("case", ["fourier-100", "caputo-100", "caputo-200", "rl-chunk"])
+def test_overflow_abort_fills_one_block_again_on_single_steps(case, width, monkeypatch):
+    # from a field of scale 1e300 a product's sums overflow a step before
+    # single steps' fields do: the block where they do is filled again,
+    # from its own step 0, with face_fluxes, and raises the oracle's error;
+    # the stacked leap (n = 100, rl in its fourth chunk) and the F route
+    # (n = 200)
+    if case == "rl-chunk":
+        cfg = _chunk_abort_config()
+    else:
+        kind, n = case.split("-")
+        cfg = _runaway_config(FluxKind.from_name(kind), int(n))
+    stride = leap_steps(cfg.n, cfg.n_steps, LAWS[cfg.flux].local)
+    assert stride >= 1
+    u0 = 1e300 * _pulse(cfg)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InstabilityError) as want:
+        run_stepwise(cfg, u0)
+    calls = _count_face_fluxes(monkeypatch)
+    with pytest.warns(StabilityWarning) as caught, pytest.raises(InstabilityError) as got:
+        run_block([cfg] * width, [u0, u0 / 3.0][:width])
+    assert [w.category for w in caught] == [StabilityWarning]
+    assert str(got.value) == str(want.value)
+    assert 0 < len(calls) <= width * solver._block_rows(cfg.n, stride)
 
 
 def test_block_configs_must_share_the_operator():
