@@ -25,7 +25,9 @@ for manifest in "$root"/results-1/*/manifest.json; do
   cmp "$first/snapshots.csv" "$again/snapshots.csv"
   cmp "$first/summary.json" "$again/summary.json"
   python3 -c 'import json, sys; assert json.load(open(sys.argv[1]))["manifest"] == json.load(open(sys.argv[2])), sys.argv[2]' "$again/summary.json" "$manifest"
-  # The traces: at most 10^3 windows on one time axis, the last at the run's end.
+  # The traces: at most 10^3 windows on one time axis, the last at the run's
+  # end: step 0, then windows of ceil(n_steps / 999) steps of the configured
+  # n_steps over the N steps taken, so 1 + ceil(N / that) entries.
   python3 -c '
 import json, sys
 s = json.load(open(sys.argv[1]))
@@ -33,6 +35,8 @@ t = s["mass_trace"]["t"]
 lists = (t, s["mass_trace"]["mass"], s["extrema_trace"]["min"], s["extrema_trace"]["max"])
 assert len(t) <= 1000 and {len(v) for v in lists} == {len(t)}, sys.argv[1]
 assert t[-1] == s["steps_taken"] * s["manifest"]["dt"], sys.argv[1]
+every = -(-round(s["manifest"]["t_end"] / s["manifest"]["dt"]) // 999)
+assert len(t) == 1 + -(-s["steps_taken"] // every), sys.argv[1]
 ' "$first/summary.json"
 done
 

@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Print one SHA-256 over the outputs of a fixed matrix of runs.
 
-    PYTHONPATH=src python3 scripts/hash_runs.py
+    PYTHONPATH=src python3 scripts/hash_runs.py [--cases PATH]
 
 prints ``runs N sha256 H``.  The hash covers, in a fixed order, the
-snapshots, finals, traces, step counts and steady-stop times of every
-result, and the message of every abort, of:
+snapshots, finals, full per-step traces, step counts and steady-stop
+times of every result, and the message of every abort, of:
 
 - n = 20, 100, 141, 200, 399, 400 and 600, so every route of
   ``fracflux.solver.run`` (the stacked leap, one product with F per step,
@@ -23,12 +23,18 @@ result, and the message of every abort, of:
 
 Two source trees that print the same line give the same bits on all of
 these; run it under several OPENBLAS_NUM_THREADS to check that the thread
-count reaches no output bit.  Blocks of four or more fields are left out:
+count reaches no output bit.  ``--cases PATH`` also writes one line per
+case to PATH, its index and label, then the SHA-256 of what that case adds
+to the hash, so that two listings tell which cases differ.  The traces
+come from ``full_trace=True``, or from ``result.trace`` alone in source
+trees whose ``run_block`` keeps it without being asked.  Blocks of four or more fields are left out:
 at n = 399 their one product with F per step rounds differently under one
 and two OpenBLAS threads.
 """
 
+import argparse
 import hashlib
+import inspect
 import warnings
 from dataclasses import replace
 
@@ -65,6 +71,8 @@ BCS = {
                    BoundarySpec(FixedFlux(0.0), FixedFlux(-0.625))),
 }
 SCALES = ((1.0, 0.25), (-2.0, 1.0), (0.5, 3.0))  # field = a * pulse + b
+
+FULL_TRACE = {"full_trace": True} if "full_trace" in inspect.signature(run_block).parameters else {}
 
 
 def config(kind, n, bc, steps=STEPS, ratio=0.4):
@@ -108,7 +116,7 @@ def cases():
                 yield f"{n} {kind.value} {name} signs x3", [cfg] * 3, fields[1:]
             if kind in (FluxKind.CAPUTO, FluxKind.FOURIER):
                 cfg = config(kind, n, BoundarySpec.reflective(), steps=300)
-                change = run(cfg, pulse + 0.25).trace.step_change
+                change = run_block([cfg], [pulse + 0.25], **FULL_TRACE)[0].trace.step_change
                 eps = 0.5 * (change[149] + change[150])
                 yield f"{n} {kind.value} steady", [replace(cfg, stop_when_steady=True, steady_eps=eps)], [pulse + 0.25]
                 cfg = config(kind, n, BoundarySpec.reflective(), steps=2000, ratio=5.0)
@@ -122,26 +130,40 @@ def cases():
                         yield f"{n} {kind.value} late abort", [late], [pulse]
 
 
+def outputs(label, cfgs, u0s):
+    """(the bytes a case adds to the hash, in order, its count of runs)."""
+    pieces = [label.encode()]
+    try:
+        results = run_block(cfgs, u0s, **FULL_TRACE)
+    except InstabilityError as exc:
+        return pieces + [str(exc).encode()], 1
+    for result in results:
+        trace = result.trace
+        for array in (*result.snapshots, result.final, trace.t, trace.mass, trace.u_min,
+                      trace.u_max, trace.step_change):
+            pieces.append(np.ascontiguousarray(array).tobytes())
+        pieces.append(f"{result.steps_taken} {result.steady_stop_time!r}".encode())
+    return pieces, len(results)
+
+
 def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--cases", help="also write one 'index label sha256' line per case to this file")
+    args = parser.parse_args()
     digest = hashlib.sha256()
     count = 0
+    listing = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", StabilityWarning)
-        for label, cfgs, u0s in cases():
-            digest.update(label.encode())
-            try:
-                results = run_block(cfgs, u0s)
-            except InstabilityError as exc:
-                digest.update(str(exc).encode())
-                count += 1
-                continue
-            for result in results:
-                trace = result.trace
-                for array in (*result.snapshots, result.final, trace.t, trace.mass, trace.u_min,
-                              trace.u_max, trace.step_change):
-                    digest.update(np.ascontiguousarray(array).tobytes())
-                digest.update(f"{result.steps_taken} {result.steady_stop_time!r}".encode())
-                count += 1
+        for index, (label, cfgs, u0s) in enumerate(cases()):
+            pieces, runs = outputs(label, cfgs, u0s)
+            for piece in pieces:
+                digest.update(piece)
+            count += runs
+            listing.append(f"{index} {label} {hashlib.sha256(b''.join(pieces)).hexdigest()}\n")
+    if args.cases:
+        with open(args.cases, "w", encoding="utf-8") as fh:
+            fh.writelines(listing)
     print(f"runs {count} sha256 {digest.hexdigest()}")
 
 

@@ -15,16 +15,19 @@ import json
 import math
 import sys
 from dataclasses import asdict, fields, replace
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .diagnostics import max_principle_check, steady_state_time
+# max_principle_check and steady_state_time are the record's counterparts
+# over a full trace; benchmark/tracing.py wraps them at these names.
+from .diagnostics import MaxPrincipleReport, max_principle_check, steady_state_time  # noqa: F401
 from .flux import LAWS, FluxKind, apparent_advection, face_fluxes
 from .scenarios import SCENARIO_NAMES, build_initial, make_scenario
 from .solver import (
+    BOUND_TOL,
     BoundaryCondition,
     ConfigurationError,
     InstabilityError,
@@ -36,7 +39,6 @@ from .solver import (
 from .weights import build_table
 
 _FLUX_CHOICES = tuple(kind.value for kind in FluxKind)
-_TRACE_POINT_LIMIT = 1_000
 
 
 def _fmt(value: float) -> str:
@@ -110,30 +112,19 @@ def resolve_config(args: argparse.Namespace) -> SimConfig:
     return replace(cfg, bc=bc, snapshot_times=cfg.snapshot_times or (cfg.t_end,))
 
 
-def _trace_windows(length: int) -> np.ndarray:
-    """First indices of at most _TRACE_POINT_LIMIT windows over a trace of
-    length entries.
-
-    Entry 0, the initial state, is a window of its own.  Steps 1..N, with
-    N = length - 1, are cut into windows of ceil(N / (_TRACE_POINT_LIMIT - 1))
-    steps, so the last ends at step N; a trace of at most _TRACE_POINT_LIMIT
-    entries keeps one window per entry.
-    """
-    width = max(1, math.ceil((length - 1) / (_TRACE_POINT_LIMIT - 1)))
-    return np.concatenate(([0], np.arange(1, length, width)))
-
-
 def _write_long_csv(path: Path, header: str, x: np.ndarray, rows) -> None:
     """Long-format CSV: for each (t, arrays) in rows, one line per node
-    holding t, x and the arrays' values there, all to 17 significant digits."""
-    x_strs = [_fmt(v) for v in x]
+    holding t, x and the arrays' values there, one array per header field
+    after t and x, all to 17 significant digits."""
+    # x formatted once per file into a template of every line, which then
+    # takes each snapshot's t and values in one % call
+    line = "%%s,%.17g" + ",%%.17g" * (header.count(",") - 1) + "\n"
+    template = (line * x.size) % tuple(x.tolist())
     with path.open("w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
         for t, arrays in rows:
-            # One % call per snapshot: t, then per node x and the values.
-            line = _fmt(t) + ",%s" + ",%.17g" * len(arrays) + "\n"
-            values = chain.from_iterable(zip(x_strs, *(a.tolist() for a in arrays)))
-            fh.write((line * len(x_strs)) % tuple(values))
+            values = chain.from_iterable(zip(repeat(_fmt(t)), *(a.tolist() for a in arrays)))
+            fh.write(template % tuple(values))
 
 
 def write_snapshots_csv(path: Path, result: RunResult) -> None:
@@ -143,34 +134,36 @@ def write_snapshots_csv(path: Path, result: RunResult) -> None:
 
 def _summary(result: RunResult) -> dict:
     """The summary.json document of a run, a function of its result alone."""
-    trace = result.trace
-    starts = _trace_windows(trace.t.size)
-    ends = np.append(starts[1:] - 1, trace.t.size - 1)
-    # The trace's first entry holds the initial field's min and max.
-    principle = max_principle_check(trace, (trace.u_min[0], trace.u_max[0]))
+    cfg, record = result.cfg, result.record
+    first, quiet = record.first_violation, record.quiet_step
+    # The record's first window is step 0 alone: the initial field's min and max.
+    principle = MaxPrincipleReport(
+        first is not None, first, None if first is None else first * cfg.dt,
+        float(record.u_min[0]), float(record.u_max[0]), BOUND_TOL,
+    )
     summary = {
-        "manifest": result.cfg.manifest(),
+        "manifest": cfg.manifest(),
         "steps_taken": result.steps_taken,
         "steady_stop_time": result.steady_stop_time,
-        "steady_state_time": steady_state_time(trace, result.cfg.steady_eps),
+        "steady_state_time": None if quiet is None else quiet * cfg.dt,
         "max_principle": asdict(principle),
-        "max_mass_change": float(np.abs(trace.mass - trace.mass[0]).max()),
+        "max_mass_change": record.max_mass_change,
         # each window's last time and mass
         "mass_trace": {
-            "t": trace.t[ends].tolist(),
-            "mass": trace.mass[ends].tolist(),
+            "t": record.t.tolist(),
+            "mass": record.mass.tolist(),
         },
         # each window's extremes, so no step's bound violation is hidden
         "extrema_trace": {
-            "min": np.minimum.reduceat(trace.u_min, starts).tolist(),
-            "max": np.maximum.reduceat(trace.u_max, starts).tolist(),
+            "min": record.u_min.tolist(),
+            "max": record.u_max.tolist(),
         },
     }
-    cfg, final = result.cfg, result.final
+    final = result.final
     if LAWS[cfg.flux].advection:  # its flux is the caputo flux plus an advection
         table = build_table(cfg.alpha, cfg.dx, cfg.n)
         summary["flux_decomposition"] = {
-            "t": float(trace.t[-1]),
+            "t": float(record.t[-1]),
             "diffusive": face_fluxes(final, FluxKind.CAPUTO, table, kappa=cfg.kappa).tolist(),
             "advective": (cfg.kappa * apparent_advection(final[0], table)).tolist(),
         }
@@ -238,10 +231,9 @@ def run_command(args: argparse.Namespace) -> int:
     write_snapshots_csv(out_dir / "snapshots.csv", result)
     write_summary_json(out_dir / "summary.json", result)
 
-    final_mass = result.trace.mass[-1]
     print(
-        f"run finished: {result.steps_taken} steps, final t={result.trace.t[-1]:g}, "
-        f"mass={final_mass:.12g}, outputs in {out_dir}"
+        f"run finished: {result.steps_taken} steps, final t={result.record.t[-1]:g}, "
+        f"mass={result.record.final_mass:.12g}, outputs in {out_dir}"
     )
     return 0
 

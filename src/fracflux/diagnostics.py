@@ -13,7 +13,7 @@ import numpy as np
 
 from .flux import FluxKind
 from .scenarios import Scenario, build_initial
-from .solver import BoundarySpec, DiagnosticTrace, Dirichlet, FixedFlux, SimConfig, run_block, total_mass
+from .solver import BOUND_TOL, BoundarySpec, DiagnosticTrace, Dirichlet, FixedFlux, SimConfig, run_block, total_mass
 
 
 @dataclass
@@ -26,7 +26,7 @@ class MaxPrincipleReport:
     tol: float
 
 
-def max_principle_check(trace: DiagnosticTrace, g, tol: float = 1e-6) -> MaxPrincipleReport:
+def max_principle_check(trace: DiagnosticTrace, g, tol: float = BOUND_TOL) -> MaxPrincipleReport:
     """Report the first step (if any) that leaves the initial-data bounds.
 
     The admissible band is [min(g), max(g)] widened by tol; for

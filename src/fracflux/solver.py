@@ -44,11 +44,14 @@ interior fluxes, and for the initial field's Dirichlet check.  Every
 route writes the fields it makes into one block, (field, step, node),
 whose step 0 holds the fields it starts from: u0, or the last block's
 last step.  One vectorised pass over each block's steps 0..m is the only
-writer of the run's record, one (field, step, quantity) array of mass,
-min, max and step change that it reduces into and of which each field's
-:class:`DiagnosticTrace` holds views, and of the snapshots, which
-share one (time, field, node) array; a step that ends one block and
-starts the next is recorded twice, with the same bits.
+writer of the per-step record, (field, step, quantity) of mass, min, max
+and step change, and of the snapshots, which share one (time, field,
+node) array; a step that ends one block and starts the next is recorded
+twice, with the same bits.  The per-step record holds a few thousand
+steps and is reduced as it fills into each field's :class:`RunRecord`,
+whose size n_steps fixes, so a run's memory does not grow with its
+length.  Only a run asked for it keeps every step, each field's
+:class:`DiagnosticTrace`.
 
 A run keeps one route to its end and is marched once: a field that fails
 the runaway guard raises from the route that ran, at the earliest failing
@@ -130,6 +133,21 @@ OPERATOR_CACHE_SIZE = 3
 # to that size, so a run that goes quiet at once fills one leap only.
 BLOCK_ROWS = 32
 BLOCK_BYTES = 131_072
+
+# The record's windows per field: step 0, then at most TRACE_WINDOWS - 1
+# windows of ceil(n_steps / (TRACE_WINDOWS - 1)) steps (see RunRecord).
+TRACE_WINDOWS = 1_000
+
+# Steps of per-step record a run holds, or one block's where that is more,
+# before it reduces them into its RunRecord: up to 128 KiB per field.  One
+# reduction of 150 steps took 48 us (2-vCPU x86 host), and the bundled
+# experiments fill 265 blocks, most of 150 steps: reduced block by block
+# they would add a tenth to a `reproduce` pass, in 20 reductions about 1%.
+RECORD_ROWS = 4096
+
+# How far a field may leave the min and max of its step 0 before the record
+# notes its first violation: max_principle_check's default tolerance.
+BOUND_TOL = 1e-6
 
 
 class ConfigurationError(ValueError):
@@ -344,9 +362,10 @@ class SimConfig:
 
     def steps_to(self, t: float) -> int:
         """The whole number of steps nearest time t.  Raises
-        :class:`ConfigurationError` where t / dt overflows."""
+        :class:`ConfigurationError` where t / dt overflows, or reaches
+        2**53, past which a double no longer holds every step count."""
         steps = t / self.dt
-        if not math.isfinite(steps):
+        if not (math.isfinite(steps) and steps < 2.0**53):
             raise ConfigurationError(f"time {t:g} over dt = {self.dt:g} overflows the step count")
         return int(round(steps))
 
@@ -430,6 +449,33 @@ class DiagnosticTrace:
     step_change: np.ndarray
 
 
+@dataclass
+class RunRecord:
+    """What a run keeps of its steps, of a size fixed by n_steps alone.
+
+    The steps 0..N the run takes are cut into windows: step 0 alone, then
+    windows of ceil(n_steps / 999) steps of the configured n_steps, the
+    last ending at step N, so at most :data:`TRACE_WINDOWS` in all.  t and
+    mass hold each window's last time and mass, u_min and u_max the least
+    field minimum and the greatest field maximum over its steps.  Of all
+    the steps: first_violation, the first whose min or max leaves step 0's
+    by more than :data:`BOUND_TOL` (the step
+    :func:`~fracflux.diagnostics.max_principle_check` finds for those
+    bounds); quiet_step, the first whose max-norm change is below
+    steady_eps (that of :func:`~fracflux.diagnostics.steady_state_time`);
+    max_mass_change, max |M_k - M_0|; and final_mass, M_N.
+    """
+
+    t: np.ndarray
+    mass: np.ndarray
+    u_min: np.ndarray
+    u_max: np.ndarray
+    first_violation: int | None
+    quiet_step: int | None
+    max_mass_change: float
+    final_mass: float
+
+
 def total_mass(u) -> float | np.ndarray:
     """Discrete integral over [0, 1] of the nodal values u along the last
     axis, one per field: half-weight end nodes (half-size end volumes),
@@ -442,20 +488,25 @@ def total_mass(u) -> float | np.ndarray:
 
 @dataclass
 class RunResult:
-    """Snapshots plus per-step diagnostics of a completed run.
+    """Snapshots plus the diagnostics of a completed run.
 
     Every time is a step count times dt: the final field sits at
-    ``trace.t[-1]``.  A result holds the march only; what is a function
-    of a field, such as the rl law's flux split, is derived from it.
+    ``steps_taken * cfg.dt``.  ``record`` is the run's fixed-size
+    :class:`RunRecord`; ``trace``, the exact per-step
+    :class:`DiagnosticTrace`, is None unless the run was asked for it
+    (``full_trace=True``).  A result holds the march only; what is a
+    function of a field, such as the rl law's flux split, is derived from
+    it.
     """
 
     cfg: SimConfig
     snapshot_times: tuple[float, ...]
     snapshots: list[np.ndarray]
-    trace: DiagnosticTrace
+    record: RunRecord
     final: np.ndarray
     steps_taken: int
     steady_stop_time: float | None = None
+    trace: DiagnosticTrace | None = None
 
 
 def stability_ratio(cfg: SimConfig) -> float:
@@ -711,6 +762,71 @@ def _leap_fill(
             _advance(left[short], right[short], field[full * k], rates, pins, field[full * k + 1 : -1])
 
 
+def _note_first(found: np.ndarray, hits: np.ndarray, step: int) -> None:
+    """Where found, one step per field, is still -1 and the field's row of
+    hits, (field, step) from step on, holds a True, set it to that step."""
+    new = (found < 0) & hits.any(axis=1)
+    found[new] = step + hits[new].argmax(axis=1)
+
+
+class _Recorder:
+    """The :class:`RunRecord` of each field of a block, reduced from its
+    per-step record a stretch of steps at a time, in arrays of a size
+    fixed by n_steps."""
+
+    def __init__(self, cfgs: list[SimConfig], u0s: np.ndarray):
+        n_steps = cfgs[0].n_steps
+        width = len(cfgs)
+        self.every = -(-n_steps // (TRACE_WINDOWS - 1))  # steps per window
+        windows = 1 + -(-n_steps // self.every)
+        # Per window and field: the mass at its last step so far, its min
+        # and its max.
+        self.mass = np.empty((width, windows))
+        self.low = np.full((width, windows), np.inf)
+        self.high = np.full((width, windows), -np.inf)
+        self.lower = np.minimum.reduce(u0s, axis=-1)[:, None] - BOUND_TOL
+        self.upper = np.maximum.reduce(u0s, axis=-1)[:, None] + BOUND_TOL
+        self.eps = np.array([cfg.steady_eps for cfg in cfgs])[:, None]
+        self.violation = np.full(width, -1)  # -1: none yet
+        self.quiet = np.full(width, -1)
+        self.mass_change = np.zeros(width)
+
+    def add(self, stretch: np.ndarray, k: int) -> None:
+        """Take in stretch, the per-step record, (field, step, quantity) of
+        mass, min, max and change, of steps k..k + m.  Step k was the last
+        of the stretch before, if any: taken in again, it leaves the record
+        as it was."""
+        m = stretch.shape[1] - 1
+        every = self.every
+        first = (k + every - 1) // every  # the window of step k
+        # The windows' first and last steps, from k, the first window's
+        # first clipped to k
+        heads = np.arange((first - 1) * every + 1 - k, m + 1, every)
+        tails = np.minimum(heads + (every - 1), m)
+        heads[0] = 0
+        windows = np.s_[:, first : first + heads.size]
+        mass, lo, hi = stretch[..., 0], stretch[..., 1], stretch[..., 2]
+        np.minimum(self.low[windows], np.minimum.reduceat(lo, heads, axis=1), out=self.low[windows])
+        np.maximum(self.high[windows], np.maximum.reduceat(hi, heads, axis=1), out=self.high[windows])
+        self.mass[windows] = mass[:, tails]
+        change = np.maximum.reduce(np.abs(mass - self.mass[:, :1]), axis=1)  # M_0 is window 0's
+        np.maximum(self.mass_change, change, out=self.mass_change)
+        if (self.violation < 0).any():
+            _note_first(self.violation, (lo < self.lower) | (hi > self.upper), k)
+        if (self.quiet < 0).any():
+            _note_first(self.quiet, stretch[:, 1:, 3] < self.eps, k + 1)
+
+    def record(self, i: int, steps: int, dt: float) -> RunRecord:
+        """Field i's record of a run of steps steps of dt."""
+        used = (steps + self.every - 1) // self.every + 1  # the windows through that step
+        ends = np.minimum(np.arange(used) * self.every, steps)  # their last steps
+        violation, quiet = (int(step) if step >= 0 else None for step in (self.violation[i], self.quiet[i]))
+        return RunRecord(
+            ends * dt, self.mass[i, :used], self.low[i, :used], self.high[i, :used],
+            violation, quiet, float(self.mass_change[i]), float(self.mass[i, used - 1]),
+        )
+
+
 def _block_key(cfg: SimConfig) -> tuple:
     """What the configs of one block must share: the step operator (up to
     the boundary values) and the steps and snapshot times."""
@@ -720,41 +836,44 @@ def _block_key(cfg: SimConfig) -> tuple:
     )
 
 
-def run(cfg: SimConfig, u0) -> RunResult:
+def run(cfg: SimConfig, u0, *, full_trace: bool = False) -> RunResult:
     """March the initial nodal values u0 forward from t = 0 under cfg and
-    collect snapshots and traces.
+    collect snapshots and the run's record.
 
     Deterministic: identical configurations produce bit-identical results.
+    With ``full_trace`` the result also holds the exact per-step
+    :class:`DiagnosticTrace`, one entry per step taken plus the initial
+    state; without it the run keeps no per-step array.
     Raises :class:`InstabilityError` if the field turns non-finite or its
     magnitude exceeds 1e12 times the initial scale, and
     :class:`ConfigurationError` for Dirichlet data that contradicts the
     initial profile (unless ``force_inconsistent_bc`` is set).  The same
-    as ``run_block([cfg], [u0])[0]``.
+    as ``run_block([cfg], [u0], full_trace=full_trace)[0]``.
     """
-    return _march([cfg], [u0])[0]
+    return _march([cfg], [u0], full_trace)[0]
 
 
-def run_block(cfgs, u0s) -> list[RunResult]:
+def run_block(cfgs, u0s, *, full_trace: bool = False) -> list[RunResult]:
     """:func:`run` for several fields at once: the result of each config
     with its initial values, in order.
 
     The configs may differ only in their boundary values (the kinds must
-    agree), labels and ``force_inconsistent_bc``, so the fields share one
-    step operator, built once.  Each field's results equal its solo
-    :func:`run` bit for bit, except where one product with F makes a
-    step (K = 1 in :func:`leap_steps`): there one matrix-matrix product
-    serves every field and sums in its own order, so they agree to
-    round-off.  Each field is held to its own runaway limit.  If any
+    agree), labels, ``steady_eps`` and ``force_inconsistent_bc``, so the
+    fields share one step operator, built once.  Each field's results
+    equal its solo :func:`run` bit for bit, except where one product with
+    F makes a step (K = 1 in :func:`leap_steps`): there one matrix-matrix
+    product serves every field and sums in its own order, so they agree
+    to round-off.  Each field is held to its own runaway limit.  If any
     field fails it, the block raises one :class:`InstabilityError`, for
     the earliest failing step and, of the fields that fail there, the
     lowest index, with the message the guard writes for that field.
     ``stop_when_steady`` needs a block of one.  Raises
     ValueError for configs that do not share an operator.
     """
-    return _march(cfgs, u0s)
+    return _march(cfgs, u0s, full_trace)
 
 
-def _march(cfgs, u0s) -> list[RunResult]:
+def _march(cfgs, u0s, full_trace: bool) -> list[RunResult]:
     """:func:`run_block`, called straight from :func:`run` or
     :func:`run_block`, so that a StabilityWarning two frames up names
     their caller.
@@ -763,7 +882,7 @@ def _march(cfgs, u0s) -> list[RunResult]:
     single steps).  Where the guard's earliest failure is a non-finite
     value on a product route, the block is filled again from its step 0
     with each field's face_fluxes, and the run keeps single steps from
-    there.  The record is written by the block pass alone, step 0 of the
+    there.  The record is reduced by the block pass alone, step 0 of the
     run included: no step has code of its own.  A steady stop ends the
     run at the block's quiet step k, and the snapshot times past k take
     the field there."""
@@ -813,13 +932,6 @@ def _march(cfgs, u0s) -> list[RunResult]:
     table = build_table(cfg.alpha, cfg.dx, cfg.n)
     n_steps = cfg.n_steps
     snap_steps = [cfg.steps_to(t) for t in cfg.snapshot_times]  # sorted, distinct: see SimConfig
-
-    # The run's record, (field, step, quantity): mass, min, max and the
-    # change into the step, step 0's unused.  Quantity last, so a run that
-    # stops early has written one prefix of it: numpy advises huge pages
-    # for arrays of 4 MiB or more, and the four sparse prefixes of a
-    # (quantity, field, step) record made some 4 MB more resident.
-    record = np.empty((width, n_steps + 1, 4))
     snapshots = np.empty((len(snap_steps), width, cfg.n + 1))
 
     # In Python floats, which overflow without a warning, and capped at the
@@ -831,6 +943,7 @@ def _march(cfgs, u0s) -> list[RunResult]:
     lowest = min(limits)
     limits = np.array(limits)[:, None]
 
+    recorder = _Recorder(cfgs, u0s)
     most = _block_rows(cfg.n, stride)
     block = stride if stride > 1 else most  # the first block: one leap
     # A block of m steps is (field, step, node) over steps 0..m of the
@@ -838,7 +951,21 @@ def _march(cfgs, u0s) -> list[RunResult]:
     buffer = np.empty((width, most + 1, cfg.n + 1))
     buffer[:, 0] = u0s
     deltas = np.empty_like(buffer)  # the change into step j at step j
-    k = 0
+    # The per-step record, (field, step, quantity): mass, min, max and the
+    # change into the step, step 0's unused.  It holds the steps from
+    # k - at on, block after block, up to RECORD_ROWS (no more than the
+    # run's) or one block, until the recorder takes them in; a full trace
+    # keeps a copy of each stretch taken.
+    held = max(min(RECORD_ROWS, n_steps), most)
+    spans = np.empty((width, held + 1, 4))
+    kept = []
+
+    def take(stretch: np.ndarray, k: int) -> None:
+        recorder.add(stretch, k)
+        if full_trace:
+            kept.append(stretch[:, 1 if kept else 0 :].copy())
+
+    k = at = 0
     # A field that overflows past a blow-up, or an operator built from an
     # overflowing kappa or dt, is reported below as an InstabilityError;
     # numpy's overflow warnings would only repeat it.
@@ -866,7 +993,11 @@ def _march(cfgs, u0s) -> list[RunResult]:
             fill = partial(_step_fill, cfg, table, ft, shifts if blind else None, faces)
         while k < n_steps:
             m = min(block, n_steps - k)
-            rows, span = buffer[:, : m + 1], record[:, k : k + m + 1]
+            if at + m > held:  # the recorder takes what is held, and step k starts afresh
+                take(spans[:, : at + 1], k - at)
+                spans[:, 0] = spans[:, at]
+                at = 0
+            rows, span = buffer[:, : m + 1], spans[:, at : at + m + 1]
             fill(rows, rates, pinned)
 
             # One pass over the block, steps 0..m, by (field, step): step
@@ -905,24 +1036,29 @@ def _march(cfgs, u0s) -> list[RunResult]:
                     snapshots[s] = rows[:, ks - k]
             buffer[:, 0] = rows[:, m]  # the next block starts where this one ends
             k += m
+            at += m
             block = min(2 * block, most)
             if quiet:
                 break
+        take(spans[:, : at + 1], k - at)
 
     steps_taken, steady_time = k, k * cfg.dt if quiet else None
     u = buffer[:, 0].copy()
     snapshots[bisect.bisect(snap_steps, k) :] = u  # later times get the frozen steady field
-    end = steps_taken + 1
+    record = np.concatenate(kept, axis=1) if full_trace else None  # (field, step, quantity)
     results = []
     for i, cfg in enumerate(cfgs):
         results.append(RunResult(
             cfg=cfg,
             snapshot_times=cfg.snapshot_times,
             snapshots=list(snapshots[:, i]),
-            # t, then views of the field's record: mass, min, max and change
-            trace=DiagnosticTrace(np.arange(end) * cfg.dt, *record[i, :end, :3].T, record[i, 1:end, 3]),
+            record=recorder.record(i, steps_taken, cfg.dt),
             final=u[i],
             steps_taken=steps_taken,
             steady_stop_time=steady_time,
+            # t, then views of the field's record: mass, min, max and change
+            trace=DiagnosticTrace(
+                np.arange(steps_taken + 1) * cfg.dt, *record[i, :, :3].T, record[i, 1:, 3],
+            ) if full_trace else None,
         ))
     return results

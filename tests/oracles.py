@@ -4,11 +4,13 @@ The tests compare the package against these; the package never calls
 them.
 """
 
+import math
+
 import numpy as np
 
-from fracflux.diagnostics import DiagnosticTrace, total_mass
+from fracflux.diagnostics import DiagnosticTrace, max_principle_check, total_mass
 from fracflux.flux import FluxKind, face_fluxes
-from fracflux.solver import Dirichlet, InstabilityError, RunResult, SimConfig
+from fracflux.solver import Dirichlet, InstabilityError, RunRecord, RunResult, SimConfig
 from fracflux.weights import GrunwaldTable, build_table
 
 
@@ -100,6 +102,35 @@ def explicit_step(u: np.ndarray, q: np.ndarray, cfg: SimConfig, step_index: int 
     return nxt
 
 
+def record_of(trace: DiagnosticTrace, cfg: SimConfig) -> RunRecord:
+    """The :class:`~fracflux.solver.RunRecord` of a run of cfg, from its
+    full trace, by scans over the whole trace.
+
+    The windows are the summary writer's from before the block pass
+    reduced them: entry 0 alone, then windows of ceil(n_steps / 999) steps
+    of the configured n_steps, cut by ``reduceat`` at their first entries,
+    each ending at the entry before the next window's first.  The first
+    violation is :func:`~fracflux.diagnostics.max_principle_check`'s for
+    the bounds of entry 0, the quiet step the first with a step change
+    below steady_eps.
+    """
+    steps = trace.t.size - 1
+    width = max(1, math.ceil(cfg.n_steps / 999))
+    starts = np.concatenate(([0], np.arange(1, steps + 1, width)))
+    ends = np.append(starts[1:] - 1, steps)
+    quiet = np.nonzero(trace.step_change < cfg.steady_eps)[0]
+    return RunRecord(
+        t=trace.t[ends],
+        mass=trace.mass[ends],
+        u_min=np.minimum.reduceat(trace.u_min, starts),
+        u_max=np.maximum.reduceat(trace.u_max, starts),
+        first_violation=max_principle_check(trace, (trace.u_min[0], trace.u_max[0])).first_step,
+        quiet_step=int(quiet[0]) + 1 if quiet.size else None,
+        max_mass_change=float(np.abs(trace.mass - trace.mass[0]).max()),
+        final_mass=float(trace.mass[-1]),
+    )
+
+
 def run_stepwise(cfg: SimConfig, u0) -> RunResult:
     """:func:`fracflux.solver.run` one explicit step at a time, every n.
 
@@ -139,6 +170,7 @@ def run_stepwise(cfg: SimConfig, u0) -> RunResult:
         cfg=cfg,
         snapshot_times=tuple(t for _, t in snap_steps),
         snapshots=[fields[min(k, steps)] for k, _ in snap_steps],
+        record=record_of(trace, cfg),
         trace=trace,
         final=u,
         steps_taken=steps,

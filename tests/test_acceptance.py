@@ -34,7 +34,7 @@ def criterion(number, label):
 def _run_scenario(name, law, **overrides):
     scenario = make_scenario(name)
     cfg = replace(scenario.cfg, flux=law, **overrides)
-    return run(cfg, build_initial(cfg.initial, cfg.x))
+    return run(cfg, build_initial(cfg.initial, cfg.x), full_trace=True)
 
 
 # 1. Conservation: pulse-reflective, every law, |M(t) - 1| <= 1e-9 at every

@@ -96,7 +96,7 @@ def test_constant_field_is_steady_after_one_step():
         bc=BoundarySpec.reflective(),
         initial=InitialSpec("constant", {"value": 3.0}),
     )
-    result = run(cfg, np.full(51, 3.0))
+    result = run(cfg, np.full(51, 3.0), full_trace=True)
     assert steady_state_time(result.trace, eps=1e-10) == pytest.approx(cfg.dt)
 
 
@@ -158,12 +158,12 @@ def test_max_principle_rejects_bounds_empty_or_not_finite(g):
 def test_max_principle_on_real_runs():
     zero = make_scenario("fig7-zero").cfg
     u0 = build_initial(zero.initial, zero.x)
-    res = run(replace(zero, flux=FluxKind.CAPUTO), u0)
+    res = run(replace(zero, flux=FluxKind.CAPUTO), u0, full_trace=True)
     assert not max_principle_check(res.trace, u0).violated
 
     shifted = make_scenario("fig7-shifted").cfg
     u0 = build_initial(shifted.initial, shifted.x)
-    res = run(replace(shifted, flux=FluxKind.RIEMANN_LIOUVILLE), u0)
+    res = run(replace(shifted, flux=FluxKind.RIEMANN_LIOUVILLE), u0, full_trace=True)
     report = max_principle_check(res.trace, u0)
     assert report.violated
     assert report.lower == 5.0

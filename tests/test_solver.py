@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fracflux import solver
-from fracflux.diagnostics import total_mass
+from fracflux.diagnostics import max_principle_check, steady_state_time, total_mass
 from fracflux.flux import LAWS, FluxKind, apparent_advection, face_fluxes
 from fracflux.solver import (
     LEAP_BYTES,
@@ -20,6 +20,7 @@ from fracflux.solver import (
     FixedFlux,
     InitialSpec,
     InstabilityError,
+    RunRecord,
     RunResult,
     SimConfig,
     StabilityWarning,
@@ -30,7 +31,7 @@ from fracflux.solver import (
     step,
 )
 from fracflux.weights import FFT_MIN_N, build_table
-from oracles import explicit_step, face_fluxes_direct, run_stepwise
+from oracles import explicit_step, face_fluxes_direct, record_of, run_stepwise
 
 
 def _config(**overrides):
@@ -83,7 +84,7 @@ def test_zero_field_stays_zero_under_rl_absorbing():
         t_end=0.05,
         snapshot_times=(0.05,),
     )
-    result = run(cfg, np.zeros(101))
+    result = run(cfg, np.zeros(101), full_trace=True)
     assert np.all(result.trace.u_min == 0.0)
     assert np.all(result.trace.u_max == 0.0)
     assert np.all(result.final == 0.0)
@@ -132,7 +133,7 @@ def test_mass_changes_by_exactly_the_boundary_fluxes(n, kind):
         snapshot_times=(),
         bc=BoundarySpec(FixedFlux(q_left), FixedFlux(q_right)),
     )
-    result = run(cfg, rng.normal(size=n + 1))
+    result = run(cfg, rng.normal(size=n + 1), full_trace=True)
     increments = np.diff(result.trace.mass)
     expected = cfg.dt * (q_left - q_right)
     scale = max(1.0, np.abs(result.trace.mass).max())
@@ -141,7 +142,7 @@ def test_mass_changes_by_exactly_the_boundary_fluxes(n, kind):
 
 def test_reflective_mass_is_constant():
     cfg = _config(t_end=0.25, snapshot_times=(0.25,))
-    result = run(cfg, _pulse(cfg))
+    result = run(cfg, _pulse(cfg), full_trace=True)
     assert np.abs(result.trace.mass - 1.0).max() <= 1e-12
 
 
@@ -158,7 +159,7 @@ def test_reflective_mass_is_constant():
 def test_mass_constant_to_1e10_over_1e5_steps(kind, dt, t_end):
     cfg = _config(flux=kind, dt=dt, t_end=t_end, snapshot_times=(t_end,))
     assert cfg.n_steps == 100_000
-    result = run(cfg, _pulse(cfg))
+    result = run(cfg, _pulse(cfg), full_trace=True)
     assert np.abs(result.trace.mass - 1.0).max() <= 1e-10
 
 
@@ -171,20 +172,20 @@ def test_reflective_mass_drifts_by_round_off_alone_over_20000_f_route_steps(kind
     dt = 0.4 * (1.0 / n) ** 1.5
     cfg = _config(flux=kind, n=n, dt=dt, t_end=20_000 * dt, snapshot_times=())
     assert cfg.n_steps == 20_000 and leap_steps(n, cfg.n_steps) == 1
-    mass = run(cfg, _pulse(cfg)).trace.mass
+    mass = run(cfg, _pulse(cfg), full_trace=True).trace.mass
     assert np.abs(mass - mass[0]).max() <= 2e-14 * mass[0]
 
 
 def test_parsimonious_holds_any_constant_fixed():
     cfg = _config(flux=FluxKind.PARSIMONIOUS, initial=InitialSpec("constant", {"value": -7.5}))
-    result = run(cfg, np.full(101, -7.5))
+    result = run(cfg, np.full(101, -7.5), full_trace=True)
     assert np.all(result.trace.u_min == -7.5)
     assert np.all(result.trace.u_max == -7.5)
 
 
 def test_rl_moves_a_nonzero_constant_under_reflective_walls():
     cfg = _config(flux=FluxKind.RIEMANN_LIOUVILLE, initial=InitialSpec("constant", {"value": 4.0}))
-    result = run(cfg, np.full(101, 4.0))
+    result = run(cfg, np.full(101, 4.0), full_trace=True)
     assert result.trace.u_max[-1] > 4.0  # piles up against the left wall
     assert result.final[0] > 4.0
 
@@ -194,8 +195,8 @@ def test_rl_moves_a_nonzero_constant_under_reflective_walls():
 
 def test_run_is_deterministic():
     cfg = _config(t_end=0.25, snapshot_times=(0.1, 0.25))
-    a = run(cfg, _pulse(cfg))
-    b = run(cfg, _pulse(cfg))
+    a = run(cfg, _pulse(cfg), full_trace=True)
+    b = run(cfg, _pulse(cfg), full_trace=True)
     assert np.array_equal(a.final, b.final)
     assert np.array_equal(a.trace.mass, b.trace.mass)
     for ua, ub in zip(a.snapshots, b.snapshots):
@@ -218,11 +219,28 @@ def test_snapshot_outside_horizon_rejected():
 
 def test_trace_covers_every_step():
     cfg = _config(t_end=0.005, snapshot_times=(0.005,))
-    result = run(cfg, _pulse(cfg))
+    result = run(cfg, _pulse(cfg), full_trace=True)
     assert result.trace.t.shape == (11,)
     assert result.trace.step_change.shape == (10,)
     assert result.trace.t[0] == 0.0
     assert result.trace.t[-1] == pytest.approx(0.005)
+    assert run(cfg, _pulse(cfg)).trace is None  # kept only when asked for
+
+
+@pytest.mark.parametrize("steps", [1, 2, 998, 999, 1_000, 1_001, 1_998, 1_999, 9_998, 10_000, 20_001])
+def test_record_windows_partition_the_steps_within_the_limit(steps):
+    dt = 2.0**-10  # t / dt is the step count exactly
+    cfg = _config(n=4, dt=dt, t_end=steps * dt, snapshot_times=())
+    record = run(cfg, np.linspace(0.0, 1.0, 5)).record
+    ends = record.t / dt
+    assert ends.size <= solver.TRACE_WINDOWS
+    # step 0 alone, then windows of ceil(steps / 999) steps that cover
+    # steps 1..N in order, each once, the last ending at N
+    width = -(-steps // 999)
+    assert list(ends) == [0, *range(width, steps, width), steps]
+    assert record.mass.size == record.u_min.size == record.u_max.size == ends.size
+    if steps <= 999:
+        assert width == 1 and list(ends) == list(range(steps + 1))
 
 
 def test_steady_stop_freezes_later_snapshots():
@@ -532,6 +550,8 @@ def _assert_runs_agree(got, want, bound):
     for name in ("mass", "u_min", "u_max", "step_change"):
         assert np.abs(getattr(got.trace, name) - getattr(want.trace, name)).max() <= bound
     assert np.array_equal(got.trace.t, want.trace.t)
+    # the record the block pass reduced is the one its own trace gives
+    assert _as_bytes(got.record) == _as_bytes(record_of(got.trace, got.cfg))
 
 
 @pytest.mark.parametrize("bc", list(_LEAP_BCS))
@@ -541,7 +561,7 @@ def test_leap_run_matches_the_stepwise_oracle(kind, bc):
     if kind is FluxKind.FOURIER:
         cfg = replace(cfg, dt=1e-5, t_end=5e-4, snapshot_times=(7e-5, 15e-5, 45e-5, 5e-4))
     assert leap_steps(cfg.n, cfg.n_steps) == 15 and cfg.n_steps == 50
-    got, want = run(cfg, u0), run_stepwise(cfg, u0)
+    got, want = run(cfg, u0, full_trace=True), run_stepwise(cfg, u0)
     # 50 steps of sums over ~n terms, each in its own order: a few ulps of
     # the field's scale per step
     _assert_runs_agree(got, want, 50 * 8 * _EPS * np.abs(u0).max())
@@ -597,7 +617,7 @@ def test_leap_run_stops_at_the_oracles_steady_step(kind, steps):
 
     cfg = replace(make_scenario("pulse-reflective").cfg, flux=kind, stop_when_steady=True)
     u0 = _pulse(cfg)
-    got, want = run(cfg, u0), run_stepwise(cfg, u0)
+    got, want = run(cfg, u0, full_trace=True), run_stepwise(cfg, u0)
     assert got.steps_taken == want.steps_taken == steps
     assert steps % leap_steps(cfg.n, cfg.n_steps) != 0  # the stop falls inside a block
     # a stable run forgets its round-off: a few ulps of the field's scale
@@ -650,7 +670,7 @@ def test_leap_keeps_constant_runs_exact(n, alpha):
             flux=kind, n=n, alpha=alpha, dt=1e-5, t_end=5e-4, snapshot_times=(1e-4, 5e-4),
             bc=BoundarySpec(Dirichlet(32.0), Dirichlet(32.0)),
         )
-        result = run(cfg, np.full(n + 1, 32.0))
+        result = run(cfg, np.full(n + 1, 32.0), full_trace=True)
         assert all(np.all(u == 32.0) for u in result.snapshots)
         assert np.all(result.trace.step_change == 0.0)
 
@@ -682,7 +702,7 @@ def test_leap_chunks_match_the_stepwise_oracle(kind, bc):
     cfg, u0 = _chunk_case(kind, bc)
     last = cfg.n_steps - _CHUNK_EDGES[-1]
     assert last < 150 and last % 15  # a short last chunk, ending in a short leap
-    got, want = run(cfg, u0), run_stepwise(cfg, u0)
+    got, want = run(cfg, u0, full_trace=True), run_stepwise(cfg, u0)
     assert [cfg.steps_to(t) for t in got.snapshot_times] == list(_CHUNK_SNAPS)
     _assert_runs_agree(got, want, cfg.n_steps * 8 * _EPS * np.abs(u0).max())
 
@@ -709,7 +729,7 @@ def test_leap_steady_stop_inside_a_later_chunk_is_the_oracles():
     cfg, u0 = _chunk_case(FluxKind.CAPUTO, "reflective")
     change = run_stepwise(cfg, u0).trace.step_change
     cfg = replace(cfg, stop_when_steady=True, steady_eps=0.5 * (change[305] + change[306]))
-    got, want = run(cfg, u0), run_stepwise(cfg, u0)
+    got, want = run(cfg, u0, full_trace=True), run_stepwise(cfg, u0)
     assert got.steps_taken == want.steps_taken == 307
     assert _CHUNK_EDGES[3] < 307 <= _CHUNK_EDGES[4] and 307 % 15
     _assert_runs_agree(got, want, 307 * 8 * _EPS * np.abs(u0).max())
@@ -817,9 +837,9 @@ def _count_advance(monkeypatch) -> list:
 def test_every_route_moves_its_fields_through_advance(kind, n, stride, monkeypatch):
     cfg, u0 = _route_case(kind, "mixed", n, 2 * solver.BLOCK_ROWS + 16)
     assert leap_steps(cfg.n, cfg.n_steps, LAWS[kind].local) == stride
-    want = run(cfg, u0)
+    want = run(cfg, u0, full_trace=True)
     calls = _count_advance(monkeypatch)
-    got = run(cfg, u0)
+    got = run(cfg, u0, full_trace=True)
     _assert_runs_agree(got, want, 0.0)
     if stride > 1:  # one update per leap end, and one per chunk for the fields inside its leaps
         assert 0 < len(calls) < cfg.n_steps
@@ -844,7 +864,7 @@ def test_f_route_matches_the_stepwise_oracle(kind, bc):
     cfg, u0 = _route_case(kind, bc, 200, steps)
     # fourier takes single steps here
     assert leap_steps(cfg.n, cfg.n_steps, LAWS[kind].local) == (0 if kind is FluxKind.FOURIER else 1)
-    got, want = run(cfg, u0), run_stepwise(cfg, u0)
+    got, want = run(cfg, u0, full_trace=True), run_stepwise(cfg, u0)
     _assert_runs_agree(got, want, steps * 8 * _EPS * np.abs(u0).max())
     # at n = 100 a run too short for the stacked leap takes F products,
     # and fourier single steps, bit for bit
@@ -852,7 +872,7 @@ def test_f_route_matches_the_stepwise_oracle(kind, bc):
     cfg, u0 = _route_case(kind, bc, 100, steps)
     single = kind is FluxKind.FOURIER
     assert leap_steps(cfg.n, cfg.n_steps, LAWS[kind].local) == (0 if single else 1)
-    got, want = run(cfg, u0), run_stepwise(cfg, u0)
+    got, want = run(cfg, u0, full_trace=True), run_stepwise(cfg, u0)
     _assert_runs_agree(got, want, 0.0 if single else steps * 8 * _EPS * np.abs(u0).max())
 
 
@@ -863,7 +883,7 @@ def test_f_route_stops_at_the_oracles_steady_step(kind):
     cfg, u0 = _route_case(kind, "reflective", 200, 120)
     change = run_stepwise(cfg, u0).trace.step_change
     cfg = replace(cfg, stop_when_steady=True, steady_eps=0.5 * (change[75] + change[76]))
-    got, want = run(cfg, u0), run_stepwise(cfg, u0)
+    got, want = run(cfg, u0, full_trace=True), run_stepwise(cfg, u0)
     assert got.steps_taken == want.steps_taken == 77
     _assert_runs_agree(got, want, 77 * 8 * _EPS * np.abs(u0).max())
     # the snapshots past the stop hold the frozen field
@@ -875,7 +895,7 @@ def test_f_route_stops_at_the_oracles_steady_step(kind):
 def test_fft_route_equals_the_stepwise_oracle_bit_for_bit(kind, bc):
     cfg, u0 = _route_case(kind, bc, FFT_MIN_N, 2 * solver.BLOCK_ROWS + 16)
     assert leap_steps(cfg.n, cfg.n_steps) == 0
-    got, want = run(cfg, u0), run_stepwise(cfg, u0)
+    got, want = run(cfg, u0, full_trace=True), run_stepwise(cfg, u0)
     _assert_runs_agree(got, want, 0.0)
     for name in ("mass", "u_min", "u_max", "step_change"):
         assert np.array_equal(getattr(got.trace, name), getattr(want.trace, name))
@@ -895,10 +915,78 @@ def test_traced_mass_is_the_total_mass_of_each_snapshot(n, kind, bc):
         assert leap_steps(cfg.n, cfg.n_steps, LAWS[kind].local) == 15
     else:
         cfg, u0 = _route_case(kind, bc, n, 2 * solver.BLOCK_ROWS + 16)
-    result = run(cfg, u0)
+    result = run(cfg, u0, full_trace=True)
     assert len(result.snapshots) >= 5
     for t, snapshot in zip(result.snapshot_times, result.snapshots):
         assert result.trace.mass[cfg.steps_to(t)] == total_mass(snapshot)
+
+
+def _record_cases():
+    """(label, configs, initial fields) on each route, over more than 999
+    steps, so that windows of several steps straddle the blocks."""
+    for label, kind, n, steps in (
+        ("leap", FluxKind.RIEMANN_LIOUVILLE, 100, 3000),
+        ("f-route", FluxKind.CAPUTO, 200, 2500),
+        ("fft-route", FluxKind.RIEMANN_LIOUVILLE, FFT_MIN_N, 1200),
+        ("fourier", FluxKind.FOURIER, 100, 3000),
+    ):
+        cfg, u0 = _route_case(kind, "reflective", n, steps)
+        if kind is FluxKind.RIEMANN_LIOUVILLE:
+            u0 = _pulse(cfg)  # u(0) = 0: rl leaves the bounds late, not at step 1
+        yield label, [cfg], [u0]
+    # a block of three on the stacked leap, each field with its own
+    # steady_eps, one of them signed zeros
+    cfg, u0 = _route_case(FluxKind.CAPUTO, "reflective", 100, 2000)
+    signed = np.where(np.arange(cfg.n + 1) % 2, -0.0, 0.0)
+    cfgs = [replace(cfg, steady_eps=eps) for eps in (1e-4, 1e-10, 1e-6)]
+    yield "block", cfgs, [u0, signed, -1.0 - 2.0 * u0]
+
+
+@pytest.mark.parametrize("held", [solver.RECORD_ROWS, 1], ids=["held", "taken-every-block"])
+@pytest.mark.parametrize("steady", [False, True], ids=["horizon", "steady-stop"])
+@pytest.mark.parametrize("case", ["leap", "f-route", "fft-route", "fourier", "block"])
+def test_record_of_each_route_and_block_is_that_of_its_full_trace(monkeypatch, case, steady, held):
+    # held = 1: the recorder takes in each block's steps before the next
+    # block, so windows straddle what it takes in
+    monkeypatch.setattr(solver, "RECORD_ROWS", held)
+    label, cfgs, u0s = next(c for c in _record_cases() if c[0] == case)
+    if steady and len(cfgs) == 1:
+        # stop between the step changes into steps stop - 1 and stop (they
+        # fall steadily here), halfway through the run, inside a window
+        stop = cfgs[0].n_steps // 2 + 1
+        change = run(cfgs[0], u0s[0], full_trace=True).trace.step_change
+        cfgs = [replace(cfgs[0], steady_eps=0.5 * (change[stop - 2] + change[stop - 1]))]
+
+    def march(full_trace):
+        if steady:  # a block cannot stop: each field alone
+            return [run(replace(cfg, stop_when_steady=True), u0, full_trace=full_trace)
+                    for cfg, u0 in zip(cfgs, u0s)]
+        return run_block(cfgs, u0s, full_trace=full_trace)
+
+    results = march(True)
+    for got, result in zip(march(False), results):
+        assert got.trace is None and _as_bytes(got.record) == _as_bytes(result.record)
+    for cfg, u0, result in zip(cfgs, u0s, results):
+        trace, record = result.trace, result.record
+        assert _as_bytes(record) == _as_bytes(record_of(trace, cfg))
+        principle = max_principle_check(trace, u0)
+        assert record.first_violation == principle.first_step
+        if record.first_violation is not None:
+            assert record.first_violation * cfg.dt == principle.first_time
+        quiet = steady_state_time(trace, cfg.steady_eps)
+        assert (None if record.quiet_step is None else record.quiet_step * cfg.dt) == quiet
+        steps = result.steps_taken
+        assert record.t.size == 1 + -(-steps // -(-cfg.n_steps // 999))
+        assert record.final_mass == trace.mass[-1] == record.mass[-1]
+        if steady:
+            assert record.quiet_step == steps < cfg.n_steps or record.quiet_step is None
+        if steady and len(cfgs) == 1:
+            assert steps == stop
+    if case == "leap":
+        assert results[0].record.first_violation == 346  # rl leaves the bounds in a later block
+    if case == "block":
+        quiet = [result.record.quiet_step for result in results]
+        assert quiet[1] == 1 and len(set(quiet)) == 3  # signed zeros are quiet at once
 
 
 def _runaway_config(kind, n):
@@ -1014,11 +1102,11 @@ def test_block_fields_match_their_solo_runs(n, kind, bc):
         runs += [LEAP_MIN_STEPS - 1, 400]
     for steps in runs:
         cfgs, u0s = _block_case(kind, bc, n, steps)
-        block = run_block(cfgs, u0s)
+        block = run_block(cfgs, u0s, full_trace=True)
         gemm = leap_steps(n, steps, LAWS[kind].local) == 1
         for got, cfg, u0 in zip(block, cfgs, u0s):
             assert got.cfg is cfg
-            want = run(cfg, u0)
+            want = run(cfg, u0, full_trace=True)
             # a few ulps of the field's scale per step after a GEMM, else none
             _assert_runs_agree(got, want, steps * 8 * _EPS * np.abs(u0).max() if gemm else 0.0)
         # the fields differ, so a mix-up of rows or offsets shows
@@ -1031,12 +1119,12 @@ def test_block_fields_match_their_solo_runs(n, kind, bc):
 def test_block_of_one_is_run_bit_for_bit(n):
     for kind in FluxKind:
         cfg, u0 = _route_case(kind, "dirichlet", n, 2 * solver.BLOCK_ROWS + 16)
-        _assert_runs_agree(run_block([cfg], [u0])[0], run(cfg, u0), 0.0)
+        _assert_runs_agree(run_block([cfg], [u0], full_trace=True)[0], run(cfg, u0, full_trace=True), 0.0)
     # the steady stop is open to a block of one
     cfg, u0 = _route_case(FluxKind.CAPUTO, "reflective", n, 120)
-    change = run(cfg, u0).trace.step_change
+    change = run(cfg, u0, full_trace=True).trace.step_change
     cfg = replace(cfg, stop_when_steady=True, steady_eps=0.5 * (change[75] + change[76]))
-    got, want = run_block([cfg], [u0])[0], run(cfg, u0)
+    got, want = run_block([cfg], [u0], full_trace=True)[0], run(cfg, u0, full_trace=True)
     assert got.steady_stop_time is not None
     _assert_runs_agree(got, want, 0.0)
 
@@ -1051,11 +1139,11 @@ def test_block_holds_each_field_to_its_own_runaway_limit(n, monkeypatch):
     cfgs, u0s = [cfg, big], [u0, 1e13 * u0 + 3e13]
     march, marches = solver._march, []
     monkeypatch.setattr(solver, "_march", lambda *args: marches.append(args) or march(*args))
-    block = run_block(cfgs, u0s)
+    block = run_block(cfgs, u0s, full_trace=True)
     assert len(marches) == 1
     gemm = leap_steps(n, cfg.n_steps) == 1
     for got, cfg, u0 in zip(block, cfgs, u0s):
-        _assert_runs_agree(got, run(cfg, u0), cfg.n_steps * 8 * _EPS * np.abs(u0).max() if gemm else 0.0)
+        _assert_runs_agree(got, run(cfg, u0, full_trace=True), cfg.n_steps * 8 * _EPS * np.abs(u0).max() if gemm else 0.0)
 
 
 @pytest.mark.parametrize("order", ["quiet-first", "runaway-first", "both-run-away"])
@@ -1194,7 +1282,7 @@ def _cache_case(n, kind=FluxKind.RIEMANN_LIOUVILLE, bc="dirichlet"):
 
 def _as_bytes(value):
     """Every field of a RunResult, each array as its dtype, shape and bytes."""
-    if isinstance(value, (RunResult, DiagnosticTrace)):
+    if isinstance(value, (RunResult, RunRecord, DiagnosticTrace)):
         return {f.name: _as_bytes(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, list):
         return [_as_bytes(v) for v in value]
@@ -1209,15 +1297,15 @@ def test_operator_cache_state_reaches_no_output_bit(builds, n):
     # builds F for every run and leaves the cache empty
     every_run = n == 200
     cfg, u0 = _cache_case(n)
-    cold = _as_bytes(run(cfg, u0))
+    cold = _as_bytes(run(cfg, u0, full_trace=True))
     assert builds["face"] == 1
-    assert _as_bytes(run(cfg, u0)) == cold  # warm
+    assert _as_bytes(run(cfg, u0, full_trace=True)) == cold  # warm
     assert builds["face"] == 1 + every_run
     # as many other operators as the cache holds evict this one
     for j in range(1, OPERATOR_CACHE_SIZE + 1):
         run(replace(cfg, kappa=1.0 - j / 16), u0)
     assert builds["face"] == 1 + every_run + OPERATOR_CACHE_SIZE
-    assert _as_bytes(run(cfg, u0)) == cold
+    assert _as_bytes(run(cfg, u0, full_trace=True)) == cold
     assert builds["face"] == 2 + every_run + OPERATOR_CACHE_SIZE
     assert len(solver._operators) == (0 if every_run else OPERATOR_CACHE_SIZE)
 
@@ -1238,15 +1326,15 @@ def test_operator_cache_is_left_as_it_was_by_the_face_operator_route(builds):
     # the K = 1 route builds its F for every run and caches nothing, so a
     # leap's P stays warm across it
     leap, u0 = _cache_case(100)
-    cold = _as_bytes(run(leap, u0))
+    cold = _as_bytes(run(leap, u0, full_trace=True))
     before = dict(solver._operators)
     cfg, v0 = _cache_case(200)
-    first = _as_bytes(run(cfg, v0))
-    assert _as_bytes(run(cfg, v0)) == first
+    first = _as_bytes(run(cfg, v0, full_trace=True))
+    assert _as_bytes(run(cfg, v0, full_trace=True)) == first
     assert builds == {"face": 3, "leap": 1}
     assert list(solver._operators) == list(before)
     assert all(solver._operators[key] is stacked for key, stacked in before.items())
-    assert _as_bytes(run(leap, u0)) == cold
+    assert _as_bytes(run(leap, u0, full_trace=True)) == cold
     assert builds == {"face": 3, "leap": 1}
 
 
@@ -1288,14 +1376,14 @@ def test_operator_cache_serves_concurrent_runs(builds):
     cfg, u0 = _cache_case(100)
     cfg = replace(cfg, t_end=16 * cfg.dt, snapshot_times=(cfg.dt, 16 * cfg.dt))
     cfgs = [replace(cfg, kappa=1.0 - j / 16) for j in range(OPERATOR_CACHE_SIZE + 2)]
-    want = [_as_bytes(run(other, u0)) for other in cfgs]
+    want = [_as_bytes(run(other, u0, full_trace=True)) for other in cfgs]
     got, sizes, errors = {}, [], []
 
     def worker(w):
         try:
             for j in range(len(cfgs)):
                 i = (j + w) % len(cfgs)
-                got[w, i] = _as_bytes(run(cfgs[i], u0))
+                got[w, i] = _as_bytes(run(cfgs[i], u0, full_trace=True))
                 sizes.append(len(solver._operators))
         except Exception as exc:  # reported below, in the test's thread
             errors.append(exc)
@@ -1320,8 +1408,8 @@ def test_operator_cache_serves_concurrent_runs(builds):
 @pytest.mark.parametrize("n", [100, 200])
 def test_operator_cache_serves_parsimonious_with_caputos_operator(builds, n):
     cfg, u0 = _cache_case(n, FluxKind.CAPUTO)
-    caputo = _as_bytes(run(cfg, u0))
-    parsimonious = _as_bytes(run(replace(cfg, flux=FluxKind.PARSIMONIOUS), u0))
+    caputo = _as_bytes(run(cfg, u0, full_trace=True))
+    parsimonious = _as_bytes(run(replace(cfg, flux=FluxKind.PARSIMONIOUS), u0, full_trace=True))
     # one cached P on the leap, an F for each run on the K = 1 route
     assert builds["face"] == {100: 1, 200: 2}[n]
     # the same law row, so the same operator and the same bits
