@@ -13,7 +13,9 @@ times of every result, and the message of every abort, of:
   crossovers between them;
 - the four flux laws, each under reflective, Dirichlet, mixed and nonzero
   fixed-flux ends;
-- solo runs and blocks of two and three fields (``run_block``);
+- solo runs and blocks of two and three fields (``run_block``), and at
+  n = 399 blocks of four and eight, whose products with F the solver
+  takes two fields at a time;
 - all-negative, all-zero and signed-zero fields, which show a sign of zero
   that an update lets slip;
 - one steady stop and one abort per law and grid, solo, and two aborts in
@@ -27,9 +29,7 @@ count reaches no output bit.  ``--cases PATH`` also writes one line per
 case to PATH, its index and label, then the SHA-256 of what that case adds
 to the hash, so that two listings tell which cases differ.  The traces
 come from ``full_trace=True``, or from ``result.trace`` alone in source
-trees whose ``run_block`` keeps it without being asked.  Blocks of four or more fields are left out:
-at n = 399 their one product with F per step rounds differently under one
-and two OpenBLAS threads.
+trees whose ``run_block`` keeps it without being asked.
 """
 
 import argparse
@@ -56,6 +56,7 @@ from fracflux.solver import (
 
 GRIDS = (20, 100, 141, 200, 399, 400, 600)
 STEPS = 80  # past two recorded blocks on the single-step routes
+WIDE_GRID = 399  # the grid of the blocks of four and eight fields
 
 # Three fields' boundary pairs per kind pair; a solo run takes the first.
 BCS = {
@@ -105,6 +106,11 @@ def cases():
                 u0s = [pinned(cfg, a * pulse + b) for cfg, (a, b) in zip(cfgs, SCALES)]
                 for width in (1, 2, 3):
                     yield f"{n} {kind.value} {name} x{width}", cfgs[:width], u0s[:width]
+                if n == WIDE_GRID:
+                    for width in (4, 8):
+                        wide = [cfgs[i % 3] for i in range(width)]
+                        fields = [pinned(cfg, (1 + i // 3) * u0s[i % 3]) for i, cfg in enumerate(wide)]
+                        yield f"{n} {kind.value} {name} x{width}", wide, fields
             signed = np.where(np.arange(n + 1) % 2, -0.0, 0.0)
             for name, spec in (("reflective", BoundarySpec.reflective()),
                                ("zero", BoundarySpec(Dirichlet(-0.0), Dirichlet(0.0)))):

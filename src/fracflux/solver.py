@@ -62,12 +62,13 @@ steps, which the run then keeps.
 :func:`run_block` marches several fields whose configurations differ
 only in their boundary values, and so share the step operator: one
 recorder pass serves the whole block, and where one product with F makes
-one step, a matrix-matrix product makes it for every field at once.
-:func:`run` is a block of one.  The stacked leap's P is cached per weight
-table (:func:`_stacked_operator`): a block, and every later run that
-leaps with the same P while it is among the :data:`OPERATOR_CACHE_SIZE`
-most recently used, reads it without building it again.  F costs a small
-part of a run, so the K = 1 route builds it for every run.
+one step, a matrix-matrix product makes it for up to three fields at
+once.  :func:`run` is a block of one.  The stacked leap's P is cached per
+weight table (:func:`_stacked_operator`): a block, and every later run
+that leaps with the same P while it is among the
+:data:`OPERATOR_CACHE_SIZE` most recently used, reads it without building
+it again.  F, built from the weights W alone, costs a small part of a
+run, so the K = 1 route builds it for every run.
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ from functools import partial
 from typing import ClassVar
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import __version__
 from .flux import LAWS, FluxKind, FluxLaw, apparent_advection, face_fluxes
@@ -590,15 +592,22 @@ def _face_operator(table: GrunwaldTable, law: FluxLaw, kappa: float) -> np.ndarr
     :func:`~fracflux.flux.face_fluxes`, kappa (T(W) G + a e_0^T) u with G
     the gradient and a the apparent advection of a unit left value, and
     face n + 1 is the right boundary, whose rows are zero.  F does not
-    depend on the boundary conditions.  Needs the dense memory matrix,
-    so n < FFT_MIN_N.
+    depend on the boundary conditions.  It is built from W alone, the
+    local law's being (1, 0, ..., 0), never from the table's n x n T(W):
+    column 0 of T(W) G holds W_0..W_{n-1}, and entry (i, j >= 1) is
+    e_{i-j}, with e_k = W_k - W_{k+1} for k >= 0, e_{-1} = 0 - W_0 and 0
+    below, the differences T(W) G takes of neighbouring columns of T(W).
     """
     n = table.n
-    memory = np.eye(n) if law.local else table.toeplitz
+    w = np.eye(1, n + 1)[0] if law.local else table.w
+    e = np.zeros(2 * n - 1)  # e_{n-2}, ..., e_0, e_{-1}, then n - 1 zeros
+    np.subtract(w[: n - 1][::-1], w[1:n][::-1], out=e[: n - 1])
+    e[n - 1] = 0.0 - w[0]
     f = np.zeros((n + 2, n + 1))
     inner = f[1:-1]
-    inner[:, :-1] = memory
-    inner[:, 1:] -= memory
+    inner[:, 0] = w[:n]
+    # Window n - 1 - i over e, row i, is e_{i-1}, e_{i-2}, ..., the one n x n copy.
+    inner[:, 1:] = sliding_window_view(e, n)[::-1]
     inner /= table.dx
     if law.advection:
         inner[:, 0] += apparent_advection(1.0, table)
@@ -707,7 +716,20 @@ def _step_fill(
     the boundary fluxes faces where a fixed-flux end prescribes a nonzero
     one; or, where ft is None, each field's face_fluxes inside its row of
     faces, whose ends hold them.  pinned holds (node, one value per
-    field)."""
+    field).  A product with F takes at most three fields: a block of more
+    is filled two fields at a time."""
+    if ft is not None and len(block) > 3:
+        # A product of four or more rows with F summed in an order that
+        # followed the OpenBLAS thread count (n = 399); of up to three it
+        # did not, and there a two-row product cost about a quarter of a
+        # three-row one.
+        for i in range(0, len(block), 2):
+            part = np.s_[i : i + 2]
+            _step_fill(
+                cfg, table, ft, None if shifts is None else shifts[part], faces[part], block[part],
+                rates, [(node, values[part]) for node, values in pinned],
+            )
+        return
     by_step = block.swapaxes(0, 1)  # (step, field, node)
     summed = faces if ft is None else np.empty_like(faces)
     left, right = summed[..., :-1], summed[..., 1:]
@@ -862,11 +884,12 @@ def run_block(cfgs, u0s, *, full_trace: bool = False) -> list[RunResult]:
     fields share one step operator, built once.  Each field's results
     equal its solo :func:`run` bit for bit, except where one product with
     F makes a step (K = 1 in :func:`leap_steps`): there one matrix-matrix
-    product serves every field and sums in its own order, so they agree
-    to round-off.  Each field is held to its own runaway limit.  If any
-    field fails it, the block raises one :class:`InstabilityError`, for
-    the earliest failing step and, of the fields that fail there, the
-    lowest index, with the message the guard writes for that field.
+    product serves up to three fields, a wider block two at a time, and
+    sums in its own order, so they agree to round-off.  Each field is held
+    to its own runaway limit.  If any field fails it, the block raises one
+    :class:`InstabilityError`, for the earliest failing step and, of the
+    fields that fail there, the lowest index, with the message the guard
+    writes for that field.
     ``stop_when_steady`` needs a block of one.  Raises
     ValueError for configs that do not share an operator.
     """

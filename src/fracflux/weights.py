@@ -15,12 +15,17 @@ turns a stack of local gradients into a one-sided fractional derivative.
 At alpha = 1 both sequences degenerate, g = (1, -1, 0, ...) and
 W = (1, 0, 0, ...), which collapses every flux law built on them to the
 plain local gradient.
+
+:func:`build_table` caches one :class:`GrunwaldTable` per (alpha, dx, n).
+A table holds O(n) data, W and, on the FFT route, its transform; the
+dense memory matrix T(W) is built only when a dense flux evaluation first
+reads it.  The solver's step operators are built from W directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -38,9 +43,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 # np.convolve's own time, which moves by up to a third with heap alignment.
 FFT_MIN_N = 400
 
-# How many weight tables build_table keeps.  A table below FFT_MIN_N faces
-# holds an n x n matrix (up to 1.3 MB), so an unbounded cache would grow
-# with every order a sweep visits.
+# How many weight tables build_table keeps.  A table holds O(n) doubles,
+# its weights and, from FFT_MIN_N faces up, their transform; below it, the
+# n x n T(W) too once face_fluxes has read it (up to 1.3 MB).  So an
+# unbounded cache would grow with every order a sweep visits.
 TABLE_CACHE_SIZE = 32
 
 
@@ -50,25 +56,47 @@ class GrunwaldTable:
 
     The arrays are marked read-only so a cached table can be shared across
     concurrent readers without copying.  A table hashes and compares by
-    identity, so it can key what is built from it.  Each table carries the memory
-    operator T(W) in exactly one form.  Below :data:`FFT_MIN_N` faces it is
-    ``toeplitz``, the C-contiguous n x n lower-triangular Toeplitz matrix
-    with T[i, j] = W_{i-j} for j <= i and zeros above the diagonal.  From
-    :data:`FFT_MIN_N` faces up it is ``w_hat``, ``rfft(W_0..W_{n-1}, L)``
-    with L = 2**ceil(log2(2n - 1)), long enough that the circular
-    convolution it serves does not wrap into the first n faces.  The other
-    field is None.
+    identity, so it can key what is built from it.  A table holds O(n)
+    data: the cumulative weights ``w`` and, from :data:`FFT_MIN_N` faces
+    up, ``w_hat``, ``rfft(W_0..W_{n-1}, L)`` with L = 2**ceil(log2(2n - 1)),
+    long enough that the circular convolution it serves does not wrap into
+    the first n faces; below :data:`FFT_MIN_N` ``w_hat`` is None.  The
+    dense memory operator below :data:`FFT_MIN_N`, :attr:`toeplitz`, is
+    built from ``w`` the first time it is read and kept with the table.
     """
 
     alpha: float
     dx: float
     w: np.ndarray  # cumulative weights W_0..W_n, units of dx**(1 - alpha)
-    toeplitz: np.ndarray | None  # T(W), n x n, below FFT_MIN_N faces
     w_hat: np.ndarray | None  # rfft of W_0..W_{n-1}, length L/2 + 1, from FFT_MIN_N up
 
     @property
     def n(self) -> int:
         return self.w.size - 1
+
+    @cached_property
+    def toeplitz(self) -> np.ndarray | None:
+        """T(W), the read-only, C-contiguous n x n lower-triangular Toeplitz
+        matrix with T[i, j] = W_{i-j} for j <= i and zeros above the
+        diagonal, below :data:`FFT_MIN_N` faces; None from there up.
+
+        Built on first read and kept in the instance (the dense branch of
+        :func:`~fracflux.flux.face_fluxes` is its one reader), so a table
+        only a product route uses never holds it.  From Python 3.12 on,
+        where ``cached_property`` takes no lock, two threads may both build
+        it; both get the same read-only bits.
+        """
+        if self.w_hat is not None:
+            return None
+        n = self.n
+        # Row i of the windows over (0, ..., 0, W_0, ..., W_{n-1}), read
+        # backwards, is W_i, ..., W_0, 0, ..., 0; the copy is the one n x n
+        # allocation.
+        padded = np.zeros(2 * n - 1)
+        padded[n - 1:] = self.w[:n]
+        toeplitz = sliding_window_view(padded, n)[:, ::-1].copy()
+        toeplitz.flags.writeable = False
+        return toeplitz
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -79,8 +107,8 @@ def build_table(alpha: float, dx: float, n: int) -> GrunwaldTable:
     available (80-bit extended on x86) before rounding to float64: the
     partial sums decay to zero through near-cancelling terms and benefit
     from the extra headroom.  Flux evaluation never recomputes weights;
-    one table per (alpha, dx, n) is built here and reused, memory operator
-    included.  The cache keeps the :data:`TABLE_CACHE_SIZE` most recently
+    one table per (alpha, dx, n) is built here and reused, with the dense
+    memory operator it builds on first read.  The cache keeps the :data:`TABLE_CACHE_SIZE` most recently
     used tables, so a long sweep over orders holds bounded memory.
     """
     if not 0.0 < alpha <= 1.0:
@@ -98,16 +126,8 @@ def build_table(alpha: float, dx: float, n: int) -> GrunwaldTable:
     scale = np.longdouble(dx) ** (1.0 - a)
     w = (scale * np.cumsum(g_ext)).astype(np.float64)
     w.flags.writeable = False
-    toeplitz = w_hat = None
-    if n < FFT_MIN_N:
-        # Row i of the windows over (0, ..., 0, W_0, ..., W_{n-1}), read
-        # backwards, is W_i, ..., W_0, 0, ..., 0; the copy is the one n x n
-        # allocation.
-        padded = np.zeros(2 * n - 1)
-        padded[n - 1:] = w[:n]
-        toeplitz = sliding_window_view(padded, n)[:, ::-1].copy()
-        toeplitz.flags.writeable = False
-    else:
+    w_hat = None
+    if n >= FFT_MIN_N:
         w_hat = np.fft.rfft(w[:n], 1 << (2 * n - 2).bit_length())
         w_hat.flags.writeable = False
-    return GrunwaldTable(alpha=float(alpha), dx=float(dx), w=w, toeplitz=toeplitz, w_hat=w_hat)
+    return GrunwaldTable(alpha=float(alpha), dx=float(dx), w=w, w_hat=w_hat)

@@ -265,3 +265,36 @@ def test_equivariance_deviations_do_not_depend_on_blas_threads():
         outputs.append(done.stdout)
     assert len(outputs[0].splitlines()) == 8
     assert outputs[0] == outputs[1]
+
+
+_SWEEP_OVER_ORDERS = """
+import resource, sys
+from dataclasses import replace
+from fracflux.diagnostics import equivariance_test
+from fracflux.flux import FluxKind
+from fracflux.scenarios import make_scenario
+for k in range(int(sys.argv[1])):
+    alpha = 0.05 + 0.9 * k / 31
+    dt = 0.4 * (1 / 399) ** (1 + alpha)
+    scenario = make_scenario("fig7-shifted", alpha=alpha)
+    scenario = replace(scenario, cfg=replace(scenario.cfg, n=399, dt=dt))
+    equivariance_test(scenario, FluxKind.CAPUTO, -1.75, 6.5, t_end=20 * dt)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB, as Linux gives it")
+def test_sweep_over_orders_keeps_no_dense_matrix_per_order():
+    # 32 orders at n = 399, 20 F-route steps each, against one order, each
+    # in a fresh process: while every cached table held its 1.3 MB T(W),
+    # the sweep peaked 37.8 MB above one order
+    src = str(Path(fracflux.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    peaks = []
+    for orders in ("1", "32"):
+        done = subprocess.run(
+            [sys.executable, "-c", _SWEEP_OVER_ORDERS, orders],
+            env=env, check=True, capture_output=True, text=True, timeout=120,
+        )
+        peaks.append(int(done.stdout.split()[-1]) / 1024)  # MiB
+    assert abs(peaks[1] - peaks[0]) <= 8.0, peaks

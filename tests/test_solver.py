@@ -465,6 +465,58 @@ def test_leap_size_follows_the_byte_rule():
         assert leap_steps(n, 10**6, local=True) == leap_steps(n, 1, local=True) == 0
 
 
+def _face_operator_from_toeplitz(table, law, kappa):
+    """F built from the table's n x n T(W): T(W) into every column but the
+    last, less T(W) from every column but the first, then the same
+    scaling and advection as solver._face_operator."""
+    n = table.n
+    memory = np.eye(n) if law.local else table.toeplitz
+    f = np.zeros((n + 2, n + 1))
+    inner = f[1:-1]
+    inner[:, :-1] = memory
+    inner[:, 1:] -= memory
+    inner /= table.dx
+    if law.advection:
+        inner[:, 0] += apparent_advection(1.0, table)
+    inner *= kappa
+    return f
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 100, 141, 142, 200, FFT_MIN_N - 1])
+def test_face_operator_from_w_is_the_toeplitz_build_bit_for_bit(n):
+    # every entry is the same subtraction of the same two weights (or a
+    # weight less 0.0), so the bytes agree: signed zeros, and the
+    # overflows of kappa = 1e308, included
+    def check(table, law, kappa):
+        got = solver._face_operator(table, law, kappa)
+        assert got.tobytes() == _face_operator_from_toeplitz(table, law, kappa).tobytes()
+
+    for alpha in (0.3, 0.5, 1.0):
+        table = build_table(alpha, 1.0 / n, n)
+        for law in LAWS.values():
+            for kappa in (1.0, 1.5):
+                check(table, law, kappa)
+            with np.errstate(over="ignore", invalid="ignore"):
+                check(table, law, 1e308)
+
+
+def test_product_routes_leave_the_table_without_its_dense_matrix():
+    # the stacked leap (n = 100) and the F route (n = 200) build their
+    # operators from W, so the cached table keeps O(n); the first dense
+    # face_fluxes builds T(W), read-only, and the table keeps it
+    build_table.cache_clear()
+    for n in (100, 200):
+        cfg, u0 = _route_case(FluxKind.CAPUTO, "mixed", n, 2 * solver.BLOCK_ROWS + 16)
+        assert leap_steps(cfg.n, cfg.n_steps) == {100: 15, 200: 1}[n]
+        run(cfg, u0)
+        table = build_table(cfg.alpha, cfg.dx, cfg.n)
+        assert "toeplitz" not in vars(table)
+        face_fluxes(u0, cfg.flux, table)
+        matrix = vars(table)["toeplitz"]
+        assert matrix.shape == (n, n) and not matrix.flags.writeable
+        assert table.toeplitz is matrix
+
+
 @pytest.mark.parametrize("bc", list(_LEAP_BCS))
 @pytest.mark.parametrize("kappa", [1.0, 1.5])
 @pytest.mark.parametrize("kind", list(FluxKind))
@@ -1113,6 +1165,24 @@ def test_block_fields_match_their_solo_runs(n, kind, bc):
         for i, a in enumerate(block):
             for b in block[i + 1 :]:
                 assert np.abs(a.final - b.final).max() > 0.1
+
+
+@pytest.mark.parametrize("width", [4, 5, 8])
+@pytest.mark.parametrize("n", [200, FFT_MIN_N - 1])
+def test_wide_f_route_block_is_its_pairs_bit_for_bit(n, width):
+    # a block of more than three fields takes its products with F two
+    # fields at a time: each pair, and a last field alone, has the bits of
+    # its own block, which sum in an order the BLAS thread count does not
+    # reach
+    for kind in (FluxKind.RIEMANN_LIOUVILLE, FluxKind.CAPUTO):
+        three, starts = _block_case(kind, "fixed-flux", n)
+        cfgs = [three[i % 3] for i in range(width)]
+        u0s = [starts[i % 3] + i for i in range(width)]  # no Dirichlet end to match
+        assert leap_steps(n, cfgs[0].n_steps) == 1
+        block = run_block(cfgs, u0s, full_trace=True)
+        for i in range(0, width, 2):
+            pair = run_block(cfgs[i : i + 2], u0s[i : i + 2], full_trace=True)
+            assert _as_bytes(block[i : i + 2]) == _as_bytes(pair)
 
 
 @pytest.mark.parametrize("n", [100, 200, FFT_MIN_N])

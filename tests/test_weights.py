@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -6,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracflux.weights import FFT_MIN_N, TABLE_CACHE_SIZE, build_table
+from fracflux.flux import FluxKind, face_fluxes
+from fracflux.weights import FFT_MIN_N, TABLE_CACHE_SIZE, GrunwaldTable, build_table
 from oracles import grunwald_coefficients, partial_g_sum
 
 
@@ -171,3 +174,41 @@ def test_a_table_hashes_and_compares_by_identity():
     for name, value in (("alpha", 0.25), ("dx", 0.02), ("w", rebuilt.w), ("toeplitz", None)):
         with pytest.raises(FrozenInstanceError):
             setattr(table, name, value)
+
+
+def test_threads_reading_a_new_tables_matrix_get_the_same_bits():
+    # T(W) is built on a table's first read: eight threads that call the
+    # dense face_fluxes on one new table at once each see a read-only T(W)
+    # with the bits of one built alone, and get the same fluxes
+    n = 300
+    table = GrunwaldTable(0.4, 1.0 / n, build_table(0.4, 1.0 / n, n).w, None)
+    alone = GrunwaldTable(table.alpha, table.dx, table.w, None)
+    u = np.random.default_rng(7).normal(size=n + 1)
+    want = face_fluxes(u, FluxKind.CAPUTO, alone).tobytes()
+    seen, errors = [], []
+
+    def worker():
+        try:
+            for _ in range(20):
+                got = face_fluxes(u, FluxKind.CAPUTO, table).tobytes()
+                seen.append((got, table.toeplitz))
+        except Exception as exc:  # reported below, in the test's thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(seen) == 8 * 20
+    for got, matrix in seen:
+        assert got == want
+        assert not matrix.flags.writeable
+        assert matrix.tobytes() == alone.toeplitz.tobytes()
