@@ -21,7 +21,13 @@ times of every result, and the message of every abort, of:
 - one steady stop and one abort per law and grid, solo, and two aborts in
   a block, one of them with a second field that fails before the first;
 - the README's late ``caputo`` abort at n = 100 and 200, hundreds of
-  steps into the stacked leap and the F route.
+  steps into the stacked leap and the F route;
+
+and the fluxes of one ``face_fluxes`` call per law, grid, order alpha =
+0.5 and 1, kappa = 1 and 1.5 and field (the pulse, the pulse + 3, whose
+``rl`` advection is live, a constant and the signed-zero field), so that
+a change to the kernel shows case by case even where no run reads its
+bits.  N counts the runs alone.
 
 Two source trees that print the same line give the same bits on all of
 these; run it under several OPENBLAS_NUM_THREADS to check that the thread
@@ -40,7 +46,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from fracflux.flux import FluxKind
+from fracflux.flux import FluxKind, face_fluxes
 from fracflux.scenarios import triangular_pulse
 from fracflux.solver import (
     BoundarySpec,
@@ -53,6 +59,7 @@ from fracflux.solver import (
     run,
     run_block,
 )
+from fracflux.weights import build_table
 
 GRIDS = (20, 100, 141, 200, 399, 400, 600)
 STEPS = 80  # past two recorded blocks on the single-step routes
@@ -136,6 +143,25 @@ def cases():
                         yield f"{n} {kind.value} late abort", [late], [pulse]
 
 
+def kernel_cases():
+    """(label, law, weight table, kappa, field) of every face_fluxes call, in order."""
+    for n in GRIDS:
+        x = np.arange(n + 1) / n
+        pulse = triangular_pulse(x)
+        fields = {
+            "pulse": pulse,
+            "pulse+3": pulse + 3.0,
+            "constant": np.full(n + 1, 1.25),
+            "signed-zero": np.where(np.arange(n + 1) % 2, -0.0, 0.0),
+        }
+        for kind in FluxKind:
+            for alpha in (0.5, 1.0):
+                table = build_table(alpha, 1.0 / n, n)
+                for kappa in (1.0, 1.5):
+                    for name, field in fields.items():
+                        yield f"{n} {kind.value} kernel a{alpha} k{kappa} {name}", kind, table, kappa, field
+
+
 def outputs(label, cfgs, u0s):
     """(the bytes a case adds to the hash, in order, its count of runs)."""
     pieces = [label.encode()]
@@ -167,6 +193,10 @@ def main():
                 digest.update(piece)
             count += runs
             listing.append(f"{index} {label} {hashlib.sha256(b''.join(pieces)).hexdigest()}\n")
+        for index, (label, kind, table, kappa, field) in enumerate(kernel_cases(), start=len(listing)):
+            piece = label.encode() + face_fluxes(field, kind, table, kappa=kappa).tobytes()
+            digest.update(piece)
+            listing.append(f"{index} {label} {hashlib.sha256(piece).hexdigest()}\n")
     if args.cases:
         with open(args.cases, "w", encoding="utf-8") as fh:
             fh.writelines(listing)

@@ -22,10 +22,10 @@ value at the left end.  ``parsimonious`` is ``rl`` applied to u - u(0);
 that field has a zero left value and the same gradient fluxes, so the
 law is exactly ``caputo`` and shares its row.
 
-The memory sum T(w) grad u is a dense matrix-vector product with the
-table's lower-triangular Toeplitz matrix below
-:data:`fracflux.weights.FFT_MIN_N` faces and a zero-padded FFT product
-from there up; the two agree to round-off.
+The memory sum T(w) grad u is one direct sum with the weights W,
+``np.convolve``, below :data:`fracflux.weights.FFT_MIN_N` faces and a
+zero-padded FFT product from there up; the two agree to round-off.  No
+n x n matrix is built for it.
 """
 
 from __future__ import annotations
@@ -98,11 +98,11 @@ def face_fluxes(u, kind: FluxKind, table: GrunwaldTable, kappa: float = 1.0) -> 
     q = arr[:-1] - arr[1:]
     q /= table.dx
     if not law.local:
-        # q[i] = sum_{j=0..i} W_j * grad[i-j], as a dense product with the
-        # table's T(W), or as an FFT product when the table carries w_hat.
-        # The gradient is formed first, so a constant field gives exact zeros.
+        # q[i] = sum_{j=0..i} W_j * grad[i-j], as a direct sum, or as an FFT
+        # product when the table carries w_hat.  The gradient is formed
+        # first, so a constant field gives exact zeros.
         if table.w_hat is None:
-            q = table.toeplitz @ q
+            q = np.convolve(q, table.w[: table.n])[: table.n]
         else:
             size = 2 * (table.w_hat.size - 1)
             spectrum = np.fft.rfft(q, size) * table.w_hat

@@ -589,11 +589,12 @@ def _face_operator(table: GrunwaldTable, law: FluxLaw, kappa: float) -> np.ndarr
     the boundary fluxes of :func:`_boundaries`.
 
     Face 0 is the left boundary, faces 1..n are the interior faces of
-    :func:`~fracflux.flux.face_fluxes`, kappa (T(W) G + a e_0^T) u with G
-    the gradient and a the apparent advection of a unit left value, and
+    :func:`~fracflux.flux.face_fluxes`, kappa (T(W) G + a e_0^T) u with
+    T(W) the lower-triangular matrix of the memory sum, T[i, j] = W_{i-j},
+    G the gradient and a the apparent advection of a unit left value, and
     face n + 1 is the right boundary, whose rows are zero.  F does not
     depend on the boundary conditions.  It is built from W alone, the
-    local law's being (1, 0, ..., 0), never from the table's n x n T(W):
+    local law's being (1, 0, ..., 0), and T(W) itself is never formed:
     column 0 of T(W) G holds W_0..W_{n-1}, and entry (i, j >= 1) is
     e_{i-j}, with e_k = W_k - W_{k+1} for k >= 0, e_{-1} = 0 - W_0 and 0
     below, the differences T(W) G takes of neighbouring columns of T(W).

@@ -17,36 +17,36 @@ W = (1, 0, 0, ...), which collapses every flux law built on them to the
 plain local gradient.
 
 :func:`build_table` caches one :class:`GrunwaldTable` per (alpha, dx, n).
-A table holds O(n) data, W and, on the FFT route, its transform; the
-dense memory matrix T(W) is built only when a dense flux evaluation first
-reads it.  The solver's step operators are built from W directly.
+A table holds O(n) data, W and, on the FFT route, its transform, and
+nothing else.  The memory sum and the solver's step operators are taken
+from those arrays directly: no n x n matrix is built from a table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 # Smallest face count whose memory sum goes through the FFT; below it the
-# sum is a dense product with the n x n matrix T(W).  A fixed constant, not
-# a config key, so the kernel (and hence every output bit) is a function of
-# n alone.  Dense product / FFT product / np.convolve per call on a 2-vCPU
-# x86 host, numpy 2.4 with one OpenBLAS thread, best of 40 interleaved
-# rounds: 3.4 / 16.8 / 5.2 us at n = 100, 8.7 / 18.9 / 9.8 us at 200,
-# 21.7 / 29.1 / 23.1 us at 350, 26.6 / 23.9 / 23.6 us at 400,
-# 36.9 / 23.9 / 28.6 us at 450, 78 / 30 / 46 us at 511.  The FFT product
-# starts beating the dense one near 400; on each side of 400 the route
-# taken is as fast as np.convolve or faster, to within the spread of
-# np.convolve's own time, which moves by up to a third with heap alignment.
+# sum is one direct sum with the weights, np.convolve.  It is also where
+# solver.run stops taking a step as one product with its face operator F
+# and calls face_fluxes every step instead.  A fixed constant, not a config
+# key, so the kernel (and hence every output bit) is a function of n alone.
+# Direct sum / FFT product per call on a 2-vCPU x86 host, numpy 2.4 with
+# one OpenBLAS thread, best of 40 interleaved rounds, lowest to highest of
+# three such runs: 18-23 / 20-22 us at n = 350, 23-25 / 21-22 us at 399,
+# 21-27 / 20-23 us at 400, 26-30 / 21-22 us at 450, 35-38 / 21-23 us at
+# 511.  The two meet between 350 and 400, inside the spread of the direct
+# sum's own time, which moves by up to a quarter with heap alignment.  The
+# constant stays at 400: moving it would move routes and bits.
 FFT_MIN_N = 400
 
 # How many weight tables build_table keeps.  A table holds O(n) doubles,
-# its weights and, from FFT_MIN_N faces up, their transform; below it, the
-# n x n T(W) too once face_fluxes has read it (up to 1.3 MB).  So an
-# unbounded cache would grow with every order a sweep visits.
+# its weights and, from FFT_MIN_N faces up, their transform: about 0.1 MB
+# at n = 4000.  An unbounded cache would still grow with every order a
+# sweep visits.
 TABLE_CACHE_SIZE = 32
 
 
@@ -60,9 +60,8 @@ class GrunwaldTable:
     data: the cumulative weights ``w`` and, from :data:`FFT_MIN_N` faces
     up, ``w_hat``, ``rfft(W_0..W_{n-1}, L)`` with L = 2**ceil(log2(2n - 1)),
     long enough that the circular convolution it serves does not wrap into
-    the first n faces; below :data:`FFT_MIN_N` ``w_hat`` is None.  The
-    dense memory operator below :data:`FFT_MIN_N`, :attr:`toeplitz`, is
-    built from ``w`` the first time it is read and kept with the table.
+    the first n faces; below :data:`FFT_MIN_N` ``w_hat`` is None.  A table
+    has no other state: nothing is built on it later.
     """
 
     alpha: float
@@ -74,30 +73,6 @@ class GrunwaldTable:
     def n(self) -> int:
         return self.w.size - 1
 
-    @cached_property
-    def toeplitz(self) -> np.ndarray | None:
-        """T(W), the read-only, C-contiguous n x n lower-triangular Toeplitz
-        matrix with T[i, j] = W_{i-j} for j <= i and zeros above the
-        diagonal, below :data:`FFT_MIN_N` faces; None from there up.
-
-        Built on first read and kept in the instance (the dense branch of
-        :func:`~fracflux.flux.face_fluxes` is its one reader), so a table
-        only a product route uses never holds it.  From Python 3.12 on,
-        where ``cached_property`` takes no lock, two threads may both build
-        it; both get the same read-only bits.
-        """
-        if self.w_hat is not None:
-            return None
-        n = self.n
-        # Row i of the windows over (0, ..., 0, W_0, ..., W_{n-1}), read
-        # backwards, is W_i, ..., W_0, 0, ..., 0; the copy is the one n x n
-        # allocation.
-        padded = np.zeros(2 * n - 1)
-        padded[n - 1:] = self.w[:n]
-        toeplitz = sliding_window_view(padded, n)[:, ::-1].copy()
-        toeplitz.flags.writeable = False
-        return toeplitz
-
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def build_table(alpha: float, dx: float, n: int) -> GrunwaldTable:
@@ -107,9 +82,9 @@ def build_table(alpha: float, dx: float, n: int) -> GrunwaldTable:
     available (80-bit extended on x86) before rounding to float64: the
     partial sums decay to zero through near-cancelling terms and benefit
     from the extra headroom.  Flux evaluation never recomputes weights;
-    one table per (alpha, dx, n) is built here and reused, with the dense
-    memory operator it builds on first read.  The cache keeps the :data:`TABLE_CACHE_SIZE` most recently
-    used tables, so a long sweep over orders holds bounded memory.
+    one table per (alpha, dx, n) is built here and reused as it is.  The
+    cache keeps the :data:`TABLE_CACHE_SIZE` most recently used tables, so a
+    long sweep over orders holds bounded memory.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")

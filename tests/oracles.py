@@ -7,6 +7,7 @@ them.
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from fracflux.diagnostics import DiagnosticTrace, max_principle_check, total_mass
 from fracflux.flux import FluxKind, face_fluxes
@@ -53,17 +54,36 @@ def partial_g_sum(table: GrunwaldTable, j: int) -> float:
     return float(table.w[j] / table.dx ** (1.0 - table.alpha))
 
 
+def toeplitz(table: GrunwaldTable) -> np.ndarray:
+    """T(W), the read-only, C-contiguous n x n lower-triangular Toeplitz
+    matrix with T[i, j] = W_{i-j} for j <= i and zeros above the diagonal.
+
+    The package never forms it: its memory sum and its step operators are
+    taken from W directly.  The tests build the face operator F from this
+    matrix too, as the reference for the package's build from W.
+    """
+    n = table.n
+    # Row i of the windows over (0, ..., 0, W_0, ..., W_{n-1}), read
+    # backwards, is W_i, ..., W_0, 0, ..., 0; the copy is the one n x n
+    # allocation.
+    padded = np.zeros(2 * n - 1)
+    padded[n - 1:] = table.w[:n]
+    matrix = sliding_window_view(padded, n)[:, ::-1].copy()
+    matrix.flags.writeable = False
+    return matrix
+
+
 def face_fluxes_direct(u, kind: FluxKind, table: GrunwaldTable, kappa: float = 1.0) -> np.ndarray:
     """The face-flux kernel with the memory sum always summed directly.
 
     Follows :func:`fracflux.flux.face_fluxes` operation for operation but
-    takes the memory sum with ``np.convolve`` at every n, a summation order
-    of its own, so it is the reference for both of the package's routes,
-    the dense matrix product and the FFT product; for ``fourier``, which has
-    no memory sum, it matches the package bit for bit.  The laws are
-    spelled out here rather than read from :data:`fracflux.flux.LAWS`: every
-    law but ``fourier`` takes the memory sum, and only ``rl`` adds the
-    apparent advection.
+    takes the memory sum with ``np.convolve(w, grad)`` at every n, a
+    summation order of its own, so it is the reference for both of the
+    package's routes, the direct sum ``np.convolve(grad, w)`` and the FFT
+    product; for ``fourier``, which has no memory sum, it matches the
+    package bit for bit.  The laws are spelled out here rather than read
+    from :data:`fracflux.flux.LAWS`: every law but ``fourier`` takes the
+    memory sum, and only ``rl`` adds the apparent advection.
     """
     u = np.asarray(u, dtype=np.float64)
     q = (u[:-1] - u[1:]) / table.dx

@@ -294,7 +294,7 @@ def test_face_fluxes_rejects_a_law_that_is_not_a_flux_kind(kind):
         face_fluxes(np.zeros(11), kind, table)
 
 
-# ------------------------------------------------- dense and FFT routes
+# ------------------------------------------------ direct and FFT routes
 
 
 def _gamma(k):
@@ -350,7 +350,6 @@ def _offset_noisy_field(n, seed):
 def test_fft_route_matches_direct_oracle(n, kappa):
     table = build_table(0.6, 1.0 / n, n)
     assert (table.w_hat is None) == (n < FFT_MIN_N)
-    assert (table.toeplitz is None) != (table.w_hat is None)
     u = _offset_noisy_field(n, seed=n)
     unit = np.finfo(np.float64).eps / 2
     grad = (u[:-1] - u[1:]) / table.dx
@@ -361,7 +360,8 @@ def test_fft_route_matches_direct_oracle(n, kappa):
             assert np.array_equal(got, want), kind
             continue
         if table.w_hat is None:
-            # the dense product and np.convolve each sum in their own order
+            # the direct sum and the oracle's np.convolve each sum in an
+            # order of its own
             memory = 2 * kappa * _direct_sum_error_bound(grad, table)
         else:
             memory = kappa * _fft_error_bound(grad, table)

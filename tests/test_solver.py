@@ -31,7 +31,7 @@ from fracflux.solver import (
     step,
 )
 from fracflux.weights import FFT_MIN_N, build_table
-from oracles import explicit_step, face_fluxes_direct, record_of, run_stepwise
+from oracles import explicit_step, face_fluxes_direct, record_of, run_stepwise, toeplitz
 
 
 def _config(**overrides):
@@ -466,11 +466,11 @@ def test_leap_size_follows_the_byte_rule():
 
 
 def _face_operator_from_toeplitz(table, law, kappa):
-    """F built from the table's n x n T(W): T(W) into every column but the
-    last, less T(W) from every column but the first, then the same
-    scaling and advection as solver._face_operator."""
+    """F built from the n x n T(W) of tests/oracles.toeplitz: T(W) into
+    every column but the last, less T(W) from every column but the first,
+    then the same scaling and advection as solver._face_operator."""
     n = table.n
-    memory = np.eye(n) if law.local else table.toeplitz
+    memory = np.eye(n) if law.local else toeplitz(table)
     f = np.zeros((n + 2, n + 1))
     inner = f[1:-1]
     inner[:, :-1] = memory
@@ -500,21 +500,29 @@ def test_face_operator_from_w_is_the_toeplitz_build_bit_for_bit(n):
                 check(table, law, 1e308)
 
 
-def test_product_routes_leave_the_table_without_its_dense_matrix():
-    # the stacked leap (n = 100) and the F route (n = 200) build their
-    # operators from W, so the cached table keeps O(n); the first dense
-    # face_fluxes builds T(W), read-only, and the table keeps it
+def test_a_table_holds_its_four_fields_alone_after_every_route_and_law():
+    # the stacked leap (n = 100), the F route (200) and the FFT route
+    # (FFT_MIN_N) build from W, and face_fluxes below FFT_MIN_N takes a
+    # direct sum, so no table gains a field or holds more than O(n)
     build_table.cache_clear()
-    for n in (100, 200):
+    tables = []
+    for n, k in ((100, 15), (200, 1), (FFT_MIN_N, 0)):
         cfg, u0 = _route_case(FluxKind.CAPUTO, "mixed", n, 2 * solver.BLOCK_ROWS + 16)
-        assert leap_steps(cfg.n, cfg.n_steps) == {100: 15, 200: 1}[n]
+        assert leap_steps(cfg.n, cfg.n_steps) == k
         run(cfg, u0)
-        table = build_table(cfg.alpha, cfg.dx, cfg.n)
-        assert "toeplitz" not in vars(table)
-        face_fluxes(u0, cfg.flux, table)
-        matrix = vars(table)["toeplitz"]
-        assert matrix.shape == (n, n) and not matrix.flags.writeable
-        assert table.toeplitz is matrix
+        tables.append(build_table(cfg.alpha, cfg.dx, cfg.n))
+    for n in (1, 2, 100, 141, 200, FFT_MIN_N - 1):
+        table = build_table(0.5, 1.0 / n, n)
+        u = 3.0 + np.random.default_rng(n).normal(size=n + 1)
+        for kind in FluxKind:
+            face_fluxes(u, kind, table)
+        tables.append(table)
+    for table in tables:
+        n = table.n
+        assert set(vars(table)) == {"alpha", "dx", "w", "w_hat"}
+        size = 1 << (2 * n - 2).bit_length()  # L = 2**ceil(log2(2n - 1))
+        for value in vars(table).values():
+            assert np.size(value) <= max(n + 1, size // 2 + 1)
 
 
 @pytest.mark.parametrize("bc", list(_LEAP_BCS))
